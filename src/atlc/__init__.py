@@ -30,7 +30,6 @@ from .qp import ConstraintRow, QpInstance, QpSolution, oracle_grid_solve, solve_
 from .robust_bounds import BoundConfig, Box, g_ratlc, h_ratlc, make_box
 from .sim import IntegratorConfig, IntegrationError, Segment, integrate_until_trigger
 from .tau_select import (
-    ControlContext,
     TauDecision,
     TauSelectConfig,
     rollout_min_h,
@@ -44,7 +43,6 @@ __all__ = [
     "BoundConfig",
     "Box",
     "ConstraintRow",
-    "ControlContext",
     "ControlDecision",
     "ControllerConfig",
     "ControllerKind",

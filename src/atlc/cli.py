@@ -33,7 +33,7 @@ from .controller import (
 from .margin import tau_star_scan
 from .model import AccParams, acc_model, make_state
 from .robust_bounds import make_box
-from .tau_select import TauSelectConfig
+from .tau_select import TauSelectConfig, candidate_taus
 
 TRAJECTORY_COLUMNS = [
     "t", "z", "v", "u", "tau", "h", "V", "delta",
@@ -385,16 +385,15 @@ def cmd_margin_map(args) -> int:
         scenario = load_scenario(Path(args.config))
         cfg = build_controller_config(scenario)
         x = make_state(args.z, args.v)
+        tc = cfg.tau_cfg
+        grid = candidate_taus(TauSelectConfig(
+            tau_min=tc.tau_min if args.tau_min is None else args.tau_min,
+            tau_max=tc.tau_max if args.tau_max is None else args.tau_max,
+            n_candidates=tc.n_candidates if args.n_tau is None else args.n_tau,
+        ))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tau_min = args.tau_min if args.tau_min is not None else cfg.tau_cfg.tau_min
-    tau_max = args.tau_max if args.tau_max is not None else cfg.tau_cfg.tau_max
-    n_tau = args.n_tau if args.n_tau is not None else cfg.tau_cfg.n_candidates
-    if n_tau == 1:
-        grid = np.array([tau_min])
-    else:
-        grid = np.linspace(tau_min, tau_max, n_tau)
     model = acc_model(cfg.params, cfg.clf_form)
     box = make_box(x, cfg.box_under, cfg.box_over)
     result = tau_star_scan(box, grid, model, cfg.bound_cfg)

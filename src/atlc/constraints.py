@@ -94,7 +94,6 @@ def build_qp_instance(
     w: float | None = None,
     u_lower: Array | None = None,
     u_upper: Array | None = None,
-    delta_cap: float = DELTA_CAP,
 ) -> QpInstance:
     """Assemble the controller QP over (u, delta) from safety/CLF rows.
 
@@ -126,7 +125,7 @@ def build_qp_instance(
     )
     upper = np.concatenate(
         [model.u_max if u_upper is None else np.asarray(u_upper, float),
-         [delta_cap]]
+         [DELTA_CAP]]
     )
     return QpInstance(
         quadratic_diag=diag,

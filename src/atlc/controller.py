@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
-    DELTA_CAP,
     build_clf_row,
     build_hocbf_row,
     build_qp_instance,
@@ -29,9 +28,7 @@ from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
 from .tau_select import (
     CandidateEval,
-    ControlContext,
     TauSelectConfig,
-    candidate_taus,
     select_tau,
     solve_event_qp,
 )
@@ -93,16 +90,18 @@ class ControllerConfig:
     T: float = 30.0
     objective: str = "acc_effort"
     clf_form: str = "quadratic"
-    fallback_enabled: bool = True
     z0: float = 90.0
     v0: float = 15.0
-    delta_cap: float = DELTA_CAP
 
     def __post_init__(self) -> None:
         if self.T <= 0.0:
             raise ValueError("final time must be positive")
-        object.__setattr__(self, "box_under", np.asarray(self.box_under, float))
-        object.__setattr__(self, "box_over", np.asarray(self.box_over, float))
+        for name in ("box_under", "box_over"):
+            radii = np.asarray(getattr(self, name), float)
+            if not np.all(np.isfinite(radii)) or np.any(radii < 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {radii}")
+            object.__setattr__(self, name, radii)
+        make_state(self.z0, self.v0)  # rejects a non-finite start state
 
 
 @dataclass(frozen=True)
@@ -191,17 +190,6 @@ def _row_margin(row: ConstraintRow, model: SystemModel) -> float:
     return float(coeffs @ best - b)
 
 
-def _context(cfg: ControllerConfig, model: SystemModel) -> ControlContext:
-    return ControlContext(
-        model=model,
-        params=cfg.params,
-        bound_cfg=cfg.bound_cfg,
-        integrator_cfg=cfg.integrator_cfg,
-        objective=cfg.objective,
-        delta_cap=cfg.delta_cap,
-    )
-
-
 def compute_control(
     x_k: Array,
     cfg: ControllerConfig,
@@ -217,24 +205,13 @@ def compute_control(
     if kind.name == "atlc":
         if box is None:
             box = make_box(x_k, cfg.box_under, cfg.box_over)
-        decision = select_tau(x_k, box, cfg.tau_cfg, _context(cfg, model))
-        gs = stack_on_grid(box, model, cfg.bound_cfg)
-        if decision.all_infeasible:
-            margins = [
-                margin_from_stack(gs, float(tau), model)
-                for tau in candidate_taus(cfg.tau_cfg)
-            ]
-            return ControlDecision(
-                u=None, tau=None, status="infeasible", delta=None,
-                margin=max(margins), qp_objective=math.inf,
-                table=decision.table,
-            )
+        decision = select_tau(x_k, box, cfg, model)
         return ControlDecision(
             u=decision.u_k,
             tau=decision.tau_k,
-            status="optimal",
+            status="infeasible" if decision.all_infeasible else "optimal",
             delta=decision.delta_k,
-            margin=margin_from_stack(gs, decision.tau_k, model),
+            margin=decision.margin,
             qp_objective=decision.qp_objective,
             table=decision.table,
         )
@@ -244,7 +221,7 @@ def compute_control(
             box = make_box(x_k, cfg.box_under, cfg.box_over)
         gs = stack_on_grid(box, model, cfg.bound_cfg)
         clf = build_clf_row(x_k, cfg.params.c3, model)
-        sol = solve_event_qp(x_k, gs, kind.tau_fixed, clf, _context(cfg, model))
+        sol = solve_event_qp(x_k, gs, kind.tau_fixed, clf, cfg, model)
         robust_margin = margin_from_stack(gs, kind.tau_fixed, model)
         if sol.status != "optimal":
             return ControlDecision(
@@ -268,8 +245,7 @@ def compute_control(
         tau_logged = None
     clf = build_clf_row(x_k, cfg.params.c3, model)
     inst = build_qp_instance(
-        [safety, clf], model, cfg.objective, x=x_k, params=cfg.params,
-        delta_cap=cfg.delta_cap,
+        [safety, clf], model, cfg.objective, x=x_k, params=cfg.params
     )
     sol = solve_qp(inst)
     row_margin = _row_margin(safety, model)
@@ -312,15 +288,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
             _finalize(log, dense, cfg)
             raise SimulationError(str(exc), log) from exc
         feasible = decision.status == "optimal"
-        if feasible:
-            u_apply = float(decision.u[0])
-        elif cfg.fallback_enabled:
-            u_apply = fallback_control(cfg.params)
-        else:
-            _finalize(log, dense, cfg)
-            raise SimulationError(
-                f"infeasible at t={t:.6f} with fallback disabled", log
-            )
+        u_apply = float(decision.u[0]) if feasible else fallback_control(cfg.params)
 
         record = EventRecord(
             index=k, t=t, x=x.copy(), tau=decision.tau, u=u_apply,

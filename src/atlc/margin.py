@@ -19,6 +19,7 @@ from .robust_bounds import (
     BoundConfig,
     Box,
     GridStack,
+    branch_input_box,
     g_ratlc_from_stack,
     h_ratlc_from_stack,
     stack_on_grid,
@@ -63,10 +64,10 @@ def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
     best = -np.inf
     for branch in product((1.0, -1.0), repeat=gs.q):
         branch_arr = np.array(branch)
-        lower = np.where(branch_arr > 0, np.maximum(model.u_min, 0.0), model.u_min)
-        upper = np.where(branch_arr > 0, model.u_max, np.minimum(model.u_max, 0.0))
-        if np.any(lower > upper):
+        box = branch_input_box(branch_arr, model)
+        if box is None:
             continue
+        lower, upper = box
         g_row = g_ratlc_from_stack(gs, tau, branch_arr)
         u_star = np.where(g_row > 0, upper, lower)
         best = max(best, float(g_row @ u_star + h_worst))

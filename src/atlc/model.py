@@ -83,10 +83,9 @@ class SystemModel:
         d^m h / dt^m = L_f^m h(x) + phi(x) @ u.
 
     ``clf_terms(x)`` returns ``(V, L_f V, L_g V)`` with ``L_g V`` a q-vector.
-    The optional ``*_grid`` evaluators take an (N, n) array of states and
-    return stacked values; they exist so worst-case bounds over a box can be
-    computed without a Python-level loop.  All evaluators are pure functions
-    and safe to call concurrently.
+    The required ``*_grid`` evaluators take an (N, n) array of states and
+    return stacked values, so worst-case bounds over a box are computed
+    without a Python-level loop.  All evaluators are pure functions.
     """
 
     n: int
@@ -98,8 +97,8 @@ class SystemModel:
     clf_terms: Callable[[Array], tuple[float, float, Array]]
     u_min: Array
     u_max: Array
-    lie_stack_grid: Callable[[Array], Array] | None = None
-    phi_grid: Callable[[Array], Array] | None = None
+    lie_stack_grid: Callable[[Array], Array]
+    phi_grid: Callable[[Array], Array]
 
     def __post_init__(self) -> None:
         if self.m < 1:

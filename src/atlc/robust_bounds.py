@@ -5,9 +5,10 @@ event state.  The safety condition is therefore tightened with the
 worst-case drift term (minimum of the joint Taylor sum over the box) and a
 per-component worst-case input gain whose sign branch depends on the sign
 of the corresponding input entry.  Extrema are taken over a tensor
-evaluation lattice; the per-axis point counts are snapped to a dyadic
-cell count so refining the lattice only ever adds midpoints and the
-computed minimum can never increase under refinement.
+evaluation lattice that always contains the box vertices; the per-axis
+point counts are snapped to a dyadic cell count so refining the lattice
+only ever adds midpoints and the computed minimum never increases under
+refinement.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class BoundConfig:
     """Evaluation-lattice resolution for the box extrema."""
 
     grid_points_per_axis: int = 21
-    include_vertices: bool = True
 
     def __post_init__(self) -> None:
         if self.grid_points_per_axis < 2:
@@ -83,10 +83,7 @@ def _axis_points(lo: float, hi: float, cfg: BoundConfig) -> Array:
     # smallest dyadic cell count covering the requested resolution; nested
     # under any doubling of grid_points_per_axis
     cells = 1 << max(0, math.ceil(math.log2(cfg.grid_points_per_axis - 1)))
-    pts = lo + (hi - lo) * np.arange(cells + 1) / cells
-    if not cfg.include_vertices:
-        pts = 0.5 * (pts[:-1] + pts[1:])
-    return pts
+    return lo + (hi - lo) * np.arange(cells + 1) / cells
 
 
 def grid_points(box: Box, cfg: BoundConfig) -> Array:
@@ -114,13 +111,10 @@ class GridStack:
 
 def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
     pts = grid_points(box, cfg)
-    if model.lie_stack_grid is not None and model.phi_grid is not None:
-        stack = model.lie_stack_grid(pts)
-        phi = model.phi_grid(pts)
-    else:
-        stack = np.array([model.lie_stack(x) for x in pts])
-        phi = np.array([model.phi(x) for x in pts])
-    return GridStack(points=pts, stack=stack, phi=phi, m=model.m, q=model.q)
+    return GridStack(
+        points=pts, stack=model.lie_stack_grid(pts), phi=model.phi_grid(pts),
+        m=model.m, q=model.q,
+    )
 
 
 def taylor_weights(tau: float, m: int) -> Array:
@@ -142,6 +136,21 @@ def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> Array:
     scale = taylor_weights(tau, gs.m)[-1]
     worst = np.where(branch > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
     return scale * worst
+
+
+def branch_input_box(
+    sign_branch: Array, model: SystemModel
+) -> tuple[Array, Array] | None:
+    """Part of the input box consistent with a sign branch, as (lower, upper).
+
+    Component j is restricted to u_j >= 0 where the branch is +1 and to
+    u_j <= 0 where it is -1; None when that part of the box is empty.
+    """
+    lower = np.where(sign_branch > 0, np.maximum(model.u_min, 0.0), model.u_min)
+    upper = np.where(sign_branch > 0, model.u_max, np.minimum(model.u_max, 0.0))
+    if np.any(lower > upper):
+        return None
+    return lower, upper
 
 
 def h_ratlc(box: Box, tau: float, model: SystemModel, cfg: BoundConfig) -> float:

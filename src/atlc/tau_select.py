@@ -7,26 +7,32 @@ lookahead horizon and the predicted minimum of the safety output is
 recorded.  The candidate maximizing that prediction wins, ties going to
 the smallest time scale (the least restrictive constraint).  Infeasible
 candidates keep a -inf sentinel so they lose every comparison.
-
-Candidate evaluations are independent; a worker pool can fan them out and
-the final argmax is a deterministic sequential reduction, so the decision
-does not depend on worker count or evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constraints import DELTA_CAP, atlc_row_from_stack, build_clf_row, build_qp_instance
-from .model import AccParams, SystemModel
+from .constraints import atlc_row_from_stack, build_clf_row, build_qp_instance
+from .margin import margin_from_stack
+from .model import SystemModel
 from .qp import QpSolution, solve_qp
-from .robust_bounds import BoundConfig, Box, GridStack, g_ratlc_from_stack, stack_on_grid
+from .robust_bounds import (
+    Box,
+    GridStack,
+    branch_input_box,
+    g_ratlc_from_stack,
+    stack_on_grid,
+)
 from .sim import IntegratorConfig, integrate_fixed_horizon
+
+if TYPE_CHECKING:  # controller imports this module
+    from .controller import ControllerConfig
 
 Array = np.ndarray
 
@@ -36,34 +42,15 @@ class TauSelectConfig:
     tau_min: float = 0.05
     tau_max: float = 2.0
     n_candidates: int = 40
-    spacing: str = "linear"
     T_look: float = 1.0
-    rollout_dt: float = 0.01
-    max_workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_min <= self.tau_max:
             raise ValueError("need 0 < tau_min <= tau_max")
         if self.n_candidates < 1:
             raise ValueError("need at least one candidate time scale")
-        if self.spacing not in ("linear", "logarithmic"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.T_look <= 0.0 or self.rollout_dt <= 0.0:
-            raise ValueError("lookahead horizon and sample spacing must be positive")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class ControlContext:
-    """Everything a candidate QP needs besides the time scale."""
-
-    model: SystemModel
-    params: AccParams
-    bound_cfg: BoundConfig
-    integrator_cfg: IntegratorConfig
-    objective: str = "acc_effort"
-    delta_cap: float = DELTA_CAP
+        if self.T_look <= 0.0:
+            raise ValueError("lookahead horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,20 +65,25 @@ class CandidateEval:
 
 @dataclass(frozen=True)
 class TauDecision:
+    """The selected candidate, or all-None fields when none is feasible.
+
+    ``margin`` is the robust feasibility margin at the chosen time scale,
+    or the largest margin over the candidates when every one is infeasible.
+    """
+
     tau_k: float | None
     u_k: Array | None
     delta_k: float | None
     qp_objective: float
     table: tuple[CandidateEval, ...]
     all_infeasible: bool
+    margin: float
 
 
 def candidate_taus(cfg: TauSelectConfig) -> Array:
     if cfg.n_candidates == 1:
         return np.array([cfg.tau_min])
-    if cfg.spacing == "linear":
-        return np.linspace(cfg.tau_min, cfg.tau_max, cfg.n_candidates)
-    return np.geomspace(cfg.tau_min, cfg.tau_max, cfg.n_candidates)
+    return np.linspace(cfg.tau_min, cfg.tau_max, cfg.n_candidates)
 
 
 def rollout_min_h(
@@ -100,16 +92,20 @@ def rollout_min_h(
     T_look: float,
     model: SystemModel,
     cfg: IntegratorConfig,
-    rollout_dt: float = 0.01,
 ) -> float:
     """Minimum of the safety output along the constant-input rollout,
     over dense samples including both endpoints."""
-    _, states = integrate_fixed_horizon(x_k, u, T_look, model, cfg, dt=rollout_dt)
+    _, states = integrate_fixed_horizon(x_k, u, T_look, model, cfg)
     return float(min(model.lie_stack(s)[0] for s in states))
 
 
 def solve_event_qp(
-    x_k: Array, gs: GridStack, tau: float, clf_row, ctx: ControlContext
+    x_k: Array,
+    gs: GridStack,
+    tau: float,
+    clf_row,
+    cfg: ControllerConfig,
+    model: SystemModel,
 ) -> QpSolution:
     """Robust safety QP at one candidate time scale.
 
@@ -119,41 +115,26 @@ def solve_event_qp(
     all branch rows coincide (constant input gain over the box) a single QP
     over the full box is equivalent and solved instead.
     """
-    model = ctx.model
     branches = [np.array(b) for b in product((1.0, -1.0), repeat=model.q)]
     rows_by_branch = [g_ratlc_from_stack(gs, tau, b) for b in branches]
-    same = all(np.array_equal(rows_by_branch[0], r) for r in rows_by_branch[1:])
-
-    def run(branch, restrict: bool) -> QpSolution:
-        safety = atlc_row_from_stack(gs, tau, branch)
-        if restrict:
-            u_lower = np.where(branch > 0, np.maximum(model.u_min, 0.0), model.u_min)
-            u_upper = np.where(branch > 0, model.u_max, np.minimum(model.u_max, 0.0))
-            if np.any(u_lower > u_upper):
-                return QpSolution(
-                    values=np.full(model.q + 1, np.nan),
-                    objective=math.inf,
-                    status="infeasible",
-                )
-        else:
-            u_lower, u_upper = model.u_min, model.u_max
-        inst = build_qp_instance(
-            [safety, clf_row],
-            model,
-            ctx.objective,
-            x=x_k,
-            params=ctx.params,
-            u_lower=u_lower,
-            u_upper=u_upper,
-            delta_cap=ctx.delta_cap,
-        )
-        return solve_qp(inst)
-
-    if same:
-        return run(branches[0], restrict=False)
+    if all(np.array_equal(rows_by_branch[0], r) for r in rows_by_branch[1:]):
+        branch_boxes = [(branches[0], (model.u_min, model.u_max))]
+    else:
+        branch_boxes = [(b, branch_input_box(b, model)) for b in branches]
     best: QpSolution | None = None
-    for branch in branches:
-        sol = run(branch, restrict=True)
+    for branch, box in branch_boxes:
+        if box is None:
+            continue
+        inst = build_qp_instance(
+            [atlc_row_from_stack(gs, tau, branch), clf_row],
+            model,
+            cfg.objective,
+            x=x_k,
+            params=cfg.params,
+            u_lower=box[0],
+            u_upper=box[1],
+        )
+        sol = solve_qp(inst)
         if sol.status == "optimal" and (best is None or sol.objective < best.objective):
             best = sol
     if best is None:
@@ -165,62 +146,34 @@ def solve_event_qp(
 
 
 def select_tau(
-    x_k: Array, box: Box, cfg: TauSelectConfig, ctx: ControlContext
+    x_k: Array, box: Box, cfg: ControllerConfig, model: SystemModel
 ) -> TauDecision:
     """Evaluate every candidate time scale and return the rollout argmax."""
     x_k = np.asarray(x_k, dtype=float)
-    gs = stack_on_grid(box, ctx.model, ctx.bound_cfg)
-    clf_row = build_clf_row(x_k, ctx.params.c3, ctx.model)
-    taus = candidate_taus(cfg)
+    gs = stack_on_grid(box, model, cfg.bound_cfg)
+    clf_row = build_clf_row(x_k, cfg.params.c3, model)
 
-    def solve_one(tau: float) -> QpSolution:
-        return solve_event_qp(x_k, gs, float(tau), clf_row, ctx)
-
-    if cfg.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            solutions = list(pool.map(solve_one, taus))
-    else:
-        solutions = [solve_one(tau) for tau in taus]
-
-    # identical inputs yield identical rollouts; evaluate each distinct one once
-    unique: dict[bytes, float] = {}
-    feasible_keys = []
-    for sol in solutions:
-        if sol.status == "optimal":
-            key = sol.values[: ctx.model.q].tobytes()
-            unique.setdefault(key, math.nan)
-            feasible_keys.append(key)
-        else:
-            feasible_keys.append(None)
-
-    def roll(key: bytes) -> float:
-        u = np.frombuffer(key, dtype=float).copy()
-        return rollout_min_h(
-            x_k, u, cfg.T_look, ctx.model, ctx.integrator_cfg, cfg.rollout_dt
-        )
-
-    keys = list(unique)
-    if cfg.max_workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            for key, value in zip(keys, pool.map(roll, keys)):
-                unique[key] = value
-    else:
-        for key in keys:
-            unique[key] = roll(key)
-
+    # identical inputs yield identical rollouts; roll each distinct one out once
+    predictions: dict[bytes, float] = {}
     table = []
-    for tau, sol, key in zip(taus, solutions, feasible_keys):
-        if key is None:
+    for tau in candidate_taus(cfg.tau_cfg):
+        sol = solve_event_qp(x_k, gs, float(tau), clf_row, cfg, model)
+        if sol.status != "optimal":
             table.append(CandidateEval(
                 tau=float(tau), feasible=False, min_h_pred=-math.inf,
                 qp_objective=math.inf, u=None, delta=None,
             ))
-        else:
-            table.append(CandidateEval(
-                tau=float(tau), feasible=True, min_h_pred=unique[key],
-                qp_objective=sol.objective, u=sol.values[: ctx.model.q],
-                delta=float(sol.values[-1]),
-            ))
+            continue
+        u = sol.values[: model.q]
+        key = u.tobytes()
+        if key not in predictions:
+            predictions[key] = rollout_min_h(
+                x_k, u, cfg.tau_cfg.T_look, model, cfg.integrator_cfg
+            )
+        table.append(CandidateEval(
+            tau=float(tau), feasible=True, min_h_pred=predictions[key],
+            qp_objective=sol.objective, u=u, delta=float(sol.values[-1]),
+        ))
 
     best_idx = None
     best_pred = -math.inf
@@ -232,6 +185,7 @@ def select_tau(
         return TauDecision(
             tau_k=None, u_k=None, delta_k=None, qp_objective=math.inf,
             table=tuple(table), all_infeasible=True,
+            margin=max(margin_from_stack(gs, e.tau, model) for e in table),
         )
     chosen = table[best_idx]
     return TauDecision(
@@ -241,4 +195,5 @@ def select_tau(
         qp_objective=chosen.qp_objective,
         table=tuple(table),
         all_infeasible=False,
+        margin=margin_from_stack(gs, chosen.tau, model),
     )

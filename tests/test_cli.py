@@ -4,6 +4,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from atlc import AccParams
 from atlc.cli import TRAJECTORY_COLUMNS, main, summary_from_trajectory_csv
 
@@ -157,6 +159,33 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     assert not (tmp_path / "out" / "a_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "box_under=-1", "box_over=[0.5, -0.5]", "box_under=Infinity", "z0=NaN",
+    "v0=Infinity",
+])
+def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
+    cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_compare_rejects_bad_box_before_any_run(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    write_config(d / "a.json", id="a", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(d / "b.json", id="b", kind="hocbf", p1=0.5, p2=0.5, T=1.0)
+    write_config(d / "c.json", id="c", kind="atlc", box_over=-0.5, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_margin_map_output(tmp_path):
     cfg = write_config(tmp_path / "s.json", kind="atlc")
     out = tmp_path / "map.csv"
@@ -186,6 +215,20 @@ def test_margin_map_single_point_and_infeasible(tmp_path):
         rows = list(csv.DictReader(fh))
     assert all(r["feasible"] == "0" for r in rows)
     assert all(r["tau_star"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("grid_args", [
+    ["--n-tau", "0"], ["--n-tau", "-3"], ["--tau-min", "0"],
+    ["--tau-min", "1.5", "--tau-max", "0.5"],
+])
+def test_margin_map_rejects_bad_grid(tmp_path, capsys, grid_args):
+    cfg = write_config(tmp_path / "s.json", kind="atlc")
+    out = tmp_path / "map.csv"
+    assert main(["margin-map", "--config", str(cfg), "--z", "90", "--v", "15",
+                 "--out", str(out), *grid_args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_trace_candidates(tmp_path):

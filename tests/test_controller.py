@@ -10,9 +10,14 @@ from atlc import (
     ZenoError,
     compute_control,
     fallback_control,
+    make_box,
     make_state,
     simulate_closed_loop,
 )
+from atlc.constraints import DELTA_CAP
+from atlc.margin import margin_from_stack
+from atlc.robust_bounds import stack_on_grid
+from atlc.tau_select import candidate_taus
 
 
 def test_fallback_values():
@@ -30,6 +35,30 @@ def test_atlc_decision_accelerates_from_start(model):
     assert cfg.tau_cfg.tau_min <= decision.tau <= cfg.tau_cfg.tau_max
     assert decision.margin > 0
     assert decision.table is not None and len(decision.table) == 40
+
+
+def test_atlc_decision_margin(model):
+    """The adaptive decision logs the robust margin at the chosen time
+    scale, or the best margin over the candidates when none is feasible."""
+    cfg = ControllerConfig()
+
+    def lattice(x):
+        return stack_on_grid(make_box(x, cfg.box_under, cfg.box_over), model,
+                             cfg.bound_cfg)
+
+    x = make_state(90.0, 15.0)
+    decision = compute_control(x, cfg, model)
+    assert decision.status == "optimal"
+    assert decision.margin == margin_from_stack(lattice(x), decision.tau, model)
+
+    x = make_state(10.2, 24.0)
+    decision = compute_control(x, cfg, model)
+    assert decision.status == "infeasible"
+    gs = lattice(x)
+    margins = [margin_from_stack(gs, float(tau), model)
+               for tau in candidate_taus(cfg.tau_cfg)]
+    assert len(margins) == 40
+    assert decision.margin == max(margins) < 0.0
 
 
 def test_pointwise_tlc_infeasible_at_engineered_state(model):
@@ -120,7 +149,7 @@ def test_delta_cap_never_active():
     log = simulate_closed_loop(cfg)
     for event in log.events:
         if event.delta is not None:
-            assert event.delta < cfg.delta_cap / 2
+            assert event.delta < DELTA_CAP / 2
 
 
 def test_safety_when_all_events_feasible():
@@ -164,18 +193,6 @@ def test_fallback_engages_and_is_logged():
     assert not log.events[0].feasible
     assert log.events[0].u == pytest.approx(fallback_control(p))
     assert log.summary.infeasible_events >= 1
-
-
-def test_infeasibility_aborts_when_fallback_disabled():
-    from atlc import SimulationError
-
-    p = AccParams(cd=0.4)
-    cfg = ControllerConfig(
-        kind=ControllerKind.tlc_fixed(0.5, robust=False), params=p,
-        z0=12.0, v0=24.0, T=1.0, fallback_enabled=False,
-    )
-    with pytest.raises(SimulationError, match="fallback disabled"):
-        simulate_closed_loop(cfg)
 
 
 def test_zeno_abort_on_degenerate_box():

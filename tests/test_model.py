@@ -159,11 +159,13 @@ def test_system_model_invariants(params):
         SystemModel(
             n=2, q=1, m=0, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
+            lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
         )
     with pytest.raises(ValueError):
         SystemModel(
             n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=np.array([1.0]), u_max=np.array([-1.0]),
+            lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
         )
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from atlc import (
-    BoundConfig,
-    ControlContext,
+    ControllerConfig,
     IntegratorConfig,
     TauSelectConfig,
     make_box,
@@ -24,36 +23,29 @@ from atlc.tau_select import candidate_taus
 from conftest import rk4_flow
 
 
-@pytest.fixture(scope="module")
-def ctx(model, params):
-    return ControlContext(
-        model=model,
-        params=params,
-        bound_cfg=BoundConfig(),
-        integrator_cfg=IntegratorConfig(),
-        objective="acc_effort",
-    )
+def config(**tau_cfg) -> ControllerConfig:
+    """Case-study controller config with the given time-scale settings."""
+    return ControllerConfig(tau_cfg=TauSelectConfig(**tau_cfg))
 
 
-def scripted_selection(x, box, cfg, ctx):
+def scripted_selection(x, box, cfg, model):
     """Independent re-implementation of the rollout selection loop built
     from the public row/QP/rollout operations."""
-    gs = stack_on_grid(box, ctx.model, ctx.bound_cfg)
-    clf = build_clf_row(x, ctx.params.c3, ctx.model)
+    gs = stack_on_grid(box, model, cfg.bound_cfg)
+    clf = build_clf_row(x, cfg.params.c3, model)
     best_tau, best_u, best_pred = None, None, -math.inf
     table = []
-    for tau in candidate_taus(cfg):
+    for tau in candidate_taus(cfg.tau_cfg):
         row = atlc_row_from_stack(gs, tau, [-1])  # constant gain: branches equal
         inst = build_qp_instance(
-            [row, clf], ctx.model, ctx.objective, x=x, params=ctx.params
+            [row, clf], model, cfg.objective, x=x, params=cfg.params
         )
         sol = solve_qp(inst)
         if sol.status != "optimal":
             table.append((float(tau), -math.inf))
             continue
         pred = rollout_min_h(
-            x, sol.values[:1], cfg.T_look, ctx.model, ctx.integrator_cfg,
-            cfg.rollout_dt,
+            x, sol.values[:1], cfg.tau_cfg.T_look, model, cfg.integrator_cfg
         )
         table.append((float(tau), pred))
         if pred > best_pred:
@@ -68,8 +60,6 @@ def test_config_validation():
         TauSelectConfig(tau_min=2.0, tau_max=1.0)
     with pytest.raises(ValueError):
         TauSelectConfig(n_candidates=0)
-    with pytest.raises(ValueError):
-        TauSelectConfig(spacing="cubic")
 
 
 def test_candidate_grids():
@@ -78,63 +68,59 @@ def test_candidate_grids():
     assert lin[0] == 0.05 and lin[-1] == 2.0
     np.testing.assert_allclose(np.diff(lin), np.diff(lin)[0], rtol=1e-9)
 
-    log = candidate_taus(TauSelectConfig(n_candidates=10, spacing="logarithmic"))
-    np.testing.assert_allclose(np.diff(np.log(log)), np.diff(np.log(log))[0],
-                               rtol=1e-9)
-
     single = candidate_taus(TauSelectConfig(n_candidates=1, tau_min=0.3, tau_max=0.9))
     np.testing.assert_array_equal(single, [0.3])
 
 
-def test_rollout_equilibrium_holds_h(model, params, ctx):
+def test_rollout_equilibrium_holds_h(model, params):
     from atlc import resistance_force
 
     x = make_state(11.0, params.vp)
     u = resistance_force(params.vp, params)
-    value = rollout_min_h(x, u, 1.0, model, ctx.integrator_cfg)
+    value = rollout_min_h(x, u, 1.0, model, IntegratorConfig())
     assert value == pytest.approx(1.0, abs=1e-8)
 
 
-def test_rollout_matches_reference(model, params, ctx):
+def test_rollout_matches_reference(model, params):
     """Coasting from (90, 15): h shrinks monotonically, so the rollout
     minimum is the endpoint value from the fixed-step reference."""
     from atlc import acc_dynamics_rhs
 
     x = make_state(90.0, 15.0)
-    value = rollout_min_h(x, 0.0, 1.0, model, ctx.integrator_cfg)
+    value = rollout_min_h(x, 0.0, 1.0, model, IntegratorConfig())
     x_end = rk4_flow(lambda s: acc_dynamics_rhs(s, 0.0, params), x, 1.0, 1e-4)
     assert value == pytest.approx(x_end[0] - params.lp, abs=1e-7)
     assert value < 79.0
 
 
-def test_rollout_tiny_horizon(model, ctx):
+def test_rollout_tiny_horizon(model):
     x = make_state(37.0, 22.0)
-    assert rollout_min_h(x, 0.0, 1e-9, model, ctx.integrator_cfg) == pytest.approx(
+    assert rollout_min_h(x, 0.0, 1e-9, model, IntegratorConfig()) == pytest.approx(
         27.0, abs=1e-7
     )
 
 
-def test_single_candidate_returned(ctx):
+def test_single_candidate_returned(model):
     x = make_state(90.0, 15.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    cfg = TauSelectConfig(tau_min=0.7, tau_max=0.7, n_candidates=1)
-    decision = select_tau(x, box, cfg, ctx)
+    cfg = config(tau_min=0.7, tau_max=0.7, n_candidates=1)
+    decision = select_tau(x, box, cfg, model)
     assert not decision.all_infeasible
     assert decision.tau_k == 0.7
     assert len(decision.table) == 1
 
 
-def test_infeasible_candidate_loses(ctx, model):
+def test_infeasible_candidate_loses(model):
     """Near the boundary with closing speed, large time scales are
     infeasible while small ones are not; the feasible one must win."""
     x = make_state(12.0, 24.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    gs = stack_on_grid(box, model, ctx.bound_cfg)
+    cfg = config(tau_min=0.1, tau_max=2.0, n_candidates=2)
+    gs = stack_on_grid(box, model, cfg.bound_cfg)
     assert margin_from_stack(gs, 0.1, model) >= 0.0
     assert margin_from_stack(gs, 2.0, model) < 0.0
 
-    cfg = TauSelectConfig(tau_min=0.1, tau_max=2.0, n_candidates=2)
-    decision = select_tau(x, box, cfg, ctx)
+    decision = select_tau(x, box, cfg, model)
     assert not decision.all_infeasible
     assert decision.tau_k == 0.1
     flags = [entry.feasible for entry in decision.table]
@@ -142,30 +128,31 @@ def test_infeasible_candidate_loses(ctx, model):
     assert decision.table[1].min_h_pred == -math.inf
 
 
-def test_all_infeasible_reported(ctx, model):
+def test_all_infeasible_reported(model):
     x = make_state(10.2, 24.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    gs = stack_on_grid(box, model, ctx.bound_cfg)
-    taus = candidate_taus(TauSelectConfig())
+    cfg = config()
+    gs = stack_on_grid(box, model, cfg.bound_cfg)
+    taus = candidate_taus(cfg.tau_cfg)
     assert all(margin_from_stack(gs, t, model) < 0.0 for t in taus)
 
-    decision = select_tau(x, box, TauSelectConfig(), ctx)
+    decision = select_tau(x, box, cfg, model)
     assert decision.all_infeasible
     assert decision.tau_k is None and decision.u_k is None
     assert all(e.min_h_pred == -math.inf for e in decision.table)
 
 
-def test_matches_scripted_reimplementation(ctx):
+def test_matches_scripted_reimplementation(model):
     """Full default-config event at (90, 15): every candidate is feasible
     and the selection agrees with an independent scripted loop, with the
     smallest maximizing time scale winning ties."""
     x = make_state(90.0, 15.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    cfg = TauSelectConfig()
-    decision = select_tau(x, box, cfg, ctx)
+    cfg = config()
+    decision = select_tau(x, box, cfg, model)
 
     assert all(e.feasible for e in decision.table)
-    sc_tau, sc_u, sc_table = scripted_selection(x, box, cfg, ctx)
+    sc_tau, sc_u, sc_table = scripted_selection(x, box, cfg, model)
     assert decision.tau_k == sc_tau
     np.testing.assert_allclose(decision.u_k, sc_u, rtol=0, atol=1e-12)
     for entry, (tau, pred) in zip(decision.table, sc_table):
@@ -180,10 +167,10 @@ def test_matches_scripted_reimplementation(ctx):
     assert decision.tau_k == first_best
 
 
-def test_selection_optimality(ctx):
+def test_selection_optimality(model):
     x = make_state(14.0, 18.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    decision = select_tau(x, box, TauSelectConfig(), ctx)
+    decision = select_tau(x, box, config(), model)
     assert not decision.all_infeasible
     chosen = next(e for e in decision.table if e.tau == decision.tau_k)
     for entry in decision.table:
@@ -191,26 +178,13 @@ def test_selection_optimality(ctx):
             assert chosen.min_h_pred >= entry.min_h_pred
 
 
-def test_worker_count_does_not_change_decision(ctx):
-    x = make_state(16.0, 19.0)
-    box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    base = select_tau(x, box, TauSelectConfig(max_workers=1), ctx)
-    parallel = select_tau(x, box, TauSelectConfig(max_workers=4), ctx)
-    assert base.tau_k == parallel.tau_k
-    np.testing.assert_array_equal(base.u_k, parallel.u_k)
-    for a, b in zip(base.table, parallel.table):
-        assert a.tau == b.tau and a.feasible == b.feasible
-        assert a.min_h_pred == b.min_h_pred  # bitwise: same rollouts
-        assert a.qp_objective == b.qp_objective
-
-
-def test_recursive_feasibility_structural(ctx):
+def test_recursive_feasibility_structural(model):
     """Whenever some candidate is feasible the decision is feasible."""
     rng = np.random.default_rng(14)
     for _ in range(10):
         x = np.array([rng.uniform(10.8, 40.0), rng.uniform(10.0, 26.0)])
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-        decision = select_tau(x, box, TauSelectConfig(n_candidates=10), ctx)
+        decision = select_tau(x, box, config(n_candidates=10), model)
         any_feasible = any(e.feasible for e in decision.table)
         assert decision.all_infeasible == (not any_feasible)
         if any_feasible:
