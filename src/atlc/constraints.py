@@ -25,6 +25,7 @@ from .robust_bounds import (
 Array = np.ndarray
 
 DELTA_CAP = 1.0e7  # keeps the slack box bounded; never active in practice
+OBJECTIVES = ("plain", "acc_effort")
 
 
 def atlc_row_from_stack(gs: GridStack, tau: float, sign_branch) -> ConstraintRow:

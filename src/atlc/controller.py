@@ -16,13 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
+    OBJECTIVES,
     build_clf_row,
     build_hocbf_row,
     build_qp_instance,
     build_tlc_row,
 )
 from .margin import margin_from_stack
-from .model import AccParams, SystemModel, acc_model, make_state, resistance_force
+from .model import (
+    CLF_FORMS,
+    AccParams,
+    SystemModel,
+    acc_model,
+    make_state,
+    resistance_force,
+)
 from .qp import ConstraintRow, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
@@ -102,6 +110,11 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {radii}")
             object.__setattr__(self, name, radii)
         make_state(self.z0, self.v0)  # rejects a non-finite start state
+        for name, allowed in (("objective", OBJECTIVES), ("clf_form", CLF_FORMS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass(frozen=True)

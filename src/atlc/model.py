@@ -17,6 +17,8 @@ import numpy as np
 
 Array = np.ndarray
 
+CLF_FORMS = ("quadratic", "linear")
+
 
 def make_state(z: float, v: float) -> Array:
     """Build a validated state vector (gap distance [m], ego speed [m/s])."""
@@ -85,7 +87,10 @@ class SystemModel:
     ``clf_terms(x)`` returns ``(V, L_f V, L_g V)`` with ``L_g V`` a q-vector.
     The required ``*_grid`` evaluators take an (N, n) array of states and
     return stacked values, so worst-case bounds over a box are computed
-    without a Python-level loop.  All evaluators are pure functions.
+    without a Python-level loop; ``rhs_grid(points, inputs)`` also takes an
+    (N, q) array of inputs, one per state, and drives the batched rollouts.
+    Each grid row equals its pointwise evaluator.  All evaluators are pure
+    functions.
     """
 
     n: int
@@ -99,6 +104,7 @@ class SystemModel:
     u_max: Array
     lie_stack_grid: Callable[[Array], Array]
     phi_grid: Callable[[Array], Array]
+    rhs_grid: Callable[[Array, Array], Array]
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -115,8 +121,10 @@ class SystemModel:
         object.__setattr__(self, "u_max", u_max)
 
 
-def resistance_force(v: float, p: AccParams) -> float:
-    """Rolling/drag resistance f0*sgn(v) + f1*v + f2*v^2 [N]; sgn(0) = 0."""
+def resistance_force(v, p: AccParams):
+    """Rolling/drag resistance f0*sgn(v) + f1*v + f2*v^2 [N]; sgn(0) = 0.
+
+    Elementwise for an array of speeds."""
     return p.f0 * np.sign(v) + p.f1 * v + p.f2 * v * v
 
 
@@ -174,11 +182,19 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
     def lie_stack_grid(points: Array) -> Array:
         z = points[:, 0]
         v = points[:, 1]
-        fr = p.f0 * np.sign(v) + p.f1 * v + p.f2 * v * v
-        return np.column_stack([z - p.lp, p.vp - v, fr / p.M])
+        return np.column_stack(
+            [z - p.lp, p.vp - v, resistance_force(v, p) / p.M]
+        )
 
     def phi_grid(points: Array) -> Array:
         return np.full((points.shape[0], 1), -1.0 / p.M)
+
+    def rhs_grid(points: Array, inputs: Array) -> Array:
+        v = points[:, 1]
+        out = np.empty_like(points)
+        out[:, 0] = p.vp - v
+        out[:, 1] = (inputs[:, 0] - resistance_force(v, p)) / p.M
+        return out
 
     return SystemModel(
         n=2,
@@ -192,4 +208,5 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
         u_max=np.array([p.u_max]),
         lie_stack_grid=lie_stack_grid,
         phi_grid=phi_grid,
+        rhs_grid=rhs_grid,
     )

@@ -1,11 +1,16 @@
-"""Continuous-time integration between events with box-exit detection.
+"""Continuous-time integration under a zero-order-hold input.
 
-Segments are integrated with an adaptive embedded Runge-Kutta 4(5) pair
-(scipy's RK45) under a zero-order-hold input.  The event time is the first
+Closed-loop segments between events are integrated with an adaptive
+embedded Runge-Kutta 4(5) pair (scipy's RK45).  The event time is the first
 instant the state leaves the trigger box; it is located by root finding on
 the dense interpolant of the step that crossed, well inside the configured
 tolerance.  Dense log samples are produced at a fixed spacing independent
 of the internal adaptive steps.
+
+The lookahead rollouts of the time-scale selection need no event location,
+only the dense samples, so they take one classic fixed-step RK4 step per
+sample and advance a whole batch of constant inputs together through the
+model's vectorised right-hand side.
 """
 
 from __future__ import annotations
@@ -63,11 +68,11 @@ class Segment:
     exit_coordinate: int | None
 
 
-def _dense_times(t_start: float, t_end: float) -> Array:
+def _dense_times(t_start: float, t_end: float, dt: float = DENSE_DT) -> Array:
     if t_end <= t_start:
         return np.array([t_start])
-    n_inner = int(np.floor((t_end - t_start) / DENSE_DT * (1 - 1e-12)))
-    times = t_start + DENSE_DT * np.arange(n_inner + 1)
+    n_inner = int(np.floor((t_end - t_start) / dt * (1 - 1e-12)))
+    times = t_start + dt * np.arange(n_inner + 1)
     if t_end - times[-1] > 1e-12:
         times = np.append(times, t_end)
     else:
@@ -171,30 +176,34 @@ def integrate_fixed_horizon(
     u,
     horizon: float,
     model: SystemModel,
-    cfg: IntegratorConfig,
     dt: float = DENSE_DT,
 ) -> tuple[Array, Array]:
-    """Integrate under constant input over [0, horizon] with dense samples
-    at spacing dt, both endpoints included.  Returns (times, states)."""
+    """Integrate under constant input over [0, horizon] with classic RK4,
+    one step per dense sample at spacing dt, both endpoints included.
+
+    ``u`` is one input (scalar or q-vector), giving states of shape
+    (n_samples, n), or a (K, q) batch of inputs rolled out together from
+    the same start, giving states of shape (n_samples, K, n).  Returns
+    (times, states).
+    """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
-    n_inner = int(np.floor(horizon / dt * (1 - 1e-12)))
-    times = dt * np.arange(n_inner + 1)
-    if horizon - times[-1] > 1e-12:
-        times = np.append(times, horizon)
-    else:
-        times[-1] = horizon
-    sol = solve_ivp(
-        lambda t, y: model.rhs(y, u),
-        (0.0, horizon),
-        x0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        t_eval=times,
-    )
-    if sol.status != 0:
-        raise IntegrationError(sol.message, float(sol.t[-1]), sol.y[:, -1])
-    return times, sol.y.T
+    single = np.ndim(u) < 2
+    inputs = np.asarray(u, dtype=float).reshape(-1, model.q)
+    if single and inputs.shape[0] != 1:
+        raise ValueError(f"a single input needs {model.q} entries, got {np.size(u)}")
+    times = _dense_times(0.0, horizon, dt)
+    states = np.empty((times.size, inputs.shape[0], x0.size))
+    states[0] = x0
+    x = states[0]
+    rhs = model.rhs_grid
+    for i, h in enumerate(np.diff(times).tolist(), start=1):
+        k1 = rhs(x, inputs)
+        k2 = rhs(x + 0.5 * h * k1, inputs)
+        k3 = rhs(x + 0.5 * h * k2, inputs)
+        k4 = rhs(x + h * k3, inputs)
+        x = states[i] = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    if not np.isfinite(states).all():
+        raise IntegrationError("rollout state is not finite", 0.0, x0)
+    return times, states[:, 0] if single else states

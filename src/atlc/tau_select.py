@@ -7,6 +7,11 @@ lookahead horizon and the predicted minimum of the safety output is
 recorded.  The candidate maximizing that prediction wins, ties going to
 the smallest time scale (the least restrictive constraint).  Infeasible
 candidates keep a -inf sentinel so they lose every comparison.
+
+The candidates are evaluated in one batched pass: the QPs of every time
+scale and sign branch are solved as one stack, and the distinct inputs
+(compared by their exact bytes) are rolled out together in one
+fixed-step integration.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .constraints import atlc_row_from_stack, build_clf_row, build_qp_instance
 from .margin import margin_from_stack
 from .model import SystemModel
-from .qp import QpSolution, solve_qp
+from .qp import QpInstance, QpSolution, solve_qp, solve_qp_stack
 from .robust_bounds import (
     Box,
     GridStack,
@@ -29,7 +34,7 @@ from .robust_bounds import (
     g_ratlc_from_stack,
     stack_on_grid,
 )
-from .sim import IntegratorConfig, integrate_fixed_horizon
+from .sim import integrate_fixed_horizon
 
 if TYPE_CHECKING:  # controller imports this module
     from .controller import ControllerConfig
@@ -86,34 +91,34 @@ def candidate_taus(cfg: TauSelectConfig) -> Array:
     return np.linspace(cfg.tau_min, cfg.tau_max, cfg.n_candidates)
 
 
-def rollout_min_h(
-    x_k: Array,
-    u,
-    T_look: float,
-    model: SystemModel,
-    cfg: IntegratorConfig,
-) -> float:
+def rollout_min_h(x_k: Array, u, T_look: float, model: SystemModel):
     """Minimum of the safety output along the constant-input rollout,
-    over dense samples including both endpoints."""
-    _, states = integrate_fixed_horizon(x_k, u, T_look, model, cfg)
-    return float(min(model.lie_stack(s)[0] for s in states))
+    over dense samples including both endpoints.
+
+    A single input (scalar or q-vector) gives a float; a (K, q) batch of
+    inputs gives the K minima, from one evaluation of the safety output.
+    """
+    _, states = integrate_fixed_horizon(x_k, u, T_look, model)
+    h = model.lie_stack_grid(states.reshape(-1, model.n))[:, 0]
+    minima = h.reshape(states.shape[:-1]).min(axis=0)
+    return float(minima) if np.ndim(u) < 2 else minima
 
 
-def solve_event_qp(
+def _event_instances(
     x_k: Array,
     gs: GridStack,
     tau: float,
     clf_row,
     cfg: ControllerConfig,
     model: SystemModel,
-) -> QpSolution:
-    """Robust safety QP at one candidate time scale.
+) -> list[QpInstance]:
+    """Robust safety QPs at one candidate time scale, one per sign branch.
 
     The worst-case input gain row depends on the sign of each input entry,
-    so one QP is solved per sign orthant of the input box with the matching
-    row and orthant restriction, keeping the best feasible solution.  When
-    all branch rows coincide (constant input gain over the box) a single QP
-    over the full box is equivalent and solved instead.
+    so one QP is posed per sign orthant of the input box with the matching
+    row and orthant restriction.  When all branch rows coincide (constant
+    input gain over the box) a single QP over the full box is equivalent
+    and posed instead.
     """
     branches = [np.array(b) for b in product((1.0, -1.0), repeat=model.q)]
     rows_by_branch = [g_ratlc_from_stack(gs, tau, b) for b in branches]
@@ -121,11 +126,8 @@ def solve_event_qp(
         branch_boxes = [(branches[0], (model.u_min, model.u_max))]
     else:
         branch_boxes = [(b, branch_input_box(b, model)) for b in branches]
-    best: QpSolution | None = None
-    for branch, box in branch_boxes:
-        if box is None:
-            continue
-        inst = build_qp_instance(
+    return [
+        build_qp_instance(
             [atlc_row_from_stack(gs, tau, branch), clf_row],
             model,
             cfg.objective,
@@ -134,7 +136,15 @@ def solve_event_qp(
             u_lower=box[0],
             u_upper=box[1],
         )
-        sol = solve_qp(inst)
+        for branch, box in branch_boxes
+        if box is not None
+    ]
+
+
+def _best_branch(solutions, model: SystemModel) -> QpSolution:
+    """The first feasible branch solution with the least objective."""
+    best: QpSolution | None = None
+    for sol in solutions:
         if sol.status == "optimal" and (best is None or sol.objective < best.objective):
             best = sol
     if best is None:
@@ -145,6 +155,20 @@ def solve_event_qp(
     return best
 
 
+def solve_event_qp(
+    x_k: Array,
+    gs: GridStack,
+    tau: float,
+    clf_row,
+    cfg: ControllerConfig,
+    model: SystemModel,
+) -> QpSolution:
+    """Robust safety QP at one candidate time scale: the best feasible
+    solution over the sign branches of :func:`_event_instances`."""
+    instances = _event_instances(x_k, gs, tau, clf_row, cfg, model)
+    return _best_branch([solve_qp(inst) for inst in instances], model)
+
+
 def select_tau(
     x_k: Array, box: Box, cfg: ControllerConfig, model: SystemModel
 ) -> TauDecision:
@@ -153,25 +177,34 @@ def select_tau(
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
 
-    # identical inputs yield identical rollouts; roll each distinct one out once
-    predictions: dict[bytes, float] = {}
+    taus = [float(tau) for tau in candidate_taus(cfg.tau_cfg)]
+    per_tau = [_event_instances(x_k, gs, tau, clf_row, cfg, model) for tau in taus]
+    stacked = iter(solve_qp_stack([inst for insts in per_tau for inst in insts]))
+    sols = [_best_branch([next(stacked) for _ in insts], model) for insts in per_tau]
+
+    # identical inputs yield identical rollouts; roll each distinct one out
+    # once, all of them together
+    slot: dict[bytes, int] = {}
+    for sol in sols:
+        if sol.status == "optimal":
+            slot.setdefault(sol.values[: model.q].tobytes(), len(slot))
+    predictions = np.empty(0)
+    if slot:
+        inputs = np.frombuffer(b"".join(slot), dtype=float).reshape(-1, model.q)
+        predictions = rollout_min_h(x_k, inputs, cfg.tau_cfg.T_look, model)
+
     table = []
-    for tau in candidate_taus(cfg.tau_cfg):
-        sol = solve_event_qp(x_k, gs, float(tau), clf_row, cfg, model)
+    for tau, sol in zip(taus, sols):
         if sol.status != "optimal":
             table.append(CandidateEval(
-                tau=float(tau), feasible=False, min_h_pred=-math.inf,
+                tau=tau, feasible=False, min_h_pred=-math.inf,
                 qp_objective=math.inf, u=None, delta=None,
             ))
             continue
         u = sol.values[: model.q]
-        key = u.tobytes()
-        if key not in predictions:
-            predictions[key] = rollout_min_h(
-                x_k, u, cfg.tau_cfg.T_look, model, cfg.integrator_cfg
-            )
         table.append(CandidateEval(
-            tau=float(tau), feasible=True, min_h_pred=predictions[key],
+            tau=tau, feasible=True,
+            min_h_pred=float(predictions[slot[u.tobytes()]]),
             qp_objective=sol.objective, u=u, delta=float(sol.values[-1]),
         ))
 

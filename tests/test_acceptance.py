@@ -17,7 +17,6 @@ from atlc import (
     BoundConfig,
     ControllerConfig,
     ControllerKind,
-    IntegratorConfig,
     make_box,
     simulate_closed_loop,
     solve_qp,
@@ -258,13 +257,12 @@ def test_criterion_8_robust_bound_soundness(model, params):
 
 def test_criterion_9_mean_value_property(model, params):
     rng = np.random.default_rng(99)
-    cfg = IntegratorConfig()
     failures = 0
     for _ in range(200):
         x0 = np.array([rng.uniform(12.0, 120.0), rng.uniform(2.0, 30.0)])
         u = rng.uniform(params.u_min, params.u_max)
         tau = rng.uniform(0.05, 2.0)
-        _, states = integrate_fixed_horizon(x0, u, tau, model, cfg, dt=tau / 400.0)
+        _, states = integrate_fixed_horizon(x0, u, tau, model, dt=tau / 400.0)
         h_end = model.lie_stack(states[-1])[0]
         stack0 = model.lie_stack(x0)
         w = taylor_weights(tau, model.m)

@@ -161,7 +161,7 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "box_under=-1", "box_over=[0.5, -0.5]", "box_under=Infinity", "z0=NaN",
-    "v0=Infinity",
+    "v0=Infinity", "objective=foo", "clf_form=foo",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
@@ -179,6 +179,19 @@ def test_compare_rejects_bad_box_before_any_run(tmp_path, capsys):
     write_config(d / "a.json", id="a", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
     write_config(d / "b.json", id="b", kind="hocbf", p1=0.5, p2=0.5, T=1.0)
     write_config(d / "c.json", id="c", kind="atlc", box_over=-0.5, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_compare_rejects_bad_objective_before_any_run(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    write_config(d / "a.json", id="a", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(d / "b.json", id="b", kind="hocbf", p1=0.3, p2=0.3, T=1.0,
+                 objective="foo")
     out = tmp_path / "out"
     assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()

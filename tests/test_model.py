@@ -160,12 +160,14 @@ def test_system_model_invariants(params):
             n=2, q=1, m=0, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
             lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
+            rhs_grid=m.rhs_grid,
         )
     with pytest.raises(ValueError):
         SystemModel(
             n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=np.array([1.0]), u_max=np.array([-1.0]),
             lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
+            rhs_grid=m.rhs_grid,
         )
 
 
@@ -178,3 +180,9 @@ def test_grid_evaluators_match_pointwise(params):
     for i, x in enumerate(pts):
         np.testing.assert_allclose(stack[i], m.lie_stack(x), atol=1e-14)
         np.testing.assert_allclose(phi[i], m.phi(x), atol=1e-18)
+    # the batched rollout right-hand side, bit for bit, also at v = 0 and v < 0
+    states = np.vstack([pts, [[40.0, 0.0], [40.0, -1.5]]])
+    inputs = rng.uniform(params.u_min, params.u_max, (states.shape[0], 1))
+    rhs = m.rhs_grid(states, inputs)
+    for i, x in enumerate(states):
+        np.testing.assert_array_equal(rhs[i], m.rhs(x, inputs[i]))

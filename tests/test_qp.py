@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import nnls
 
 from atlc import ConstraintRow, QpInstance, oracle_grid_solve, solve_qp
-from atlc.qp import _all_constraints_ge
+from atlc.qp import _constraints_ge, solve_qp_stack
 
 
 def random_instance(rng):
@@ -56,7 +56,7 @@ def objective_gap_bound(inst, spacing):
 def kkt_residual(inst, solution):
     """Stationarity residual with multipliers fitted by nonnegative least
     squares over the active constraints."""
-    a_all, b_all = _all_constraints_ge(inst)
+    (a_all,), (b_all,) = _constraints_ge([inst])
     x = solution.values
     slack = a_all @ x - b_all
     active = slack <= 1e-6 * np.maximum(1.0, np.abs(b_all))
@@ -210,3 +210,25 @@ def test_objective_monotone_under_row_removal():
             rsol = solve_qp(reduced)
             assert rsol.status == "optimal"
             assert rsol.objective <= full.objective + 1e-9
+
+
+def test_stacked_solve_matches_single_solves():
+    """Solving instances of one shape as a stack returns, bit for bit, what
+    solving each alone returns, infeasible verdicts included."""
+    rng = np.random.default_rng(77)
+    groups = {}
+    for _ in range(600):
+        inst = random_instance(rng)
+        groups.setdefault((inst.dim, len(inst.rows)), []).append(inst)
+    infeasible = 0
+    for group in groups.values():
+        for inst, stacked in zip(group, solve_qp_stack(group)):
+            single = solve_qp(inst)
+            assert stacked.status == single.status
+            assert stacked.objective == single.objective
+            np.testing.assert_array_equal(stacked.values, single.values)
+            infeasible += stacked.status == "infeasible"
+    assert len(groups) == 12 and infeasible > 0
+    assert solve_qp_stack([]) == []
+    with pytest.raises(ValueError):
+        solve_qp_stack([groups[(1, 0)][0], groups[(2, 0)][0]])

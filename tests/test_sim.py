@@ -128,7 +128,7 @@ def test_speed_hold_equilibrium(model, params):
     """Input matched to the resistance force holds the speed exactly."""
     v0 = 17.3
     u = resistance_force(v0, params)
-    _, states = integrate_fixed_horizon(make_state(60.0, v0), u, 5.0, model, CFG)
+    _, states = integrate_fixed_horizon(make_state(60.0, v0), u, 5.0, model)
     assert np.abs(states[:, 1] - v0).max() <= 1e-8
 
 
@@ -141,9 +141,7 @@ def test_taylor_mean_value_property(model, params):
         x0 = np.array([rng.uniform(12.0, 120.0), rng.uniform(2.0, 30.0)])
         u = rng.uniform(params.u_min, params.u_max)
         tau = rng.uniform(0.05, 2.0)
-        times, states = integrate_fixed_horizon(
-            x0, u, tau, model, CFG, dt=tau / 400.0
-        )
+        times, states = integrate_fixed_horizon(x0, u, tau, model, dt=tau / 400.0)
         h_end = model.lie_stack(states[-1])[0]
         stack0 = model.lie_stack(x0)
         w = taylor_weights(tau, model.m)
