@@ -15,7 +15,7 @@ from .controller import (
     fallback_control,
     simulate_closed_loop,
 )
-from .margin import MarginMap, is_feasible, margin, tau_star_scan
+from .margin import MarginMap, tau_star_scan
 from .model import (
     AccParams,
     SystemModel,
@@ -27,14 +27,9 @@ from .model import (
     resistance_force,
 )
 from .qp import ConstraintRow, QpInstance, QpSolution, oracle_grid_solve, solve_qp
-from .robust_bounds import BoundConfig, Box, g_ratlc, h_ratlc, make_box
+from .robust_bounds import BoundConfig, Box, make_box
 from .sim import IntegratorConfig, IntegrationError, Segment, integrate_until_trigger
-from .tau_select import (
-    TauDecision,
-    TauSelectConfig,
-    rollout_min_h,
-    select_tau,
-)
+from .tau_select import TauSelectConfig, rollout_min_h, select_tau
 
 __version__ = "0.1.0"
 
@@ -56,7 +51,6 @@ __all__ = [
     "SimulationError",
     "Summary",
     "SystemModel",
-    "TauDecision",
     "TauSelectConfig",
     "TrajectoryLog",
     "ZenoError",
@@ -66,13 +60,9 @@ __all__ = [
     "acc_model",
     "compute_control",
     "fallback_control",
-    "g_ratlc",
-    "h_ratlc",
-    "is_feasible",
     "integrate_until_trigger",
     "make_box",
     "make_state",
-    "margin",
     "oracle_grid_solve",
     "resistance_force",
     "rollout_min_h",

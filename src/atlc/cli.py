@@ -28,6 +28,7 @@ from .controller import (
     SimulationError,
     TrajectoryLog,
     ZenoError,
+    effort_integrand,
     simulate_closed_loop,
 )
 from .margin import tau_star_scan
@@ -112,19 +113,19 @@ def _radii(value) -> np.ndarray:
 
 def build_controller_config(scenario: dict) -> ControllerConfig:
     kind_name = scenario["kind"]
-    if kind_name in ("tlc", "tlc_fixed"):
-        kind = ControllerKind.tlc_fixed(
-            float(scenario["tau_fixed"]), robust=bool(scenario["tlc_robust"])
-        )
-    elif kind_name == "hocbf":
-        if "p1" not in scenario or "p2" not in scenario:
-            raise ConfigError("kind 'hocbf' requires keys p1 and p2")
-        kind = ControllerKind.hocbf(float(scenario["p1"]), float(scenario["p2"]))
-    elif kind_name == "atlc":
-        kind = ControllerKind.atlc()
-    else:
-        raise ConfigError(f"unknown kind {kind_name!r}")
     try:
+        if kind_name in ("tlc", "tlc_fixed"):
+            kind = ControllerKind.tlc_fixed(
+                float(scenario["tau_fixed"]), robust=bool(scenario["tlc_robust"])
+            )
+        elif kind_name == "hocbf":
+            if "p1" not in scenario or "p2" not in scenario:
+                raise ConfigError("kind 'hocbf' requires keys p1 and p2")
+            kind = ControllerKind.hocbf(float(scenario["p1"]), float(scenario["p2"]))
+        elif kind_name == "atlc":
+            kind = ControllerKind.atlc()
+        else:
+            raise ConfigError(f"unknown kind {kind_name!r}")
         params = AccParams(
             M=float(scenario["M"]), vp=float(scenario["vp"]),
             vd=float(scenario["vd"]), f0=float(scenario["f0"]),
@@ -151,6 +152,8 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
             z0=float(scenario["z0"]),
             v0=float(scenario["v0"]),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
@@ -229,8 +232,7 @@ def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
     event_index = np.array([int(r["event_index"]) for r in rows])
     feasible = np.array([r["feasible"] == "1" for r in rows])
 
-    fr = params.f0 * np.sign(v) + params.f1 * v + params.f2 * v * v
-    effort = float(np.trapezoid(((u - fr) / params.M) ** 2, t))
+    effort = float(np.trapezoid(effort_integrand(u, v, params), t))
 
     first_of_event = np.ones(len(rows), dtype=bool)
     first_of_event[1:] = event_index[1:] != event_index[:-1]

@@ -9,18 +9,13 @@ the worst-case quantities over the event box.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .model import AccParams, SystemModel, resistance_force
 from .qp import ConstraintRow, QpInstance
-from .robust_bounds import (
-    BoundConfig,
-    Box,
-    GridStack,
-    g_ratlc_from_stack,
-    h_ratlc_from_stack,
-    stack_on_grid,
-)
+from .robust_bounds import GridStack, g_ratlc_from_stack, h_ratlc_from_stack
 
 Array = np.ndarray
 
@@ -28,23 +23,51 @@ DELTA_CAP = 1.0e7  # keeps the slack box bounded; never active in practice
 OBJECTIVES = ("plain", "acc_effort")
 
 
-def atlc_row_from_stack(gs: GridStack, tau: float, sign_branch) -> ConstraintRow:
-    coeffs = np.concatenate([g_ratlc_from_stack(gs, tau, sign_branch), [0.0]])
-    return ConstraintRow(
-        coefficients=coeffs, rhs=-h_ratlc_from_stack(gs, tau), sense="ge"
-    )
+def _branch_input_box(sign_branch: Array, model: SystemModel):
+    """Part of the input box consistent with a sign branch, as (lower, upper).
+
+    Component j is restricted to u_j >= 0 where the branch is +1 and to
+    u_j <= 0 where it is -1; None when that part of the box is empty.
+    """
+    lower = np.where(sign_branch > 0, np.maximum(model.u_min, 0.0), model.u_min)
+    upper = np.where(sign_branch > 0, model.u_max, np.minimum(model.u_max, 0.0))
+    if np.any(lower > upper):
+        return None
+    return lower, upper
 
 
-def build_atlc_rows(
-    box: Box,
-    tau: float,
-    model: SystemModel,
-    cfg: BoundConfig,
-    sign_branch,
-) -> ConstraintRow:
-    """Robust adaptive safety row for one input sign branch:
-    g_worst @ u >= -h_worst."""
-    return atlc_row_from_stack(stack_on_grid(box, model, cfg), tau, sign_branch)
+def atlc_rows(
+    gs: GridStack, tau: float, model: SystemModel
+) -> list[tuple[ConstraintRow, Array, Array]]:
+    """Robust adaptive safety rows g_worst @ u >= -h_worst at one time scale,
+    each with the part (lower, upper) of the input box it holds on.
+
+    The worst-case input gain depends on the sign of each input entry, so
+    there is one row per non-empty sign orthant of the input box.  When the
+    rows of all orthants coincide (constant input gain over the box) a
+    single row over the full box is equivalent and returned instead.
+    """
+    branches = [np.array(b) for b in product((1.0, -1.0), repeat=model.q)]
+    gains = [g_ratlc_from_stack(gs, tau, b) for b in branches]
+    if all(np.array_equal(gains[0], g) for g in gains[1:]):
+        pieces = [(gains[0], (model.u_min, model.u_max))]
+    else:
+        pieces = [(g, _branch_input_box(b, model)) for b, g in zip(branches, gains)]
+    rhs = -h_ratlc_from_stack(gs, tau)
+    return [
+        (ConstraintRow(np.concatenate([g, [0.0]]), rhs, "ge"), *box)
+        for g, box in pieces
+        if box is not None
+    ]
+
+
+def row_margin(row: ConstraintRow, lower: Array, upper: Array) -> float:
+    """Best achievable slack of a safety row over the input box
+    [lower, upper]: the row is satisfiable there iff this is >= 0."""
+    a, b = row.as_ge()
+    coeffs = a[:-1]  # the slack column never enters a safety row
+    best = np.where(coeffs > 0, upper, lower)
+    return float(coeffs @ best - b)
 
 
 def build_tlc_row(x: Array, tau: float, model: SystemModel) -> ConstraintRow:

@@ -21,6 +21,7 @@ from .constraints import (
     build_hocbf_row,
     build_qp_instance,
     build_tlc_row,
+    row_margin,
 )
 from .margin import margin_from_stack
 from .model import (
@@ -31,11 +32,12 @@ from .model import (
     make_state,
     resistance_force,
 )
-from .qp import ConstraintRow, solve_qp
+from .qp import QpSolution, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
 from .tau_select import (
     CandidateEval,
+    ControlDecision,
     TauSelectConfig,
     select_tau,
     solve_event_qp,
@@ -64,12 +66,15 @@ class ControllerKind:
     robust: bool = True
 
     def __post_init__(self) -> None:
+        def positive(value) -> bool:
+            return value is not None and 0.0 < value < math.inf
+
         if self.name == "hocbf":
-            if self.p1 is None or self.p2 is None or self.p1 <= 0 or self.p2 <= 0:
-                raise ValueError("hocbf needs positive rates p1 and p2")
+            if not (positive(self.p1) and positive(self.p2)):
+                raise ValueError("hocbf needs positive finite rates p1 and p2")
         elif self.name == "tlc_fixed":
-            if self.tau_fixed is None or self.tau_fixed <= 0:
-                raise ValueError("tlc_fixed needs a positive time scale")
+            if not positive(self.tau_fixed):
+                raise ValueError("tlc_fixed needs a positive finite time scale")
         elif self.name != "atlc":
             raise ValueError(f"unknown controller kind {self.name!r}")
 
@@ -102,8 +107,8 @@ class ControllerConfig:
     v0: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"final time must be positive and finite, got {self.T}")
         for name in ("box_under", "box_over"):
             radii = np.asarray(getattr(self, name), float)
             if not np.all(np.isfinite(radii)) or np.any(radii < 0.0):
@@ -115,17 +120,6 @@ class ControllerConfig:
                 raise ValueError(
                     f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
                 )
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    u: Array | None
-    tau: float | None
-    status: str  # "optimal" | "infeasible"
-    delta: float | None
-    margin: float
-    qp_objective: float
-    table: tuple[CandidateEval, ...] | None = None
 
 
 @dataclass
@@ -195,12 +189,18 @@ def fallback_control(p: AccParams) -> float:
     return -p.cd * p.M * p.g_grav
 
 
-def _row_margin(row: ConstraintRow, model: SystemModel) -> float:
-    """Best achievable slack of a safety row over the input box."""
-    a, b = row.as_ge()
-    coeffs = a[: model.q]
-    best = np.where(coeffs > 0, model.u_max, model.u_min)
-    return float(coeffs @ best - b)
+def _decision(
+    sol: QpSolution, tau: float | None, margin: float, model: SystemModel
+) -> ControlDecision:
+    if sol.status != "optimal":
+        return ControlDecision(
+            u=None, tau=tau, status="infeasible", delta=None, margin=margin,
+            qp_objective=math.inf,
+        )
+    return ControlDecision(
+        u=sol.values[: model.q], tau=tau, status="optimal",
+        delta=float(sol.values[-1]), margin=margin, qp_objective=sol.objective,
+    )
 
 
 def compute_control(
@@ -218,63 +218,27 @@ def compute_control(
     if kind.name == "atlc":
         if box is None:
             box = make_box(x_k, cfg.box_under, cfg.box_over)
-        decision = select_tau(x_k, box, cfg, model)
-        return ControlDecision(
-            u=decision.u_k,
-            tau=decision.tau_k,
-            status="infeasible" if decision.all_infeasible else "optimal",
-            delta=decision.delta_k,
-            margin=decision.margin,
-            qp_objective=decision.qp_objective,
-            table=decision.table,
-        )
+        return select_tau(x_k, box, cfg, model)
 
+    clf = build_clf_row(x_k, cfg.params.c3, model)
     if kind.name == "tlc_fixed" and kind.robust:
         if box is None:
             box = make_box(x_k, cfg.box_under, cfg.box_over)
         gs = stack_on_grid(box, model, cfg.bound_cfg)
-        clf = build_clf_row(x_k, cfg.params.c3, model)
         sol = solve_event_qp(x_k, gs, kind.tau_fixed, clf, cfg, model)
-        robust_margin = margin_from_stack(gs, kind.tau_fixed, model)
-        if sol.status != "optimal":
-            return ControlDecision(
-                u=None, tau=kind.tau_fixed, status="infeasible", delta=None,
-                margin=robust_margin, qp_objective=math.inf,
-            )
-        return ControlDecision(
-            u=sol.values[: model.q],
-            tau=kind.tau_fixed,
-            status="optimal",
-            delta=float(sol.values[-1]),
-            margin=robust_margin,
-            qp_objective=sol.objective,
-        )
+        margin = margin_from_stack(gs, kind.tau_fixed, model)
+        return _decision(sol, kind.tau_fixed, margin, model)
 
     if kind.name == "tlc_fixed":
         safety = build_tlc_row(x_k, kind.tau_fixed, model)
-        tau_logged = kind.tau_fixed
     else:
         safety = build_hocbf_row(x_k, kind.p1, kind.p2, model)
-        tau_logged = None
-    clf = build_clf_row(x_k, cfg.params.c3, model)
     inst = build_qp_instance(
         [safety, clf], model, cfg.objective, x=x_k, params=cfg.params
     )
-    sol = solve_qp(inst)
-    row_margin = _row_margin(safety, model)
-    if sol.status != "optimal":
-        return ControlDecision(
-            u=None, tau=tau_logged, status="infeasible", delta=None,
-            margin=row_margin, qp_objective=math.inf,
-        )
-    return ControlDecision(
-        u=sol.values[: model.q],
-        tau=tau_logged,
-        status="optimal",
-        delta=float(sol.values[-1]),
-        margin=row_margin,
-        qp_objective=sol.objective,
-    )
+    margin = row_margin(safety, model.u_min, model.u_max)
+    # tau_fixed is None for hocbf, which has no time scale to log
+    return _decision(solve_qp(inst), kind.tau_fixed, margin, model)
 
 
 def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:

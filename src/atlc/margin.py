@@ -9,21 +9,14 @@ nonnegative grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
+from .constraints import atlc_rows, row_margin
 from .model import SystemModel
-from .robust_bounds import (
-    BoundConfig,
-    Box,
-    GridStack,
-    branch_input_box,
-    g_ratlc_from_stack,
-    h_ratlc_from_stack,
-    stack_on_grid,
-)
+from .robust_bounds import BoundConfig, Box, GridStack, stack_on_grid
 
 Array = np.ndarray
 
@@ -53,34 +46,12 @@ class MarginMap:
 
 
 def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
-    """sup over admissible inputs of the robust condition, via sign branches.
+    """sup over admissible inputs of the robust condition: the best
+    :func:`~atlc.constraints.row_margin` over the robust rows at ``tau``.
 
-    For each input-sign branch the supremum of the linear form over the
-    branch-consistent part of the input box sits at a vertex: the upper
-    input bound where the row coefficient is positive, the lower bound
-    otherwise, clipped to the branch orthant.
+    Admissible inputs exist iff the margin is nonnegative (closed condition).
     """
-    h_worst = h_ratlc_from_stack(gs, tau)
-    best = -np.inf
-    for branch in product((1.0, -1.0), repeat=gs.q):
-        branch_arr = np.array(branch)
-        box = branch_input_box(branch_arr, model)
-        if box is None:
-            continue
-        lower, upper = box
-        g_row = g_ratlc_from_stack(gs, tau, branch_arr)
-        u_star = np.where(g_row > 0, upper, lower)
-        best = max(best, float(g_row @ u_star + h_worst))
-    return best
-
-
-def margin(box: Box, tau: float, model: SystemModel, cfg: BoundConfig) -> float:
-    return margin_from_stack(stack_on_grid(box, model, cfg), tau, model)
-
-
-def is_feasible(box: Box, tau: float, model: SystemModel, cfg: BoundConfig) -> bool:
-    """Admissible inputs exist iff the margin is nonnegative (closed condition)."""
-    return margin(box, tau, model, cfg) >= 0.0
+    return max(row_margin(*r) for r in atlc_rows(gs, tau, model))
 
 
 def tau_star_scan(
@@ -96,12 +67,15 @@ def tau_star_scan(
 
     The grid scan approximates the true minimal feasible scale from above.
     With ``refine``, the bracket between the last infeasible and the first
-    feasible grid point is bisected down to ``refine_tol``, sharpening
-    tau_star without changing the reported grid values.
+    feasible grid point is bisected down to ``refine_tol``, or until the
+    midpoint no longer splits the bracket, sharpening tau_star without
+    changing the reported grid values.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("time-scale grid must be nonempty")
+    if not (math.isfinite(refine_tol) and refine_tol >= 0.0):
+        raise ValueError(f"refine_tol must be finite and nonnegative, got {refine_tol}")
     gs = stack_on_grid(box, model, cfg)
     values = np.array([margin_from_stack(gs, tau, model) for tau in grid])
     feasible = np.flatnonzero(values >= 0.0)
@@ -111,6 +85,8 @@ def tau_star_scan(
         hi = tau_star
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: nothing left to split
+                break
             if margin_from_stack(gs, mid, model) >= 0.0:
                 hi = mid
             else:

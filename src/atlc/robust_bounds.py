@@ -131,35 +131,6 @@ def taylor_weights(tau: float, m: int) -> Array:
 
 
 def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:
-    values = gs.stack @ taylor_weights(tau, gs.m)
-    return float(values.min())
-
-
-def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> Array:
-    branch = np.asarray(sign_branch)
-    if branch.shape != (gs.q,) or not (np.abs(branch) == 1).all():
-        raise ValueError("sign branch must be a vector of +1/-1 per input")
-    scale = taylor_weights(tau, gs.m)[-1]
-    worst = np.where(branch > 0, *gs.phi_range)
-    return scale * worst
-
-
-def branch_input_box(
-    sign_branch: Array, model: SystemModel
-) -> tuple[Array, Array] | None:
-    """Part of the input box consistent with a sign branch, as (lower, upper).
-
-    Component j is restricted to u_j >= 0 where the branch is +1 and to
-    u_j <= 0 where it is -1; None when that part of the box is empty.
-    """
-    lower = np.where(sign_branch > 0, np.maximum(model.u_min, 0.0), model.u_min)
-    upper = np.where(sign_branch > 0, model.u_max, np.minimum(model.u_max, 0.0))
-    if np.any(lower > upper):
-        return None
-    return lower, upper
-
-
-def h_ratlc(box: Box, tau: float, model: SystemModel, cfg: BoundConfig) -> float:
     """Minimum of the joint Taylor sum of h over the box lattice.
 
     The lattice minimum upper-bounds the true box minimum and converges to
@@ -167,20 +138,20 @@ def h_ratlc(box: Box, tau: float, model: SystemModel, cfg: BoundConfig) -> float
     car-following case) the two coincide because the minimizing vertex is a
     lattice point.
     """
-    return h_ratlc_from_stack(stack_on_grid(box, model, cfg), tau)
+    values = gs.stack @ taylor_weights(tau, gs.m)
+    return float(values.min())
 
 
-def g_ratlc(
-    box: Box,
-    tau: float,
-    model: SystemModel,
-    sign_branch,
-    cfg: BoundConfig,
-) -> Array:
+def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> Array:
     """Worst-case input-gain row (tau^m / m!) * extremum of phi over the box.
 
     Component j uses the box minimum of phi_j when the branch declares
     u_j >= 0 and the maximum otherwise, so the row times any
     branch-consistent input lower-bounds the exact input contribution.
     """
-    return g_ratlc_from_stack(stack_on_grid(box, model, cfg), tau, sign_branch)
+    branch = np.asarray(sign_branch)
+    if branch.shape != (gs.q,) or not (np.abs(branch) == 1).all():
+        raise ValueError("sign branch must be a vector of +1/-1 per input")
+    scale = taylor_weights(tau, gs.m)[-1]
+    worst = np.where(branch > 0, *gs.phi_range)
+    return scale * worst

@@ -18,22 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constraints import atlc_row_from_stack, build_clf_row, build_qp_instance
-from .margin import margin_from_stack
+from .constraints import atlc_rows, build_clf_row, build_qp_instance, row_margin
 from .model import SystemModel
 from .qp import QpInstance, QpSolution, solve_qp, solve_qp_stack
-from .robust_bounds import (
-    Box,
-    GridStack,
-    branch_input_box,
-    g_ratlc_from_stack,
-    stack_on_grid,
-)
+from .robust_bounds import Box, GridStack, stack_on_grid
 from .sim import integrate_fixed_horizon
 
 if TYPE_CHECKING:  # controller imports this module
@@ -50,12 +42,12 @@ class TauSelectConfig:
     T_look: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau_min <= self.tau_max:
-            raise ValueError("need 0 < tau_min <= tau_max")
+        if not 0.0 < self.tau_min <= self.tau_max < math.inf:
+            raise ValueError("need 0 < tau_min <= tau_max < inf")
         if self.n_candidates < 1:
             raise ValueError("need at least one candidate time scale")
-        if self.T_look <= 0.0:
-            raise ValueError("lookahead horizon must be positive")
+        if not 0.0 < self.T_look < math.inf:
+            raise ValueError("lookahead horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -69,20 +61,22 @@ class CandidateEval:
 
 
 @dataclass(frozen=True)
-class TauDecision:
-    """The selected candidate, or all-None fields when none is feasible.
+class ControlDecision:
+    """The input chosen at one event, or u = None when the QP is infeasible.
 
-    ``margin`` is the robust feasibility margin at the chosen time scale,
-    or the largest margin over the candidates when every one is infeasible.
+    ``margin`` is the robust feasibility margin at the chosen time scale;
+    when every candidate of the adaptive variant is infeasible it is the
+    largest margin over the candidates.  ``table`` lists the adaptive
+    variant's candidates.
     """
 
-    tau_k: float | None
-    u_k: Array | None
-    delta_k: float | None
-    qp_objective: float
-    table: tuple[CandidateEval, ...]
-    all_infeasible: bool
+    u: Array | None
+    tau: float | None
+    status: str  # "optimal" | "infeasible"
+    delta: float | None
     margin: float
+    qp_objective: float
+    table: tuple[CandidateEval, ...] | None = None
 
 
 def candidate_taus(cfg: TauSelectConfig) -> Array:
@@ -106,38 +100,20 @@ def rollout_min_h(x_k: Array, u, T_look: float, model: SystemModel):
 
 def _event_instances(
     x_k: Array,
-    gs: GridStack,
-    tau: float,
+    rows,
     clf_row,
     cfg: ControllerConfig,
     model: SystemModel,
 ) -> list[QpInstance]:
-    """Robust safety QPs at one candidate time scale, one per sign branch.
-
-    The worst-case input gain row depends on the sign of each input entry,
-    so one QP is posed per sign orthant of the input box with the matching
-    row and orthant restriction.  When all branch rows coincide (constant
-    input gain over the box) a single QP over the full box is equivalent
-    and posed instead.
-    """
-    branches = [np.array(b) for b in product((1.0, -1.0), repeat=model.q)]
-    rows_by_branch = [g_ratlc_from_stack(gs, tau, b) for b in branches]
-    if all(np.array_equal(rows_by_branch[0], r) for r in rows_by_branch[1:]):
-        branch_boxes = [(branches[0], (model.u_min, model.u_max))]
-    else:
-        branch_boxes = [(b, branch_input_box(b, model)) for b in branches]
+    """Robust safety QPs at one candidate time scale, one per robust row of
+    :func:`~atlc.constraints.atlc_rows`, each over the part of the input box
+    its row holds on."""
     return [
         build_qp_instance(
-            [atlc_row_from_stack(gs, tau, branch), clf_row],
-            model,
-            cfg.objective,
-            x=x_k,
-            params=cfg.params,
-            u_lower=box[0],
-            u_upper=box[1],
+            [row, clf_row], model, cfg.objective, x=x_k, params=cfg.params,
+            u_lower=lower, u_upper=upper,
         )
-        for branch, box in branch_boxes
-        if box is not None
+        for row, lower, upper in rows
     ]
 
 
@@ -164,21 +140,22 @@ def solve_event_qp(
     model: SystemModel,
 ) -> QpSolution:
     """Robust safety QP at one candidate time scale: the best feasible
-    solution over the sign branches of :func:`_event_instances`."""
-    instances = _event_instances(x_k, gs, tau, clf_row, cfg, model)
+    solution over the robust rows of :func:`_event_instances`."""
+    instances = _event_instances(x_k, atlc_rows(gs, tau, model), clf_row, cfg, model)
     return _best_branch([solve_qp(inst) for inst in instances], model)
 
 
 def select_tau(
     x_k: Array, box: Box, cfg: ControllerConfig, model: SystemModel
-) -> TauDecision:
+) -> ControlDecision:
     """Evaluate every candidate time scale and return the rollout argmax."""
     x_k = np.asarray(x_k, dtype=float)
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
 
     taus = [float(tau) for tau in candidate_taus(cfg.tau_cfg)]
-    per_tau = [_event_instances(x_k, gs, tau, clf_row, cfg, model) for tau in taus]
+    rows = [atlc_rows(gs, tau, model) for tau in taus]
+    per_tau = [_event_instances(x_k, r, clf_row, cfg, model) for r in rows]
     stacked = iter(solve_qp_stack([inst for insts in per_tau for inst in insts]))
     sols = [_best_branch([next(stacked) for _ in insts], model) for insts in per_tau]
 
@@ -215,18 +192,14 @@ def select_tau(
             best_pred = entry.min_h_pred
             best_idx = i
     if best_idx is None:
-        return TauDecision(
-            tau_k=None, u_k=None, delta_k=None, qp_objective=math.inf,
-            table=tuple(table), all_infeasible=True,
-            margin=max(margin_from_stack(gs, e.tau, model) for e in table),
+        return ControlDecision(
+            u=None, tau=None, status="infeasible", delta=None,
+            margin=max(row_margin(*r) for tau_rows in rows for r in tau_rows),
+            qp_objective=math.inf, table=tuple(table),
         )
     chosen = table[best_idx]
-    return TauDecision(
-        tau_k=chosen.tau,
-        u_k=chosen.u,
-        delta_k=chosen.delta,
-        qp_objective=chosen.qp_objective,
-        table=tuple(table),
-        all_infeasible=False,
-        margin=margin_from_stack(gs, chosen.tau, model),
+    return ControlDecision(
+        u=chosen.u, tau=chosen.tau, status="optimal", delta=chosen.delta,
+        margin=max(row_margin(*r) for r in rows[best_idx]),
+        qp_objective=chosen.qp_objective, table=tuple(table),
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ def params():
 @pytest.fixture(scope="session")
 def model(params):
     return acc_model(params)
+
+
+@pytest.fixture(scope="session")
+def sign_gain_model(params):
+    """The case-study model with an input gain proportional to 50 - z, which
+    changes sign across any event box that straddles z = 50: the robust
+    rows of the two input-sign orthants then differ."""
+    scale = 1.0 / (10.0 * params.M)
+    return dataclasses.replace(
+        acc_model(params),
+        phi=lambda x: np.array([(50.0 - x[0]) * scale]),
+        phi_grid=lambda points: ((50.0 - points[:, 0]) * scale)[:, None],
+    )
 
 
 def rk4_step(f, x, dt):

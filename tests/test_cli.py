@@ -161,10 +161,27 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "box_under=-1", "box_over=[0.5, -0.5]", "box_under=Infinity", "z0=NaN",
-    "v0=Infinity", "objective=foo", "clf_form=foo",
+    "v0=Infinity", "objective=foo", "clf_form=foo", "T=NaN", "T=Infinity",
+    "T_look=NaN", "T_look=Infinity", "tau_max=Infinity",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, override", [
+    ({"kind": "tlc_fixed"}, "tau_fixed=NaN"),
+    ({"kind": "tlc_fixed"}, "tau_fixed=Infinity"),
+    ({"kind": "tlc_fixed"}, "tau_fixed=0"),
+    ({"kind": "hocbf", "p1": 0.3, "p2": 0.3}, "p1=NaN"),
+])
+def test_run_rejects_non_finite_kind_setting(tmp_path, capsys, kind, override):
+    cfg = write_config(tmp_path / "s.json", T=1.0, **kind)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out),
                  "--set", override]) == 1

@@ -5,15 +5,23 @@ import pytest
 
 from atlc import AccParams, BoundConfig, acc_lie_stack, make_box, make_state
 from atlc.constraints import (
-    build_atlc_rows,
+    atlc_rows,
     build_clf_row,
     build_hocbf_row,
     build_qp_instance,
     build_tlc_row,
 )
 from atlc.model import resistance_force
+from atlc.robust_bounds import stack_on_grid
 
 CFG = BoundConfig()
+
+
+def robust_row(box, tau, model):
+    """The case study's one robust row: its input gain is constant, so the
+    sign branches coincide."""
+    ((row, _, _),) = atlc_rows(stack_on_grid(box, model, CFG), tau, model)
+    return row
 
 
 def feasible_interval(row, u_min, u_max):
@@ -29,7 +37,7 @@ def feasible_interval(row, u_min, u_max):
 
 def test_atlc_row_values(model):
     box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
-    row = build_atlc_rows(box, 0.5, model, CFG, [1])
+    row = robust_row(box, 0.5, model)
     assert row.sense == "ge"
     assert row.coefficients == pytest.approx([-7.575757575757576e-5, 0.0], abs=1e-18)
     assert row.rhs == pytest.approx(-78.70542897727272, abs=1e-12)
@@ -37,11 +45,24 @@ def test_atlc_row_values(model):
 
 def test_atlc_row_degenerate_small_tau(model):
     box = make_box(make_state(90.0, 15.0), [0.0, 0.0], [0.0, 0.0])
-    row = build_atlc_rows(box, 0.05, model, CFG, [1])
+    row = robust_row(box, 0.05, model)
     assert row.coefficients[0] == pytest.approx(
         (0.05**2 / 2) * (-1.0 / 1650.0), abs=1e-20
     )
     assert row.rhs == pytest.approx(-79.94459950757575, abs=1e-12)
+
+
+def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model, params):
+    """A gain that changes sign over the box gives one row per input-sign
+    orthant, each over its half of the input box."""
+    box = make_box(make_state(49.8, 15.0), [0.5, 0.5], [0.5, 0.5])
+    gs = stack_on_grid(box, sign_gain_model, CFG)
+    (up, up_lo, up_hi), (down, down_lo, down_hi) = atlc_rows(gs, 0.5, sign_gain_model)
+    np.testing.assert_array_equal([up_lo, up_hi], [[0.0], [params.u_max]])
+    np.testing.assert_array_equal([down_lo, down_hi], [[params.u_min], [0.0]])
+    assert up.rhs == down.rhs
+    # u >= 0 takes the least gain over the box, u <= 0 the greatest
+    assert up.coefficients[0] < 0.0 < down.coefficients[0]
 
 
 def test_tlc_row_values(model):
@@ -115,7 +136,7 @@ def test_degenerate_atlc_equals_scaled_tlc(model, params):
         x = np.array([rng.uniform(10.5, 120.0), rng.uniform(1.0, 30.0)])
         tau = rng.uniform(0.05, 2.0)
         box = make_box(x, [0.0, 0.0], [0.0, 0.0])
-        atlc = build_atlc_rows(box, tau, model, CFG, [-1])
+        atlc = robust_row(box, tau, model)
         tlc = build_tlc_row(x, tau, model)
         lo_a, hi_a = feasible_interval(atlc, params.u_min, params.u_max)
         lo_t, hi_t = feasible_interval(tlc, params.u_min, params.u_max)
@@ -135,8 +156,7 @@ def test_safety_rows_brake_side(model):
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
         assert build_tlc_row(x, 0.5, model).coefficients[0] < 0
         assert build_hocbf_row(x, 1.0, 2.0, model).coefficients[0] < 0
-        for branch in ([1], [-1]):
-            assert build_atlc_rows(box, 0.5, model, CFG, branch).coefficients[0] < 0
+        assert robust_row(box, 0.5, model).coefficients[0] < 0
 
 
 def test_rows_are_affine_with_slack_column(model):
@@ -145,7 +165,7 @@ def test_rows_are_affine_with_slack_column(model):
     for row in (
         build_tlc_row(x, 0.5, model),
         build_hocbf_row(x, 1.0, 1.0, model),
-        build_atlc_rows(box, 0.5, model, CFG, [1]),
+        robust_row(box, 0.5, model),
     ):
         assert row.coefficients.shape == (2,)
         assert row.coefficients[1] == 0.0  # slack never enters safety rows

@@ -1,5 +1,7 @@
 """Event-triggered loop: decisions, fallback, logging, Zeno diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,17 @@ def test_kind_validation():
         ControllerKind.tlc_fixed(0.0)
     with pytest.raises(ValueError):
         ControllerKind(name="mpc")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ControllerKind.tlc_fixed(bad)
+        with pytest.raises(ValueError):
+            ControllerKind.hocbf(bad, 1.0)
+
+
+def test_config_rejects_non_finite_final_time():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ControllerConfig(T=bad)
 
 
 def test_trigger_disabled_gives_single_event():

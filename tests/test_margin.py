@@ -1,11 +1,13 @@
 """Feasibility margin: frozen values, threshold structure, continuity."""
 
+import math
+
 import numpy as np
 import pytest
 
-from atlc import BoundConfig, is_feasible, make_box, make_state, margin, tau_star_scan
+from atlc import BoundConfig, make_box, make_state, tau_star_scan
 from atlc.margin import MarginMap, margin_from_stack
-from atlc.robust_bounds import GridStack
+from atlc.robust_bounds import GridStack, h_ratlc_from_stack, stack_on_grid
 
 CFG = BoundConfig()
 
@@ -13,16 +15,15 @@ CFG = BoundConfig()
 def test_margin_frozen_value(model):
     box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
     # negative input coefficient: supremum at maximum braking
-    assert margin(box, 0.5, model, CFG) == pytest.approx(
-        79.19592897727272, abs=1e-9
-    )
-    assert is_feasible(box, 0.5, model, CFG)
+    value = margin_from_stack(stack_on_grid(box, model, CFG), 0.5, model)
+    assert value == pytest.approx(79.19592897727272, abs=1e-9)
+    assert value >= 0.0
 
 
 def test_margin_near_boundary_large_tau(model):
     box = make_box(make_state(10.5, 15.0), [0.0, 0.0], [0.0, 0.0])
     # degenerate box, tau = 2: 0.5 + 2(-1.11) + 2*F_r(15)/M + 2*(19423.8/1650)*0.4/1.2...
-    value = margin(box, 2.0, model, CFG)
+    value = margin_from_stack(stack_on_grid(box, model, CFG), 2.0, model)
     expected = (
         0.5 + 2.0 * (13.89 - 15.0) + 2.0 * (131.35 / 1650.0)
         + 2.0 * (1.0 / 1650.0) * 6474.6
@@ -58,9 +59,22 @@ def test_feasible_at_exact_zero_margin(model):
 def test_infeasible_when_gain_cannot_save(model, params):
     """Drift bound below the best any admissible input can add."""
     box = make_box(make_state(10.05, 24.0), [0.0, 0.0], [0.0, 0.0])
-    value = margin(box, 2.0, model, CFG)
+    value = margin_from_stack(stack_on_grid(box, model, CFG), 2.0, model)
     assert value < 0.0
-    assert not is_feasible(box, 2.0, model, CFG)
+
+
+@pytest.mark.parametrize("z, v", [(49.8, 15.0), (50.2, 20.0), (60.0, 15.0)])
+def test_margin_matches_brute_force_with_sign_changing_gain(sign_gain_model, params,
+                                                            z, v):
+    """With one robust row per input-sign orthant the margin is the maximum
+    over a dense input grid of the worst case over the lattice."""
+    model = sign_gain_model
+    gs = stack_on_grid(make_box(make_state(z, v), [0.5, 0.5], [0.5, 0.5]), model, CFG)
+    inputs = np.union1d(np.linspace(params.u_min, params.u_max, 2001), [0.0])
+    for tau in (0.05, 0.5, 1.3, 2.0):
+        gain = (gs.phi[:, 0][None, :] * inputs[:, None]).min(axis=1)
+        brute = (h_ratlc_from_stack(gs, tau) + tau**2 / 2 * gain).max()
+        assert margin_from_stack(gs, tau, model) == pytest.approx(brute, abs=1e-9)
 
 
 def test_tau_star_scan_cases(model):
@@ -99,9 +113,24 @@ def test_tau_star_bisection_refinement(model):
     refined = tau_star_scan(box, grid, model, CFG, refine=True)
     idx = int(np.flatnonzero(coarse.values >= 0.0)[0])
     assert grid[idx - 1] < refined.tau_star <= coarse.tau_star
-    assert margin(box, refined.tau_star, model, CFG) >= 0.0
-    assert margin(box, refined.tau_star - 2e-6, model, CFG) < 0.0
+    gs = stack_on_grid(box, model, CFG)
+    assert margin_from_stack(gs, refined.tau_star, model) >= 0.0
+    assert margin_from_stack(gs, refined.tau_star - 2e-6, model) < 0.0
     np.testing.assert_array_equal(refined.values, coarse.values)
+
+
+def test_tau_star_bisection_to_adjacent_floats(model):
+    """With no tolerance the bisection stops at adjacent floats: tau_star is
+    feasible and the float just below it is not."""
+    box = make_box(make_state(10.3, 13.0), [0.5, 0.5], [0.5, 0.5])
+    grid = np.linspace(0.05, 2.0, 40)
+    tau_star = tau_star_scan(box, grid, model, CFG, refine=True, refine_tol=0.0).tau_star
+    gs = stack_on_grid(box, model, CFG)
+    assert margin_from_stack(gs, tau_star, model) >= 0.0
+    assert margin_from_stack(gs, float(np.nextafter(tau_star, 0.0)), model) < 0.0
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tau_star_scan(box, grid, model, CFG, refine=True, refine_tol=bad)
 
 
 def test_margin_map_validation():

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from atlc import BoundConfig, Box, g_ratlc, h_ratlc, make_box, make_state
-from atlc.robust_bounds import grid_points, taylor_weights
+from atlc import BoundConfig, Box, make_box, make_state
+from atlc.robust_bounds import (
+    g_ratlc_from_stack,
+    grid_points,
+    h_ratlc_from_stack,
+    stack_on_grid,
+    taylor_weights,
+)
 
 CFG = BoundConfig()
 
@@ -54,51 +60,56 @@ def test_bound_config_validation():
 
 def test_h_ratlc_frozen_value(model, params):
     box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
-    value = h_ratlc(box, 0.5, model, CFG)
+    value = h_ratlc_from_stack(stack_on_grid(box, model, CFG), 0.5)
     # joint minimum sits at the (z low, v high) corner
     assert value == pytest.approx(78.70542897727272, abs=1e-12)
     assert value == pytest.approx(dense_min_oracle(box, 0.5, params), abs=1e-9)
 
 
 def test_h_ratlc_degenerate_box(model):
-    box = make_box(make_state(90.0, 15.0), [0.0, 0.0], [0.0, 0.0])
-    assert h_ratlc(box, 0.5, model, CFG) == pytest.approx(
+    gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.0, 0.0], [0.0, 0.0]),
+                       model, CFG)
+    assert h_ratlc_from_stack(gs, 0.5) == pytest.approx(
         79.45495075757575, abs=1e-12
     )
-    assert h_ratlc(box, 1e-6, model, CFG) == pytest.approx(80.0, abs=1e-5)
+    assert h_ratlc_from_stack(gs, 1e-6) == pytest.approx(80.0, abs=1e-5)
 
 
 def test_h_ratlc_rejects_bad_tau(model):
-    box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
+    gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5]),
+                       model, CFG)
     with pytest.raises(ValueError):
-        h_ratlc(box, 0.0, model, CFG)
+        h_ratlc_from_stack(gs, 0.0)
     with pytest.raises(ValueError):
-        h_ratlc(box, -0.5, model, CFG)
+        h_ratlc_from_stack(gs, -0.5)
 
 
 def test_g_ratlc_values(model):
-    box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
+    gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5]),
+                       model, CFG)
     for branch in ([1], [-1]):
-        row = g_ratlc(box, 0.5, model, branch, CFG)
+        row = g_ratlc_from_stack(gs, 0.5, branch)
         assert row == pytest.approx([-7.575757575757576e-5], abs=1e-18)
-    assert g_ratlc(box, 1.0, model, [1], CFG) == pytest.approx(
+    assert g_ratlc_from_stack(gs, 1.0, [1]) == pytest.approx(
         [-3.0303030303030303e-4], abs=1e-18
     )
 
 
 def test_g_ratlc_degenerate_exact(model):
-    box = make_box(make_state(42.0, 17.0), [0.0, 0.0], [0.0, 0.0])
+    gs = stack_on_grid(make_box(make_state(42.0, 17.0), [0.0, 0.0], [0.0, 0.0]),
+                       model, CFG)
     expected = (0.7**2 / 2) * model.phi(np.array([42.0, 17.0]))
     for branch in ([1], [-1]):
-        np.testing.assert_array_equal(g_ratlc(box, 0.7, model, branch, CFG), expected)
+        np.testing.assert_array_equal(g_ratlc_from_stack(gs, 0.7, branch), expected)
 
 
 def test_g_ratlc_rejects_bad_branch(model):
-    box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
+    gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5]),
+                       model, CFG)
     with pytest.raises(ValueError):
-        g_ratlc(box, 0.5, model, [0], CFG)
+        g_ratlc_from_stack(gs, 0.5, [0])
     with pytest.raises(ValueError):
-        g_ratlc(box, 0.5, model, [1, -1], CFG)
+        g_ratlc_from_stack(gs, 0.5, [1, -1])
 
 
 def test_soundness_over_box(model, params):
@@ -109,12 +120,13 @@ def test_soundness_over_box(model, params):
         center = np.array([rng.uniform(11.5, 120), rng.uniform(2, 30)])
         box = make_box(center, [0.5, 0.5], [0.5, 0.5])
         tau = rng.uniform(0.05, 2.0)
-        h_r = h_ratlc(box, tau, model, CFG)
+        gs = stack_on_grid(box, model, CFG)
+        h_r = h_ratlc_from_stack(gs, tau)
         for branch, lo, hi in (
             ([1], max(0.0, params.u_min), params.u_max),
             ([-1], params.u_min, min(0.0, params.u_max)),
         ):
-            g_r = g_ratlc(box, tau, model, branch, CFG)
+            g_r = g_ratlc_from_stack(gs, tau, branch)
             xs = rng.uniform(box.lower, box.upper, size=(1000, 2))
             us = rng.uniform(lo, hi, size=1000)
             for x, u in zip(xs, us):
@@ -127,8 +139,10 @@ def test_monotone_refinement(model):
     box = make_box(make_state(30.0, 22.0), [0.5, 0.7], [0.4, 0.5])
     for tau in (0.05, 0.5, 2.0):
         for g in (3, 5, 9, 21):
-            coarse = h_ratlc(box, tau, model, BoundConfig(grid_points_per_axis=g))
-            fine = h_ratlc(box, tau, model, BoundConfig(grid_points_per_axis=2 * g))
+            coarse, fine = (
+                h_ratlc_from_stack(stack_on_grid(box, model, BoundConfig(k)), tau)
+                for k in (g, 2 * g)
+            )
             assert fine <= coarse + 1e-12
 
 
@@ -140,18 +154,19 @@ def test_lattice_nesting():
 
 
 def test_scale_factoring(model):
-    """g_ratlc(tau) / tau^m does not depend on tau."""
-    box = make_box(make_state(50.0, 20.0), [0.5, 0.5], [0.5, 0.5])
-    base = g_ratlc(box, 1.0, model, [1], CFG)
+    """g_ratlc_from_stack(tau) / tau^m does not depend on tau."""
+    gs = stack_on_grid(make_box(make_state(50.0, 20.0), [0.5, 0.5], [0.5, 0.5]),
+                       model, CFG)
+    base = g_ratlc_from_stack(gs, 1.0, [1])
     for tau in (0.05, 0.3, 0.77, 1.9):
-        scaled = g_ratlc(box, tau, model, [1], CFG) / tau**model.m
+        scaled = g_ratlc_from_stack(gs, tau, [1]) / tau**model.m
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
 def test_degenerate_identity_machine_precision(model):
     x = make_state(57.3, 19.2)
-    box = make_box(x, [0.0, 0.0], [0.0, 0.0])
+    gs = stack_on_grid(make_box(x, [0.0, 0.0], [0.0, 0.0]), model, CFG)
     stack = model.lie_stack(x)
     for tau in (0.05, 0.5, 2.0):
         w = taylor_weights(tau, model.m)
-        assert h_ratlc(box, tau, model, CFG) == float(stack @ w)
+        assert h_ratlc_from_stack(gs, tau) == float(stack @ w)

@@ -18,9 +18,9 @@ from atlc import (
     select_tau,
     solve_qp,
 )
-from atlc.constraints import atlc_row_from_stack, build_clf_row, build_qp_instance
+from atlc.constraints import atlc_rows, build_clf_row, build_qp_instance
 from atlc.margin import margin_from_stack
-from atlc.robust_bounds import stack_on_grid
+from atlc.robust_bounds import h_ratlc_from_stack, stack_on_grid
 from atlc.sim import integrate_fixed_horizon
 from atlc.tau_select import candidate_taus
 
@@ -40,7 +40,7 @@ def scripted_selection(x, box, cfg, model):
     best_tau, best_u, best_pred = None, None, -math.inf
     table = []
     for tau in candidate_taus(cfg.tau_cfg):
-        row = atlc_row_from_stack(gs, tau, [-1])  # constant gain: branches equal
+        ((row, _, _),) = atlc_rows(gs, tau, model)  # constant gain: one row
         inst = build_qp_instance(
             [row, clf], model, cfg.objective, x=x, params=cfg.params
         )
@@ -62,6 +62,11 @@ def test_config_validation():
         TauSelectConfig(tau_min=2.0, tau_max=1.0)
     with pytest.raises(ValueError):
         TauSelectConfig(n_candidates=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TauSelectConfig(tau_max=bad)
+        with pytest.raises(ValueError):
+            TauSelectConfig(T_look=bad)
 
 
 def test_candidate_grids():
@@ -107,8 +112,8 @@ def test_single_candidate_returned(model):
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     cfg = config(tau_min=0.7, tau_max=0.7, n_candidates=1)
     decision = select_tau(x, box, cfg, model)
-    assert not decision.all_infeasible
-    assert decision.tau_k == 0.7
+    assert decision.status == "optimal"
+    assert decision.tau == 0.7
     assert len(decision.table) == 1
 
 
@@ -123,8 +128,8 @@ def test_infeasible_candidate_loses(model):
     assert margin_from_stack(gs, 2.0, model) < 0.0
 
     decision = select_tau(x, box, cfg, model)
-    assert not decision.all_infeasible
-    assert decision.tau_k == 0.1
+    assert decision.status == "optimal"
+    assert decision.tau == 0.1
     flags = [entry.feasible for entry in decision.table]
     assert flags == [True, False]
     assert decision.table[1].min_h_pred == -math.inf
@@ -139,9 +144,26 @@ def test_all_infeasible_reported(model):
     assert all(margin_from_stack(gs, t, model) < 0.0 for t in taus)
 
     decision = select_tau(x, box, cfg, model)
-    assert decision.all_infeasible
-    assert decision.tau_k is None and decision.u_k is None
+    assert decision.status == "infeasible"
+    assert decision.tau is None and decision.u is None
     assert all(e.min_h_pred == -math.inf for e in decision.table)
+
+
+@pytest.mark.parametrize("z, v", [(49.8, 15.0), (50.2, 20.0), (60.0, 15.0)])
+def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
+    """With one QP per input-sign orthant the decision is feasible, meets
+    the robust condition, and logs the margin at its time scale."""
+    model = sign_gain_model
+    x = make_state(z, v)
+    box = make_box(x, [0.5, 0.5], [0.5, 0.5])
+    decision = select_tau(x, box, config(), model)
+    assert decision.status == "optimal"
+    gs = stack_on_grid(box, model, config().bound_cfg)
+    assert decision.margin == margin_from_stack(gs, decision.tau, model)
+    worst = h_ratlc_from_stack(gs, decision.tau) + decision.tau**2 / 2 * float(
+        (gs.phi[:, 0] * decision.u[0]).min()
+    )
+    assert worst >= -1e-9
 
 
 def near_limit_states(n, seed=8):
@@ -175,8 +197,8 @@ def test_matches_scripted_reimplementation():
         decision = select_tau(x, box, cfg, case_model)
 
         sc_tau, sc_u, sc_table = scripted_selection(x, box, cfg, case_model)
-        assert decision.tau_k == sc_tau
-        np.testing.assert_allclose(decision.u_k, sc_u, rtol=0, atol=1e-12)
+        assert decision.tau == sc_tau
+        np.testing.assert_allclose(decision.u, sc_u, rtol=0, atol=1e-12)
         for entry, (tau, pred) in zip(decision.table, sc_table):
             assert entry.tau == pytest.approx(tau)
             assert entry.feasible == math.isfinite(pred)
@@ -191,7 +213,7 @@ def test_matches_scripted_reimplementation():
             best = max(preds)
             first_best = next(e.tau for e in decision.table
                               if e.feasible and e.min_h_pred == best)
-            assert decision.tau_k == first_best
+            assert decision.tau == first_best
     assert max(distinct[1:]) >= 10 and infeasible > 0
 
 
@@ -234,8 +256,8 @@ def test_selection_optimality(model):
     x = make_state(14.0, 18.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     decision = select_tau(x, box, config(), model)
-    assert not decision.all_infeasible
-    chosen = next(e for e in decision.table if e.tau == decision.tau_k)
+    assert decision.status == "optimal"
+    chosen = next(e for e in decision.table if e.tau == decision.tau)
     for entry in decision.table:
         if entry.feasible:
             assert chosen.min_h_pred >= entry.min_h_pred
@@ -249,6 +271,6 @@ def test_recursive_feasibility_structural(model):
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
         decision = select_tau(x, box, config(n_candidates=10), model)
         any_feasible = any(e.feasible for e in decision.table)
-        assert decision.all_infeasible == (not any_feasible)
+        assert (decision.status == "infeasible") == (not any_feasible)
         if any_feasible:
-            assert decision.u_k is not None
+            assert decision.u is not None
