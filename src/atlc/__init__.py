@@ -26,7 +26,7 @@ from .model import (
     make_state,
     resistance_force,
 )
-from .qp import ConstraintRow, QpInstance, QpSolution, oracle_grid_solve, solve_qp
+from .qp import ConstraintRow, QpInstance, QpSolution, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box
 from .sim import IntegratorConfig, IntegrationError, Segment, integrate_until_trigger
 from .tau_select import TauSelectConfig, rollout_min_h, select_tau
@@ -63,7 +63,6 @@ __all__ = [
     "integrate_until_trigger",
     "make_box",
     "make_state",
-    "oracle_grid_solve",
     "resistance_force",
     "rollout_min_h",
     "select_tau",

@@ -34,7 +34,7 @@ from .controller import (
 from .margin import tau_star_scan
 from .model import AccParams, acc_model, make_state
 from .robust_bounds import make_box
-from .tau_select import TauSelectConfig, candidate_taus
+from .tau_select import TauSelectConfig, candidate_taus, with_predictions
 
 TRAJECTORY_COLUMNS = [
     "t", "z", "v", "u", "tau", "h", "V", "delta",
@@ -53,6 +53,7 @@ DEFAULTS = {
     "tau_fixed": 0.5, "tlc_robust": True, "objective": "acc_effort",
     "clf_form": "quadratic", "z0": 90.0, "v0": 15.0,
 }
+PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
 OPTIONAL_KEYS = {"id", "p1", "p2"}
 KNOWN_KEYS = set(DEFAULTS) | OPTIONAL_KEYS
 
@@ -113,11 +114,15 @@ def _radii(value) -> np.ndarray:
 
 def build_controller_config(scenario: dict) -> ControllerConfig:
     kind_name = scenario["kind"]
+    n_tau, robust = scenario["n_tau"], scenario["tlc_robust"]
+    if isinstance(n_tau, bool) or not (
+            isinstance(n_tau, (int, float)) and float(n_tau).is_integer()):
+        raise ConfigError(f"n_tau must be an integer, got {n_tau!r}")
+    if not isinstance(robust, bool):
+        raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
     try:
         if kind_name in ("tlc", "tlc_fixed"):
-            kind = ControllerKind.tlc_fixed(
-                float(scenario["tau_fixed"]), robust=bool(scenario["tlc_robust"])
-            )
+            kind = ControllerKind.tlc_fixed(float(scenario["tau_fixed"]), robust=robust)
         elif kind_name == "hocbf":
             if "p1" not in scenario or "p2" not in scenario:
                 raise ConfigError("kind 'hocbf' requires keys p1 and p2")
@@ -126,31 +131,17 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
             kind = ControllerKind.atlc()
         else:
             raise ConfigError(f"unknown kind {kind_name!r}")
-        params = AccParams(
-            M=float(scenario["M"]), vp=float(scenario["vp"]),
-            vd=float(scenario["vd"]), f0=float(scenario["f0"]),
-            f1=float(scenario["f1"]), f2=float(scenario["f2"]),
-            lp=float(scenario["lp"]), ca=float(scenario["ca"]),
-            cd=float(scenario["cd"]), c3=float(scenario["c3"]),
-            w=float(scenario["w"]),
-        )
+        params = AccParams(**{key: float(scenario[key]) for key in PARAM_KEYS})
         tau_cfg = TauSelectConfig(
-            tau_min=float(scenario["tau_min"]),
-            tau_max=float(scenario["tau_max"]),
-            n_candidates=int(scenario["n_tau"]),
-            T_look=float(scenario["T_look"]),
+            tau_min=float(scenario["tau_min"]), tau_max=float(scenario["tau_max"]),
+            n_candidates=int(n_tau), T_look=float(scenario["T_look"]),
         )
         return ControllerConfig(
-            kind=kind,
-            params=params,
+            kind=kind, params=params, tau_cfg=tau_cfg, T=float(scenario["T"]),
             box_under=_radii(scenario["box_under"]),
             box_over=_radii(scenario["box_over"]),
-            tau_cfg=tau_cfg,
-            T=float(scenario["T"]),
-            objective=str(scenario["objective"]),
-            clf_form=str(scenario["clf_form"]),
-            z0=float(scenario["z0"]),
-            v0=float(scenario["v0"]),
+            z0=float(scenario["z0"]), v0=float(scenario["v0"]),
+            objective=str(scenario["objective"]), clf_form=str(scenario["clf_form"]),
         )
     except ConfigError:
         raise
@@ -194,12 +185,17 @@ def write_events_csv(path: Path, log: TrajectoryLog) -> None:
     _write_csv(path, EVENT_COLUMNS, rows)
 
 
-def write_candidates_csv(path: Path, tables) -> None:
+def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) -> None:
+    """Candidate table of every adaptive event, with the predictions that
+    one-input decisions leave uncomputed computed here."""
+    model = acc_model(cfg.params, cfg.clf_form)
     rows = []
-    for k, t, table in tables:
-        for entry in table:
+    for e in log.events:
+        if e.table is None:
+            continue
+        for entry in with_predictions(e.table, e.x, cfg.tau_cfg.T_look, model):
             rows.append([
-                str(k), fmt(t), fmt(entry.tau), fmt(entry.feasible),
+                str(e.index), fmt(e.t), fmt(entry.tau), fmt(entry.feasible),
                 fmt(entry.min_h_pred if math.isfinite(entry.min_h_pred) else None),
                 fmt(entry.qp_objective if math.isfinite(entry.qp_objective) else None),
             ])
@@ -269,10 +265,7 @@ def run_scenario(scenario: dict, out_dir: Path, trace_candidates: bool = False):
     write_trajectory_csv(traj_path, log)
     write_events_csv(out_dir / f"{sid}_events.csv", log)
     if trace_candidates:
-        tables = [
-            (e.index, e.t, e.table) for e in log.events if e.table is not None
-        ]
-        write_candidates_csv(out_dir / f"{sid}_candidates.csv", tables)
+        write_candidates_csv(out_dir / f"{sid}_candidates.csv", log, cfg)
     summary = summary_from_trajectory_csv(traj_path, cfg.params)
     summary.update({"id": sid, "kind": cfg.kind.name, "T": cfg.T, "status": status})
     with open(out_dir / f"{sid}_summary.json", "w", encoding="utf-8",
@@ -325,21 +318,14 @@ def cmd_compare(args) -> int:
         return 1
     try:
         scenarios = [load_scenario(p) for p in paths]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    by_id: dict[str, Path] = {}
-    for scenario, path in zip(scenarios, paths):
-        sid = scenario["id"]
-        if sid in by_id:
-            print(
-                f"error: duplicate scenario id {sid!r} in {by_id[sid]} and {path}",
-                file=sys.stderr,
-            )
-            return 1
-        by_id[sid] = path
-    # validate every config before the first run starts
-    try:
+        by_id: dict[str, Path] = {}
+        for scenario, path in zip(scenarios, paths):
+            sid = scenario["id"]
+            if sid in by_id:
+                raise ConfigError(
+                    f"duplicate scenario id {sid!r} in {by_id[sid]} and {path}")
+            by_id[sid] = path
+        # validate every config before the first run starts
         for scenario in scenarios:
             build_controller_config(scenario)
     except ConfigError as exc:

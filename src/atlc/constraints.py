@@ -9,13 +9,14 @@ the worst-case quantities over the event box.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .model import AccParams, SystemModel, resistance_force
 from .qp import ConstraintRow, QpInstance
-from .robust_bounds import GridStack, g_ratlc_from_stack, h_ratlc_from_stack
+from .robust_bounds import GridStack, taylor_weights
 
 Array = np.ndarray
 
@@ -23,51 +24,66 @@ DELTA_CAP = 1.0e7  # keeps the slack box bounded; never active in practice
 OBJECTIVES = ("plain", "acc_effort")
 
 
-def _branch_input_box(sign_branch: Array, model: SystemModel):
-    """Part of the input box consistent with a sign branch, as (lower, upper).
+@dataclass(frozen=True)
+class RobustRows:
+    """Robust adaptive safety rows at K time scales on B parts of the input
+    box: ``gains[k, b] @ u >= -h_worst[k]`` for u in [lower[b], upper[b]]."""
 
-    Component j is restricted to u_j >= 0 where the branch is +1 and to
-    u_j <= 0 where it is -1; None when that part of the box is empty.
-    """
-    lower = np.where(sign_branch > 0, np.maximum(model.u_min, 0.0), model.u_min)
-    upper = np.where(sign_branch > 0, model.u_max, np.minimum(model.u_max, 0.0))
-    if np.any(lower > upper):
-        return None
-    return lower, upper
+    h_worst: Array  # (K,)
+    gains: Array  # (K, B, q)
+    lower: Array  # (B, q)
+    upper: Array  # (B, q)
+
+    def row(self, k: int, b: int) -> ConstraintRow:
+        """Row b at time scale k, over the decision vector (u, delta)."""
+        return ConstraintRow(np.append(self.gains[k, b], 0.0), -self.h_worst[k], "ge")
+
+    def margins(self) -> Array:
+        """Best slack of each row over its part of the input box, (K, B):
+        a row is satisfiable there iff its value is >= 0."""
+        return _best_slack(self.gains, self.h_worst[:, None], self.lower, self.upper)
 
 
-def atlc_rows(
-    gs: GridStack, tau: float, model: SystemModel
-) -> list[tuple[ConstraintRow, Array, Array]]:
-    """Robust adaptive safety rows g_worst @ u >= -h_worst at one time scale,
-    each with the part (lower, upper) of the input box it holds on.
+def atlc_rows(gs: GridStack, taus, model: SystemModel) -> RobustRows:
+    """Robust adaptive safety rows g_worst @ u >= -h_worst at every time
+    scale of ``taus``, as one table.
 
     The worst-case input gain depends on the sign of each input entry, so
     there is one row per non-empty sign orthant of the input box.  When the
     rows of all orthants coincide (constant input gain over the box) a
     single row over the full box is equivalent and returned instead.
+    h_worst takes one lattice product per time scale, as
+    :func:`~atlc.robust_bounds.h_ratlc_from_stack` does; a product over all
+    time scales at once rounds differently.
     """
-    branches = [np.array(b) for b in product((1.0, -1.0), repeat=model.q)]
-    gains = [g_ratlc_from_stack(gs, tau, b) for b in branches]
-    if all(np.array_equal(gains[0], g) for g in gains[1:]):
-        pieces = [(gains[0], (model.u_min, model.u_max))]
-    else:
-        pieces = [(g, _branch_input_box(b, model)) for b, g in zip(branches, gains)]
-    rhs = -h_ratlc_from_stack(gs, tau)
-    return [
-        (ConstraintRow(np.concatenate([g, [0.0]]), rhs, "ge"), *box)
-        for g, box in pieces
-        if box is not None
-    ]
+    weights = [taylor_weights(tau, gs.m) for tau in taus]
+    h_worst = np.array([(gs.stack @ w).min() for w in weights])
+    scale = np.array([w[-1] for w in weights])
+    branches = np.array(list(product((1.0, -1.0), repeat=model.q)))
+    worst = np.where(branches > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
+    gains = scale[:, None, None] * worst
+    if (gains == gains[:, :1]).all():
+        return RobustRows(h_worst, gains[:, :1], model.u_min[None], model.u_max[None])
+    # branch +1 restricts u_j >= 0, branch -1 u_j <= 0; empty parts drop out
+    lower = np.where(branches > 0, np.maximum(model.u_min, 0.0), model.u_min)
+    upper = np.where(branches > 0, model.u_max, np.minimum(model.u_max, 0.0))
+    keep = (lower <= upper).all(axis=1)
+    return RobustRows(h_worst, gains[:, keep], lower[keep], upper[keep])
+
+
+def _best_slack(gains: Array, h, lower: Array, upper: Array) -> Array:
+    """Best slack of the rows gains @ u >= -h over the input boxes
+    [lower, upper], broadcast over the leading axes."""
+    best = np.where(gains > 0, upper, lower)
+    # row-by-column products take the dot product of a single row, bit for bit
+    return (gains[..., None, :] @ best[..., None])[..., 0, 0] + h
 
 
 def row_margin(row: ConstraintRow, lower: Array, upper: Array) -> float:
     """Best achievable slack of a safety row over the input box
     [lower, upper]: the row is satisfiable there iff this is >= 0."""
     a, b = row.as_ge()
-    coeffs = a[:-1]  # the slack column never enters a safety row
-    best = np.where(coeffs > 0, upper, lower)
-    return float(coeffs @ best - b)
+    return float(_best_slack(a[:-1], -b, lower, upper))  # no slack column
 
 
 def build_tlc_row(x: Array, tau: float, model: SystemModel) -> ConstraintRow:

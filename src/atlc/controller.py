@@ -317,15 +317,9 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
 
 
 def _finalize(log: TrajectoryLog, dense: dict[str, list], cfg: ControllerConfig) -> None:
-    log.t = np.array(dense["t"])
-    log.z = np.array(dense["z"])
-    log.v = np.array(dense["v"])
-    log.u = np.array(dense["u"])
-    log.h = np.array(dense["h"])
-    log.V = np.array(dense["V"])
-    log.delta = np.array(dense["delta"])
-    log.event_index = np.array(dense["event_index"], dtype=int)
-    log.feasible = np.array(dense["feasible"], dtype=bool)
+    for key, values in dense.items():
+        dtype = {"event_index": int, "feasible": bool}.get(key, float)
+        setattr(log, key, np.array(values, dtype=dtype))
     log.summary = summarize(log, cfg.params)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import atlc_rows, row_margin
+from .constraints import atlc_rows
 from .model import SystemModel
 from .robust_bounds import BoundConfig, Box, GridStack, stack_on_grid
 
@@ -46,12 +46,12 @@ class MarginMap:
 
 
 def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
-    """sup over admissible inputs of the robust condition: the best
-    :func:`~atlc.constraints.row_margin` over the robust rows at ``tau``.
+    """sup over admissible inputs of the robust condition: the best margin
+    over the robust rows of :func:`~atlc.constraints.atlc_rows` at ``tau``.
 
     Admissible inputs exist iff the margin is nonnegative (closed condition).
     """
-    return max(row_margin(*r) for r in atlc_rows(gs, tau, model))
+    return float(atlc_rows(gs, [tau], model).margins().max())
 
 
 def tau_star_scan(
@@ -77,7 +77,7 @@ def tau_star_scan(
     if not (math.isfinite(refine_tol) and refine_tol >= 0.0):
         raise ValueError(f"refine_tol must be finite and nonnegative, got {refine_tol}")
     gs = stack_on_grid(box, model, cfg)
-    values = np.array([margin_from_stack(gs, tau, model) for tau in grid])
+    values = atlc_rows(gs, grid, model).margins().max(axis=1)
     feasible = np.flatnonzero(values >= 0.0)
     tau_star = float(grid[feasible[0]]) if feasible.size else None
     if refine and tau_star is not None and feasible[0] > 0:

@@ -7,8 +7,8 @@ each subset of constraints of size <= dim is solved as an
 equality-constrained KKT system and kept if it is primal feasible with
 nonnegative multipliers.  Strict convexity guarantees the optimum appears
 among these candidates.  The enumeration runs over a stack of instances of
-one shape at once (the candidate time scales of one control decision); a
-single instance is the stack of one.  Infeasibility is certified
+one shape at once, passed as arrays (the candidate time scales of one
+control decision); a single instance is the stack of one.  Infeasibility is certified
 separately by a max-min-slack vertex enumeration over the same stack.  A
 brute-force grid oracle is included for testing only.
 """
@@ -65,34 +65,18 @@ class QpInstance:
     upper: Array
 
     def __post_init__(self) -> None:
-        diag = np.asarray(self.quadratic_diag, dtype=float)
-        lin = np.asarray(self.linear_cost, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        dim = diag.shape[0]
-        if (diag <= 0.0).any() or not np.isfinite(diag).all():
-            raise ValueError("quadratic weights must be strictly positive")
-        for name, vec in (("linear_cost", lin), ("lower", lower), ("upper", upper)):
-            if vec.shape != (dim,) or not np.isfinite(vec).all():
-                raise ValueError(f"{name} must be a finite vector of length {dim}")
-        if (lower > upper).any():
-            raise ValueError("need lower <= upper componentwise")
-        rows = tuple(self.rows)
-        for row in rows:
-            if row.coefficients.shape != (dim,):
-                raise ValueError("row length does not match instance dimension")
-        object.__setattr__(self, "quadratic_diag", diag)
-        object.__setattr__(self, "linear_cost", lin)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "rows", rows)
+        for name in ("quadratic_diag", "linear_cost", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        vectors = [self.linear_cost, self.lower, self.upper]
+        vectors += [row.coefficients for row in self.rows]
+        if any(vector.shape != (self.dim,) for vector in vectors):
+            raise ValueError("cost, box and rows must match the instance dimension")
+        _check(self.quadratic_diag, self.lower, self.upper, self.linear_cost)
 
     @property
     def dim(self) -> int:
         return self.quadratic_diag.shape[0]
-
-    def objective(self, x: Array) -> float:
-        return float(self.quadratic_diag @ (x * x) + self.linear_cost @ x)
 
 
 @dataclass(frozen=True)
@@ -102,22 +86,23 @@ class QpSolution:
     status: str  # "optimal" | "infeasible"
 
 
-def _constraints_ge(instances: list[QpInstance]) -> tuple[Array, Array]:
-    """Box faces plus rows of instances of one shape, all oriented as
-    A @ x >= b; A is (n_inst, n_con, dim) and b is (n_inst, n_con)."""
-    n_inst = len(instances)
-    dim = instances[0].dim
-    n_rows = len(instances[0].rows)
-    rows_ge = [row.as_ge() for inst in instances for row in inst.rows]
+def _instance_arrays(inst: QpInstance) -> tuple[Array, ...]:
+    """One instance as a stack of one: cost, rows as A @ x >= b, and box."""
+    rows_ge = [row.as_ge() for row in inst.rows]
+    a = np.array([a for a, _ in rows_ge]).reshape(1, len(rows_ge), inst.dim)
+    b = np.array([[b for _, b in rows_ge]]).reshape(1, len(rows_ge))
+    return (inst.quadratic_diag[None], inst.linear_cost[None], a, b,
+            inst.lower[None], inst.upper[None])
+
+
+def _constraints_ge(a, b, lower, upper) -> tuple[Array, Array]:
+    """Box faces, then the rows, of a stack oriented as A @ x >= b; A is
+    (n_inst, n_con, dim) and b is (n_inst, n_con)."""
+    n_inst, n_rows, dim = a.shape
     a_all = np.empty((n_inst, 2 * dim + n_rows, dim))
     a_all[:, : 2 * dim] = _box_faces(dim)
-    b_all = np.empty((n_inst, 2 * dim + n_rows))
-    b_all[:, :dim] = [inst.lower for inst in instances]
-    b_all[:, dim : 2 * dim] = [-inst.upper for inst in instances]
-    if n_rows:
-        row_a = np.array([a for a, _ in rows_ge])
-        a_all[:, 2 * dim :] = row_a.reshape(n_inst, n_rows, dim)
-        b_all[:, 2 * dim :] = np.array([b for _, b in rows_ge]).reshape(n_inst, n_rows)
+    a_all[:, 2 * dim :] = a
+    b_all = np.concatenate([lower, -upper, b], axis=1)
     return a_all, b_all
 
 
@@ -154,12 +139,43 @@ def _solve_stack(matrices: Array, rhs: Array) -> Array:
 
 def solve_qp(inst: QpInstance) -> QpSolution:
     """Global optimum of one instance; the stacked solve of a batch of one."""
-    return solve_qp_stack([inst])[0]
+    values, objective, optimal = _enumerate(*_instance_arrays(inst))
+    return QpSolution(values=values[0], objective=float(objective[0]),
+                      status="optimal" if optimal[0] else "infeasible")
 
 
-def solve_qp_stack(instances) -> list[QpSolution]:
-    """Global optima of instances of one shape by exhaustive enumeration of
-    candidate active sets, all instances at once.
+def solve_qp_stack(diag, linear, a_ge, b_ge, lower, upper) -> tuple[Array, ...]:
+    """Global optima of the stack min diag[i] @ x**2 + linear[i] @ x over
+    a_ge[i] @ x >= b_ge[i] and lower[i] <= x <= upper[i], checked once.
+
+    ``a_ge`` (n, n_rows, dim) fixes the shape; the other arrays have it or
+    broadcast to it.  Returns the optima (n, dim), objectives (n,) and
+    feasibility flags (n,), NaN and +inf where infeasible: entry i is what
+    :func:`solve_qp` returns for instance i, bit for bit.
+    """
+    a = np.asarray(a_ge, dtype=float)
+    if a.ndim != 3:
+        raise ValueError("constraint rows must have shape (n, n_rows, dim)")
+    n_inst, n_rows, dim = a.shape
+    diag, linear, lower, upper = (
+        np.broadcast_to(np.asarray(v, dtype=float), (n_inst, dim))
+        for v in (diag, linear, lower, upper))
+    b = np.broadcast_to(np.asarray(b_ge, dtype=float), (n_inst, n_rows))
+    _check(diag, lower, upper, linear, a, b)
+    return _enumerate(diag, linear, a, b, lower, upper)
+
+
+def _check(diag: Array, lower: Array, upper: Array, *rest: Array) -> None:
+    if not all(np.isfinite(v).all() for v in (diag, lower, upper, *rest)):
+        raise ValueError("QP data must be finite")
+    if (diag <= 0.0).any():
+        raise ValueError("quadratic weights must be strictly positive")
+    if (lower > upper).any():
+        raise ValueError("need lower <= upper componentwise")
+
+
+def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
+    """Exhaustive enumeration of candidate active sets over a checked stack.
 
     The candidates of each instance are, in order, the unconstrained
     minimiser and then the KKT point of every subset of constraints of size
@@ -171,18 +187,11 @@ def solve_qp_stack(instances) -> list[QpSolution]:
     instance, so a stacked solve returns exactly what one-at-a-time solves
     return.
     """
-    instances = list(instances)
-    if not instances:
-        return []
-    n_inst = len(instances)
-    dim = instances[0].dim
-    n_rows = len(instances[0].rows)
-    if any(inst.dim != dim or len(inst.rows) != n_rows for inst in instances):
-        raise ValueError("stacked instances need equal dimension and row count")
-    a_all, b_all = _constraints_ge(instances)
+    n_inst, _, dim = a.shape
+    if n_inst == 0:
+        return np.empty((0, dim)), np.empty(0), np.empty(0, dtype=bool)
+    a_all, b_all = _constraints_ge(a, b, lower, upper)
     n_con = a_all.shape[1]
-    diag = np.array([inst.quadratic_diag for inst in instances])
-    c = np.array([inst.linear_cost for inst in instances])
     norms = np.sqrt((a_all * a_all).sum(-1))
     # a zero row becomes a zero unit row, so every subset holding it has a
     # zero Gram determinant and is dropped
@@ -231,9 +240,8 @@ def solve_qp_stack(instances) -> list[QpSolution]:
     violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
                 > feas_tol[:, None, :]).any(axis=-1)
     feasible = valid & ~violated
-    # stacked objectives may differ from QpInstance.objective in the last
-    # bits; they only shortlist the near-minimal candidates, which are then
-    # ranked by the instance's own objective
+    # these summed objectives may differ from the dot products below in the
+    # last bits; they only shortlist the near-minimal candidates
     quad = diag[:, None, :] * cand * cand
     lin = c[:, None, :] * cand
     objective = np.where(feasible, (quad + lin).sum(-1), math.inf)
@@ -241,41 +249,35 @@ def solve_qp_stack(instances) -> list[QpSolution]:
     best = objective.min(axis=1)
     lacking = best == math.inf
     if lacking.any() and (
-        _max_min_slack([inst for inst, no in zip(instances, lacking) if no]) > FEAS_TOL
-    ).any():
+            _max_min_slack(a_all[lacking], b_all[lacking]) > FEAS_TOL).any():
         # clearly feasible yet no candidate survived: internal failure, do
         # not mask it as infeasibility
         raise RuntimeError(
             "active-set enumeration found no optimum for a feasible instance"
         )
 
-    solutions = []
-    for i, inst in enumerate(instances):
-        if lacking[i]:
-            solutions.append(QpSolution(
-                values=np.full(dim, np.nan), objective=math.inf, status="infeasible",
-            ))
-            continue
-        shortlist = np.flatnonzero(objective[i] <= best[i] + 1e-12 * (1.0 + scale[i]))
-        exact = [inst.objective(cand[i, j]) for j in shortlist]
-        win = min(range(len(exact)), key=exact.__getitem__)  # first minimum
-        solutions.append(QpSolution(
-            values=cand[i, shortlist[win]], objective=exact[win],
-            status="optimal",
-        ))
-    return solutions
+    # rank the shortlist by the objective as dot products, as one instance
+    # on its own computes it: a stacked row-by-column matmul is bit-identical
+    exact = (diag[:, None, None] @ (cand * cand)[..., None]
+             + c[:, None, None] @ cand[..., None])[..., 0, 0]
+    shortlist = feasible & (objective <= (best + 1e-12 * (1.0 + scale))[:, None])
+    win = np.where(shortlist, exact, math.inf).argmin(axis=1)  # first minimum
+    pick = np.arange(n_inst), win
+    values = np.where(lacking[:, None], np.nan, cand[pick])
+    exact = np.where(lacking, math.inf, exact[pick])
+    return values, exact, ~lacking
 
 
-def _max_min_slack(instances: list[QpInstance]) -> Array:
-    """Phase-1 certificate per instance: max over the box of the minimum
-    row slack (+inf for an instance without rows).
+def _max_min_slack(a_all: Array, b_all: Array) -> Array:
+    """Phase-1 certificate per instance of a stack (box faces, then rows, as
+    from :func:`_constraints_ge`): max over the box of the minimum row slack
+    (+inf for an instance without rows).
 
     Solved as a vertex enumeration of the lifted feasibility program
     max s subject to row_i @ x - s >= rhs_i and x in the box; the optimum
     of this program sits at a vertex defined by dim+1 active constraints.
     Nonnegative value certifies a feasible instance.
     """
-    a_all, b_all = _constraints_ge(instances)
     n_inst, n_con, dim = a_all.shape
     if n_con == 2 * dim:
         return np.full(n_inst, math.inf)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -109,11 +108,6 @@ class GridStack:
     m: int
     q: int
 
-    @cached_property
-    def phi_range(self) -> tuple[Array, Array]:
-        """Per-input minimum and maximum of the gain over the lattice."""
-        return self.phi.min(axis=0), self.phi.max(axis=0)
-
 
 def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
     pts = grid_points(box, cfg)
@@ -153,5 +147,5 @@ def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> Array:
     if branch.shape != (gs.q,) or not (np.abs(branch) == 1).all():
         raise ValueError("sign branch must be a vector of +1/-1 per input")
     scale = taylor_weights(tau, gs.m)[-1]
-    worst = np.where(branch > 0, *gs.phi_range)
+    worst = np.where(branch > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
     return scale * worst

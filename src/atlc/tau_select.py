@@ -8,23 +8,26 @@ recorded.  The candidate maximizing that prediction wins, ties going to
 the smallest time scale (the least restrictive constraint).  Infeasible
 candidates keep a -inf sentinel so they lose every comparison.
 
-The candidates are evaluated in one batched pass: the QPs of every time
-scale and sign branch are solved as one stack, and the distinct inputs
-(compared by their exact bytes) are rolled out together in one
-fixed-step integration.
+The candidates are evaluated as arrays: one table of robust rows for every
+time scale, one stacked QP solve over its rows, and one fixed-step
+integration of the distinct inputs (compared by their exact bytes).  A
+prediction can only separate candidates whose inputs differ, so the
+rollout runs only when two or more distinct inputs are feasible; with one,
+the smallest feasible time scale wins, the predictions are left
+uncomputed (None) and :func:`with_predictions` computes them on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constraints import atlc_rows, build_clf_row, build_qp_instance, row_margin
+from .constraints import RobustRows, atlc_rows, build_clf_row, build_qp_instance
 from .model import SystemModel
-from .qp import QpInstance, QpSolution, solve_qp, solve_qp_stack
+from .qp import ConstraintRow, QpSolution, solve_qp, solve_qp_stack
 from .robust_bounds import Box, GridStack, stack_on_grid
 from .sim import integrate_fixed_horizon
 
@@ -54,7 +57,7 @@ class TauSelectConfig:
 class CandidateEval:
     tau: float
     feasible: bool
-    min_h_pred: float
+    min_h_pred: float | None  # None: feasible, rollout not run
     qp_objective: float
     u: Array | None
     delta: float | None
@@ -98,51 +101,73 @@ def rollout_min_h(x_k: Array, u, T_look: float, model: SystemModel):
     return float(minima) if np.ndim(u) < 2 else minima
 
 
-def _event_instances(
-    x_k: Array,
-    rows,
-    clf_row,
-    cfg: ControllerConfig,
+def _distinct(inputs, q: int) -> tuple[list[int], Array]:
+    """Index of each input among the distinct ones (exact bytes, in order
+    of first appearance), and the distinct inputs as a (D, q) array."""
+    slot: dict[bytes, int] = {}
+    index = [slot.setdefault(u.tobytes(), len(slot)) for u in inputs]
+    return index, np.frombuffer(b"".join(slot), dtype=float).reshape(-1, q)
+
+
+def with_predictions(
+    table: tuple[CandidateEval, ...], x_k: Array, T_look: float, model: SystemModel
+) -> tuple[CandidateEval, ...]:
+    """The candidate table with every feasible candidate's prediction,
+    rolling out the inputs of those the selection left uncomputed."""
+    missing = [i for i, e in enumerate(table) if e.feasible and e.min_h_pred is None]
+    if not missing:
+        return table
+    index, distinct = _distinct([table[i].u for i in missing], model.q)
+    rolled = rollout_min_h(x_k, distinct, T_look, model)[index].tolist()
+    filled = dict(zip(missing, rolled))
+    return tuple(replace(e, min_h_pred=filled[i]) if i in filled else e
+                 for i, e in enumerate(table))
+
+
+def _solve_rows(
+    x_k: Array, rows: RobustRows, clf_row: ConstraintRow, cfg: ControllerConfig,
     model: SystemModel,
-) -> list[QpInstance]:
-    """Robust safety QPs at one candidate time scale, one per robust row of
-    :func:`~atlc.constraints.atlc_rows`, each over the part of the input box
-    its row holds on."""
-    return [
-        build_qp_instance(
-            [row, clf_row], model, cfg.objective, x=x_k, params=cfg.params,
-            u_lower=lower, u_upper=upper,
-        )
-        for row, lower, upper in rows
-    ]
-
-
-def _best_branch(solutions, model: SystemModel) -> QpSolution:
-    """The first feasible branch solution with the least objective."""
-    best: QpSolution | None = None
-    for sol in solutions:
-        if sol.status == "optimal" and (best is None or sol.objective < best.objective):
-            best = sol
-    if best is None:
-        return QpSolution(
-            values=np.full(model.q + 1, np.nan), objective=math.inf,
-            status="infeasible",
-        )
-    return best
+) -> tuple[Array, Array, Array]:
+    """The QP of every row of the table, in one stacked solve: the CLF-row
+    QP with the row added and the input box cut to the row's part.  Per
+    time scale, returns the first feasible row's optimum with the least
+    objective, its objective and its feasibility flag."""
+    base = build_qp_instance([clf_row], model, cfg.objective, x=x_k, params=cfg.params)
+    a_clf, b_clf = clf_row.as_ge()
+    n_tau, n_branch, q = rows.gains.shape
+    a = np.zeros((n_tau, n_branch, 2, q + 1))
+    a[..., 0, :q] = rows.gains
+    a[..., 1, :] = a_clf
+    b = np.empty((n_tau, n_branch, 2))
+    b[..., 0] = -rows.h_worst[:, None]
+    b[..., 1] = b_clf
+    lower, upper = (  # each row's part of the input box, and the slack's box
+        np.tile(np.column_stack([part, np.full(n_branch, end)]), (n_tau, 1))
+        for part, end in ((rows.lower, base.lower[q]), (rows.upper, base.upper[q])))
+    values, objective, optimal = solve_qp_stack(
+        base.quadratic_diag, base.linear_cost, a.reshape(-1, 2, q + 1),
+        b.reshape(-1, 2), lower, upper,
+    )
+    pick = np.arange(n_tau) * n_branch + objective.reshape(n_tau, n_branch).argmin(1)
+    return values[pick], objective[pick], optimal[pick]
 
 
 def solve_event_qp(
-    x_k: Array,
-    gs: GridStack,
-    tau: float,
-    clf_row,
-    cfg: ControllerConfig,
+    x_k: Array, gs: GridStack, tau: float, clf_row, cfg: ControllerConfig,
     model: SystemModel,
 ) -> QpSolution:
-    """Robust safety QP at one candidate time scale: the best feasible
-    solution over the robust rows of :func:`_event_instances`."""
-    instances = _event_instances(x_k, atlc_rows(gs, tau, model), clf_row, cfg, model)
-    return _best_branch([solve_qp(inst) for inst in instances], model)
+    """Robust safety QP at one time scale: one QP per row of
+    :func:`~atlc.constraints.atlc_rows`, each on its part of the input box,
+    and the first feasible solution with the least objective."""
+    rows = atlc_rows(gs, [tau], model)
+    solutions = [
+        solve_qp(build_qp_instance(
+            [rows.row(0, b), clf_row], model, cfg.objective, x=x_k,
+            params=cfg.params, u_lower=lower, u_upper=upper,
+        ))
+        for b, (lower, upper) in enumerate(zip(rows.lower, rows.upper))
+    ]
+    return min(solutions, key=lambda sol: sol.objective)  # infeasible: +inf
 
 
 def select_tau(
@@ -152,54 +177,36 @@ def select_tau(
     x_k = np.asarray(x_k, dtype=float)
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
-
     taus = [float(tau) for tau in candidate_taus(cfg.tau_cfg)]
-    rows = [atlc_rows(gs, tau, model) for tau in taus]
-    per_tau = [_event_instances(x_k, r, clf_row, cfg, model) for r in rows]
-    stacked = iter(solve_qp_stack([inst for insts in per_tau for inst in insts]))
-    sols = [_best_branch([next(stacked) for _ in insts], model) for insts in per_tau]
-
-    # identical inputs yield identical rollouts; roll each distinct one out
-    # once, all of them together
-    slot: dict[bytes, int] = {}
-    for sol in sols:
-        if sol.status == "optimal":
-            slot.setdefault(sol.values[: model.q].tobytes(), len(slot))
-    predictions = np.empty(0)
-    if slot:
-        inputs = np.frombuffer(b"".join(slot), dtype=float).reshape(-1, model.q)
-        predictions = rollout_min_h(x_k, inputs, cfg.tau_cfg.T_look, model)
-
-    table = []
-    for tau, sol in zip(taus, sols):
-        if sol.status != "optimal":
-            table.append(CandidateEval(
-                tau=tau, feasible=False, min_h_pred=-math.inf,
-                qp_objective=math.inf, u=None, delta=None,
-            ))
-            continue
-        u = sol.values[: model.q]
-        table.append(CandidateEval(
-            tau=tau, feasible=True,
-            min_h_pred=float(predictions[slot[u.tobytes()]]),
-            qp_objective=sol.objective, u=u, delta=float(sol.values[-1]),
-        ))
-
-    best_idx = None
-    best_pred = -math.inf
-    for i, entry in enumerate(table):
-        if entry.feasible and entry.min_h_pred > best_pred:
-            best_pred = entry.min_h_pred
-            best_idx = i
-    if best_idx is None:
+    rows = atlc_rows(gs, taus, model)
+    values, objective, optimal = _solve_rows(x_k, rows, clf_row, cfg, model)
+    margins = rows.margins().max(axis=1)
+    inputs = values[:, : model.q]
+    feasible = np.flatnonzero(optimal).tolist()
+    index, distinct = _distinct(inputs[feasible], model.q)
+    predictions = dict.fromkeys(feasible)  # None: not computed
+    if len(distinct) > 1:
+        # identical inputs yield identical rollouts: each distinct one is
+        # rolled out once, all of them together
+        rolled = rollout_min_h(x_k, distinct, cfg.tau_cfg.T_look, model)[index]
+        predictions = dict(zip(feasible, rolled.tolist()))
+    table = tuple(
+        CandidateEval(
+            tau=tau, feasible=ok, min_h_pred=predictions.get(i, -math.inf),
+            qp_objective=float(objective[i]), u=inputs[i] if ok else None,
+            delta=float(values[i, -1]) if ok else None,
+        )
+        for i, (tau, ok) in enumerate(zip(taus, optimal.tolist()))
+    )
+    if not feasible:
         return ControlDecision(
             u=None, tau=None, status="infeasible", delta=None,
-            margin=max(row_margin(*r) for tau_rows in rows for r in tau_rows),
-            qp_objective=math.inf, table=tuple(table),
+            margin=float(margins.max()), qp_objective=math.inf, table=table,
         )
-    chosen = table[best_idx]
+    # the first maximum; with one distinct input, the smallest feasible tau
+    best = feasible[0] if len(distinct) < 2 else max(feasible, key=predictions.get)
+    chosen = table[best]
     return ControlDecision(
         u=chosen.u, tau=chosen.tau, status="optimal", delta=chosen.delta,
-        margin=max(row_margin(*r) for r in rows[best_idx]),
-        qp_objective=chosen.qp_objective, table=tuple(table),
+        margin=float(margins[best]), qp_objective=chosen.qp_objective, table=table,
     )

@@ -20,8 +20,8 @@ from atlc import (
     make_box,
     simulate_closed_loop,
     solve_qp,
-    oracle_grid_solve,
 )
+from atlc.qp import oracle_grid_solve
 from atlc.robust_bounds import (
     g_ratlc_from_stack,
     h_ratlc_from_stack,

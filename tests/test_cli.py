@@ -163,6 +163,8 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     "box_under=-1", "box_over=[0.5, -0.5]", "box_under=Infinity", "z0=NaN",
     "v0=Infinity", "objective=foo", "clf_form=foo", "T=NaN", "T=Infinity",
     "T_look=NaN", "T_look=Infinity", "tau_max=Infinity",
+    "n_tau=2.9", "n_tau=true", 'n_tau="3"', "n_tau=NaN", 'tlc_robust="false"',
+    "tlc_robust=0",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
@@ -179,6 +181,7 @@ def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     ({"kind": "tlc_fixed"}, "tau_fixed=Infinity"),
     ({"kind": "tlc_fixed"}, "tau_fixed=0"),
     ({"kind": "hocbf", "p1": 0.3, "p2": 0.3}, "p1=NaN"),
+    ({"kind": "tlc_fixed"}, 'tlc_robust="false"'),
 ])
 def test_run_rejects_non_finite_kind_setting(tmp_path, capsys, kind, override):
     cfg = write_config(tmp_path / "s.json", T=1.0, **kind)

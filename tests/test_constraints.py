@@ -3,16 +3,25 @@
 import numpy as np
 import pytest
 
-from atlc import AccParams, BoundConfig, acc_lie_stack, make_box, make_state
+from atlc import (
+    AccParams,
+    BoundConfig,
+    TauSelectConfig,
+    acc_lie_stack,
+    make_box,
+    make_state,
+)
 from atlc.constraints import (
     atlc_rows,
     build_clf_row,
     build_hocbf_row,
     build_qp_instance,
     build_tlc_row,
+    row_margin,
 )
 from atlc.model import resistance_force
-from atlc.robust_bounds import stack_on_grid
+from atlc.robust_bounds import g_ratlc_from_stack, h_ratlc_from_stack, stack_on_grid
+from atlc.tau_select import candidate_taus
 
 CFG = BoundConfig()
 
@@ -20,8 +29,9 @@ CFG = BoundConfig()
 def robust_row(box, tau, model):
     """The case study's one robust row: its input gain is constant, so the
     sign branches coincide."""
-    ((row, _, _),) = atlc_rows(stack_on_grid(box, model, CFG), tau, model)
-    return row
+    rows = atlc_rows(stack_on_grid(box, model, CFG), [tau], model)
+    assert rows.gains.shape == (1, 1, 1)
+    return rows.row(0, 0)
 
 
 def feasible_interval(row, u_min, u_max):
@@ -57,12 +67,34 @@ def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model, params):
     orthant, each over its half of the input box."""
     box = make_box(make_state(49.8, 15.0), [0.5, 0.5], [0.5, 0.5])
     gs = stack_on_grid(box, sign_gain_model, CFG)
-    (up, up_lo, up_hi), (down, down_lo, down_hi) = atlc_rows(gs, 0.5, sign_gain_model)
+    rows = atlc_rows(gs, [0.5], sign_gain_model)
+    (up_lo, down_lo), (up_hi, down_hi) = rows.lower, rows.upper
+    up, down = rows.row(0, 0), rows.row(0, 1)
     np.testing.assert_array_equal([up_lo, up_hi], [[0.0], [params.u_max]])
     np.testing.assert_array_equal([down_lo, down_hi], [[params.u_min], [0.0]])
     assert up.rhs == down.rhs
     # u >= 0 takes the least gain over the box, u <= 0 the greatest
     assert up.coefficients[0] < 0.0 < down.coefficients[0]
+
+
+def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
+    """One table over the 40 candidate time scales holds, bit for bit, each
+    time scale's own lattice bound and worst-case gains, and its margins are
+    those of the single rows it holds."""
+    taus = [float(tau) for tau in candidate_taus(TauSelectConfig())]
+    for case_model, z, n_rows in ((model, 90.0, 1), (sign_gain_model, 49.8, 2)):
+        box = make_box(make_state(z, 15.0), [0.5, 0.5], [0.5, 0.5])
+        gs = stack_on_grid(box, case_model, CFG)
+        rows = atlc_rows(gs, taus, case_model)
+        assert rows.gains.shape == (40, n_rows, 1)
+        assert rows.h_worst.tolist() == [h_ratlc_from_stack(gs, tau) for tau in taus]
+        margins = rows.margins()
+        for k, tau in enumerate(taus):
+            for b, branch in enumerate([[1.0], [-1.0]][:n_rows]):
+                np.testing.assert_array_equal(
+                    rows.gains[k, b], g_ratlc_from_stack(gs, tau, branch))
+                assert margins[k, b] == row_margin(
+                    rows.row(k, b), rows.lower[b], rows.upper[b])
 
 
 def test_tlc_row_values(model):

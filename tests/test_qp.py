@@ -1,13 +1,14 @@
 """QP solver: frozen examples, oracle equivalence, KKT certificates."""
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from atlc import ConstraintRow, QpInstance, oracle_grid_solve, solve_qp
-from atlc.qp import _constraints_ge, solve_qp_stack
+from atlc import ConstraintRow, QpInstance, solve_qp
+from atlc.qp import _constraints_ge, _instance_arrays, oracle_grid_solve, solve_qp_stack
 
 
 def random_instance(rng):
@@ -56,7 +57,8 @@ def objective_gap_bound(inst, spacing):
 def kkt_residual(inst, solution):
     """Stationarity residual with multipliers fitted by nonnegative least
     squares over the active constraints."""
-    (a_all,), (b_all,) = _constraints_ge([inst])
+    _, _, a, b, lower, upper = _instance_arrays(inst)
+    (a_all,), (b_all,) = _constraints_ge(a, b, lower, upper)
     x = solution.values
     slack = a_all @ x - b_all
     active = slack <= 1e-6 * np.maximum(1.0, np.abs(b_all))
@@ -212,9 +214,16 @@ def test_objective_monotone_under_row_removal():
             assert rsol.objective <= full.objective + 1e-9
 
 
+def stack_arrays(instances):
+    """A group of instances of one shape as the arrays of solve_qp_stack."""
+    parts = [_instance_arrays(inst) for inst in instances]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 def test_stacked_solve_matches_single_solves():
-    """Solving instances of one shape as a stack returns, bit for bit, what
-    solving each alone returns, infeasible verdicts included."""
+    """Solving instances of one shape as one array stack returns, bit for
+    bit, what solving each alone returns, infeasible verdicts included;
+    cost rows shared by the stack may be passed once."""
     rng = np.random.default_rng(77)
     groups = {}
     for _ in range(600):
@@ -222,13 +231,33 @@ def test_stacked_solve_matches_single_solves():
         groups.setdefault((inst.dim, len(inst.rows)), []).append(inst)
     infeasible = 0
     for group in groups.values():
-        for inst, stacked in zip(group, solve_qp_stack(group)):
+        values, objective, optimal = solve_qp_stack(*stack_arrays(group))
+        for i, inst in enumerate(group):
             single = solve_qp(inst)
-            assert stacked.status == single.status
-            assert stacked.objective == single.objective
-            np.testing.assert_array_equal(stacked.values, single.values)
-            infeasible += stacked.status == "infeasible"
+            assert optimal[i] == (single.status == "optimal")
+            assert objective[i] == single.objective
+            np.testing.assert_array_equal(values[i], single.values)
+            infeasible += not optimal[i]
+        diag, linear, *rest = stack_arrays(group)
+        shared = solve_qp_stack(diag[0], linear[0], *rest)
+        for i, inst in enumerate(group):
+            single = solve_qp(dataclasses.replace(
+                inst, quadratic_diag=diag[0], linear_cost=linear[0]))
+            assert shared[1][i] == single.objective
+            np.testing.assert_array_equal(shared[0][i], single.values)
     assert len(groups) == 12 and infeasible > 0
-    assert solve_qp_stack([]) == []
-    with pytest.raises(ValueError):
-        solve_qp_stack([groups[(1, 0)][0], groups[(2, 0)][0]])
+
+    empty = [column[:0] for column in stack_arrays(groups[(2, 1)])]
+    values, objective, optimal = solve_qp_stack(*empty)
+    assert values.shape == (0, 2) and objective.shape == optimal.shape == (0,)
+    diag, linear, a, b, lower, upper = stack_arrays(groups[(2, 1)][:3])
+    for bad in (
+        (diag, linear, a[:, :, :1], b, lower, upper),  # rows of the wrong length
+        (diag, linear, a[0], b, lower, upper),  # rows not stacked
+        (-diag, linear, a, b, lower, upper),
+        (diag, linear * np.nan, a, b, lower, upper),
+        (diag, linear, a, b * np.inf, lower, upper),
+        (diag, linear, a, b, upper, lower),
+    ):
+        with pytest.raises(ValueError):
+            solve_qp_stack(*bad)

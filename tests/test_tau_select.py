@@ -1,6 +1,7 @@
 """Time-scale selection: argmax semantics, determinism, scripted cross-check."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from atlc import (
     AccParams,
+    ConstraintRow,
     ControllerConfig,
     TauSelectConfig,
     acc_dynamics_rhs,
@@ -16,15 +18,19 @@ from atlc import (
     make_state,
     rollout_min_h,
     select_tau,
+    simulate_closed_loop,
     solve_qp,
 )
-from atlc.constraints import atlc_rows, build_clf_row, build_qp_instance
+from atlc.cli import build_controller_config, load_scenario
+from atlc.constraints import build_clf_row, build_qp_instance
 from atlc.margin import margin_from_stack
-from atlc.robust_bounds import h_ratlc_from_stack, stack_on_grid
+from atlc.robust_bounds import g_ratlc_from_stack, h_ratlc_from_stack, stack_on_grid
 from atlc.sim import integrate_fixed_horizon
-from atlc.tau_select import candidate_taus
+from atlc.tau_select import candidate_taus, with_predictions
 
 from conftest import rk4_flow
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def config(**tau_cfg) -> ControllerConfig:
@@ -34,25 +40,34 @@ def config(**tau_cfg) -> ControllerConfig:
 
 def scripted_selection(x, box, cfg, model):
     """Independent re-implementation of the rollout selection loop built
-    from the public row/QP/rollout operations."""
+    from the public row/QP/rollout operations: every feasible candidate is
+    solved and rolled out on its own.  Returns the chosen tau and input,
+    the status, the margin and the (tau, prediction) table."""
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf = build_clf_row(x, cfg.params.c3, model)
     best_tau, best_u, best_pred = None, None, -math.inf
     table = []
     for tau in candidate_taus(cfg.tau_cfg):
-        ((row, _, _),) = atlc_rows(gs, tau, model)  # constant gain: one row
+        tau = float(tau)
+        # constant gain: both sign branches give this one row
+        gain = np.append(g_ratlc_from_stack(gs, tau, [1.0]), 0.0)
+        row = ConstraintRow(gain, -h_ratlc_from_stack(gs, tau), "ge")
         inst = build_qp_instance(
             [row, clf], model, cfg.objective, x=x, params=cfg.params
         )
         sol = solve_qp(inst)
         if sol.status != "optimal":
-            table.append((float(tau), -math.inf))
+            table.append((tau, -math.inf))
             continue
         pred = rollout_min_h(x, sol.values[:1], cfg.tau_cfg.T_look, model)
-        table.append((float(tau), pred))
+        table.append((tau, pred))
         if pred > best_pred:
-            best_tau, best_u, best_pred = float(tau), sol.values[:1], pred
-    return best_tau, best_u, table
+            best_tau, best_u, best_pred = tau, sol.values[:1], pred
+    if best_tau is None:
+        margin = max(margin_from_stack(gs, tau, model) for tau, _ in table)
+        return None, None, "infeasible", margin, table
+    margin = margin_from_stack(gs, best_tau, model)
+    return best_tau, best_u, "optimal", margin, table
 
 
 def test_config_validation():
@@ -195,23 +210,24 @@ def test_matches_scripted_reimplementation():
         case_model = acc_model(params)
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
         decision = select_tau(x, box, cfg, case_model)
+        table = with_predictions(decision.table, x, cfg.tau_cfg.T_look, case_model)
 
-        sc_tau, sc_u, sc_table = scripted_selection(x, box, cfg, case_model)
+        sc_tau, sc_u, _, _, sc_table = scripted_selection(x, box, cfg, case_model)
         assert decision.tau == sc_tau
         np.testing.assert_allclose(decision.u, sc_u, rtol=0, atol=1e-12)
-        for entry, (tau, pred) in zip(decision.table, sc_table):
+        for entry, (tau, pred) in zip(table, sc_table):
             assert entry.tau == pytest.approx(tau)
             assert entry.feasible == math.isfinite(pred)
             if math.isfinite(pred):
                 assert entry.min_h_pred == pytest.approx(pred, abs=1e-9)
-        distinct.append(len({e.u.tobytes() for e in decision.table if e.feasible}))
-        infeasible += sum(not e.feasible for e in decision.table)
+        distinct.append(len({e.u.tobytes() for e in table if e.feasible}))
+        infeasible += sum(not e.feasible for e in table)
 
         if i == 0:
-            assert all(e.feasible for e in decision.table)
-            preds = [e.min_h_pred for e in decision.table if e.feasible]
+            assert all(e.feasible for e in table)
+            preds = [e.min_h_pred for e in table if e.feasible]
             best = max(preds)
-            first_best = next(e.tau for e in decision.table
+            first_best = next(e.tau for e in table
                               if e.feasible and e.min_h_pred == best)
             assert decision.tau == first_best
     assert max(distinct[1:]) >= 10 and infeasible > 0
@@ -255,10 +271,12 @@ def test_rollout_matches_rk45_reference(model, params):
 def test_selection_optimality(model):
     x = make_state(14.0, 18.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    decision = select_tau(x, box, config(), model)
+    cfg = config()
+    decision = select_tau(x, box, cfg, model)
     assert decision.status == "optimal"
-    chosen = next(e for e in decision.table if e.tau == decision.tau)
-    for entry in decision.table:
+    table = with_predictions(decision.table, x, cfg.tau_cfg.T_look, model)
+    chosen = next(e for e in table if e.tau == decision.tau)
+    for entry in table:
         if entry.feasible:
             assert chosen.min_h_pred >= entry.min_h_pred
 
@@ -274,3 +292,33 @@ def test_recursive_feasibility_structural(model):
         assert (decision.status == "infeasible") == (not any_feasible)
         if any_feasible:
             assert decision.u is not None
+
+
+def cd04_event_states(every=10):
+    """Every ``every``-th event state of the pinned atlc_cd04 closed loop."""
+    cfg = build_controller_config(load_scenario(SCENARIOS / "atlc_cd04.json"))
+    log = simulate_closed_loop(cfg)
+    return cfg, [e.x for e in log.events[::every]]
+
+
+def test_decision_equals_full_rollout_selection():
+    """Rolling out only when two or more distinct inputs are feasible does
+    not change a decision: at the seeded near-limit states and at every
+    10th event state of atlc_cd04 the tau, the input bytes, the status and
+    the margin equal those of the scripted selection that rolls out every
+    feasible candidate."""
+    cd04_cfg, cd04_states = cd04_event_states()
+    cases = [(x, ControllerConfig(params=p)) for x, p in near_limit_states(6)]
+    cases += [(x, cd04_cfg) for x in cd04_states]
+    one_input = 0
+    for x, cfg in cases:
+        case_model = acc_model(cfg.params, cfg.clf_form)
+        box = make_box(x, cfg.box_under, cfg.box_over)
+        decision = select_tau(x, box, cfg, case_model)
+        tau, u, status, margin, _ = scripted_selection(x, box, cfg, case_model)
+        assert (decision.tau, decision.status, decision.margin) == (tau, status, margin)
+        assert decision.u.tobytes() == u.tobytes()
+        skipped = [e.min_h_pred is None for e in decision.table if e.feasible]
+        one_input += all(skipped)
+        assert all(skipped) or not any(skipped)
+    assert len(cd04_states) >= 15 and 0 < one_input < len(cases)
