@@ -54,6 +54,8 @@ DEFAULTS = {
     "clf_form": "quadratic", "z0": 90.0, "v0": 15.0,
 }
 PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
+FLOAT_KEYS = PARAM_KEYS + (
+    "tau_min", "tau_max", "T_look", "T", "z0", "v0", "tau_fixed", "p1", "p2")
 OPTIONAL_KEYS = {"id", "p1", "p2"}
 KNOWN_KEYS = set(DEFAULTS) | OPTIONAL_KEYS
 
@@ -103,49 +105,59 @@ def load_scenario(path: Path, overrides: dict | None = None) -> dict:
     return merged
 
 
-def _radii(value) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _number(key: str, value) -> float:
+    """A JSON number, not a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _radii(key: str, value) -> np.ndarray:
+    values = value if isinstance(value, list) else [value]
+    arr = np.array([_number(key, v) for v in values])
     if arr.size == 1:
         arr = np.full(2, arr[0])
     if arr.shape != (2,):
-        raise ConfigError("box radii must be a scalar or a pair")
+        raise ConfigError(f"{key} must be a number or a pair")
     return arr
 
 
 def build_controller_config(scenario: dict) -> ControllerConfig:
     kind_name = scenario["kind"]
-    n_tau, robust = scenario["n_tau"], scenario["tlc_robust"]
-    if isinstance(n_tau, bool) or not (
-            isinstance(n_tau, (int, float)) and float(n_tau).is_integer()):
-        raise ConfigError(f"n_tau must be an integer, got {n_tau!r}")
+    robust = scenario["tlc_robust"]
     if not isinstance(robust, bool):
         raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
     try:
+        num = {key: _number(key, scenario[key])
+               for key in FLOAT_KEYS if key in scenario}
+        n_tau = _number("n_tau", scenario["n_tau"])
+        if not n_tau.is_integer():
+            raise ConfigError(f"n_tau must be an integer, got {scenario['n_tau']!r}")
         if kind_name in ("tlc", "tlc_fixed"):
-            kind = ControllerKind.tlc_fixed(float(scenario["tau_fixed"]), robust=robust)
+            kind = ControllerKind.tlc_fixed(num["tau_fixed"], robust=robust)
         elif kind_name == "hocbf":
             if "p1" not in scenario or "p2" not in scenario:
                 raise ConfigError("kind 'hocbf' requires keys p1 and p2")
-            kind = ControllerKind.hocbf(float(scenario["p1"]), float(scenario["p2"]))
+            kind = ControllerKind.hocbf(num["p1"], num["p2"])
         elif kind_name == "atlc":
             kind = ControllerKind.atlc()
         else:
             raise ConfigError(f"unknown kind {kind_name!r}")
-        params = AccParams(**{key: float(scenario[key]) for key in PARAM_KEYS})
+        params = AccParams(**{key: num[key] for key in PARAM_KEYS})
         tau_cfg = TauSelectConfig(
-            tau_min=float(scenario["tau_min"]), tau_max=float(scenario["tau_max"]),
-            n_candidates=int(n_tau), T_look=float(scenario["T_look"]),
+            tau_min=num["tau_min"], tau_max=num["tau_max"],
+            n_candidates=int(n_tau), T_look=num["T_look"],
         )
         return ControllerConfig(
-            kind=kind, params=params, tau_cfg=tau_cfg, T=float(scenario["T"]),
-            box_under=_radii(scenario["box_under"]),
-            box_over=_radii(scenario["box_over"]),
-            z0=float(scenario["z0"]), v0=float(scenario["v0"]),
+            kind=kind, params=params, tau_cfg=tau_cfg, T=num["T"],
+            box_under=_radii("box_under", scenario["box_under"]),
+            box_over=_radii("box_over", scenario["box_over"]),
+            z0=num["z0"], v0=num["v0"],
             objective=str(scenario["objective"]), clf_form=str(scenario["clf_form"]),
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
 

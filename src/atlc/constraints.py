@@ -131,7 +131,6 @@ def build_qp_instance(
     objective: str,
     x: Array | None = None,
     params: AccParams | None = None,
-    w: float | None = None,
     u_lower: Array | None = None,
     u_upper: Array | None = None,
 ) -> QpInstance:
@@ -142,16 +141,15 @@ def build_qp_instance(
     form (the constant term is dropped).
     """
     q = model.q
-    if w is None:
-        if params is None:
-            raise ValueError("need w or params for the slack weight")
-        w = params.w
+    if params is None:
+        raise ValueError("need params for the slack weight")
+    w = params.w
     if objective == "plain":
         diag = np.concatenate([np.ones(q), [w]])
         linear = np.zeros(q + 1)
     elif objective == "acc_effort":
-        if params is None or x is None:
-            raise ValueError("acc_effort objective needs params and the state")
+        if x is None:
+            raise ValueError("acc_effort objective needs the state")
         if q != 1:
             raise ValueError("acc_effort objective is single-input")
         fr = resistance_force(x[1], params)

@@ -252,9 +252,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
     x = make_state(cfg.z0, cfg.v0)
     t = 0.0
     log = TrajectoryLog()
-    dense: dict[str, list] = {key: [] for key in
-                              ("t", "z", "v", "u", "h", "V", "delta",
-                               "event_index", "feasible")}
+    dense: dict[str, list] = {}  # per dense column, one array per segment
 
     k = 0
     while t < cfg.T:
@@ -283,21 +281,20 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
             raise SimulationError(str(exc), log) from exc
 
         # dense rows: segment start plus interior samples; the segment end
-        # state reappears as the next event's start row
-        keep_last = seg.t_end >= cfg.T
-        keep = slice(0, len(seg.times) if keep_last else len(seg.times) - 1)
-        for ti, xi in zip(seg.times[keep], seg.states[keep]):
-            stack = model.lie_stack(xi)
-            V, _, _ = model.clf_terms(xi)
-            dense["t"].append(ti)
-            dense["z"].append(xi[0])
-            dense["v"].append(xi[1])
-            dense["u"].append(u_apply)
-            dense["h"].append(stack[0])
-            dense["V"].append(V)
-            dense["delta"].append(math.nan if decision.delta is None else decision.delta)
-            dense["event_index"].append(k)
-            dense["feasible"].append(feasible)
+        # state reappears as the next event's start row, except after a
+        # one-sample segment, which is then the only row of its event
+        n = seg.times.size
+        if n > 1 and seg.t_end < cfg.T:
+            n -= 1
+        states = seg.states[:n]
+        columns = {
+            "t": seg.times[:n], "z": states[:, 0], "v": states[:, 1], "u": u_apply,
+            "h": model.lie_stack(states)[:, 0], "V": model.clf_terms(states)[0],
+            "delta": math.nan if decision.delta is None else decision.delta,
+            "event_index": k, "feasible": feasible,
+        }
+        for key, value in columns.items():
+            dense.setdefault(key, []).append(np.broadcast_to(value, n))
 
         if seg.exit_reason == "trigger":
             dt = seg.t_end - t
@@ -317,9 +314,8 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
 
 
 def _finalize(log: TrajectoryLog, dense: dict[str, list], cfg: ControllerConfig) -> None:
-    for key, values in dense.items():
-        dtype = {"event_index": int, "feasible": bool}.get(key, float)
-        setattr(log, key, np.array(values, dtype=dtype))
+    for key, values in dense.items():  # no segment: the log keeps its empty columns
+        setattr(log, key, np.concatenate(values))
     log.summary = summarize(log, cfg.params)
 
 

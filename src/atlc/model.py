@@ -85,12 +85,13 @@ class SystemModel:
         d^m h / dt^m = L_f^m h(x) + phi(x) @ u.
 
     ``clf_terms(x)`` returns ``(V, L_f V, L_g V)`` with ``L_g V`` a q-vector.
-    The required ``*_grid`` evaluators take an (N, n) array of states and
-    return stacked values, so worst-case bounds over a box are computed
-    without a Python-level loop; ``rhs_grid(points, inputs)`` also takes an
-    (N, q) array of inputs, one per state, and drives the batched rollouts.
-    Each grid row equals its pointwise evaluator.  All evaluators are pure
-    functions.
+    Every evaluator takes states of shape (..., n), ``rhs`` also inputs of
+    shape (..., q) with the same leading axes, and returns its values over
+    those leading axes: ``lie_stack`` (..., m+1), ``phi`` (..., q),
+    ``rhs`` (..., n) and the CLF terms (...), (...) and (..., q).  A batch
+    equals its per-state calls bit for bit, so worst-case bounds over a box
+    and the lookahead rollouts need no Python-level loop.  All evaluators
+    are pure functions.
     """
 
     n: int
@@ -102,9 +103,6 @@ class SystemModel:
     clf_terms: Callable[[Array], tuple[float, float, Array]]
     u_min: Array
     u_max: Array
-    lie_stack_grid: Callable[[Array], Array]
-    phi_grid: Callable[[Array], Array]
-    rhs_grid: Callable[[Array, Array], Array]
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -128,31 +126,45 @@ def resistance_force(v, p: AccParams):
     return p.f0 * np.sign(v) + p.f1 * v + p.f2 * v * v
 
 
+def _columns(x: Array, *values) -> Array:
+    """The values as the columns of a new last axis over the leading axes
+    of the states x, in a fresh C-ordered array."""
+    out = np.empty((*x.shape[:-1], len(values)))
+    for j, value in enumerate(values):
+        out[..., j] = value
+    return out
+
+
 def acc_dynamics_rhs(x: Array, u, p: AccParams) -> Array:
-    """Time derivative of (gap, speed) under traction/braking force u [N]."""
-    z, v = x
-    u_scalar = float(np.asarray(u).reshape(-1)[0])
-    return np.array([p.vp - v, (-resistance_force(v, p) + u_scalar) / p.M])
+    """Time derivative of (gap, speed) under traction/braking force u [N].
+
+    ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs."""
+    v = x[..., 1][()]  # a scalar for one state: cheaper arithmetic than 0-d arrays
+    u = np.asarray(u, dtype=float)
+    force = u[..., 0] if u.ndim else u[()]
+    return _columns(x, p.vp - v, (force - resistance_force(v, p)) / p.M)
 
 
-def acc_lie_stack(x: Array, p: AccParams) -> tuple[float, float, float, float]:
+def acc_lie_stack(x: Array, p: AccParams):
     """Safety output h = z - lp and its derivatives along the dynamics.
 
-    Returns (h, L_f h, L_f^2 h, L_g L_f h).  The gap closes at vp - v and
-    the input enters at the second derivative through -1/M.
+    Returns (h, L_f h, L_f^2 h, L_g L_f h) over the leading axes of ``x``;
+    the last is the constant -1/M.  The gap closes at vp - v and the input
+    enters at the second derivative through -1/M.
     """
-    z, v = x
+    z, v = x[..., 0][()], x[..., 1][()]
     return (z - p.lp, p.vp - v, resistance_force(v, p) / p.M, -1.0 / p.M)
 
 
 def acc_clf_terms(x: Array, p: AccParams, form: str = "quadratic"):
-    """Speed-tracking CLF terms (V, L_f V, L_g V).
+    """Speed-tracking CLF terms (V, L_f V, L_g V) over the leading axes of
+    ``x``; the linear form's L_g V is the constant 1/M.
 
     The quadratic form V = (v - vd)^2 satisfies the two-sided quadratic
     bounds a CLF requires; the signed linear form V = v - vd is kept as an
     option for comparison runs but does not.
     """
-    v = x[1]
+    v = x[..., 1][()]
     fr = resistance_force(v, p)
     if form == "quadratic":
         err = v - p.vd
@@ -170,31 +182,14 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
 
     def lie_stack(x: Array) -> Array:
         h, lfh, lf2h, _ = acc_lie_stack(x, p)
-        return np.array([h, lfh, lf2h])
+        return _columns(x, h, lfh, lf2h)
 
     def phi(x: Array) -> Array:
-        return np.array([-1.0 / p.M])
+        return _columns(x, -1.0 / p.M)
 
     def clf_terms(x: Array):
         V, lfV, lgV = acc_clf_terms(x, p, clf_form)
-        return V, lfV, np.array([lgV])
-
-    def lie_stack_grid(points: Array) -> Array:
-        z = points[:, 0]
-        v = points[:, 1]
-        return np.column_stack(
-            [z - p.lp, p.vp - v, resistance_force(v, p) / p.M]
-        )
-
-    def phi_grid(points: Array) -> Array:
-        return np.full((points.shape[0], 1), -1.0 / p.M)
-
-    def rhs_grid(points: Array, inputs: Array) -> Array:
-        v = points[:, 1]
-        out = np.empty_like(points)
-        out[:, 0] = p.vp - v
-        out[:, 1] = (inputs[:, 0] - resistance_force(v, p)) / p.M
-        return out
+        return V, lfV, _columns(x, lgV)
 
     return SystemModel(
         n=2,
@@ -206,7 +201,4 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
         clf_terms=clf_terms,
         u_min=np.array([p.u_min]),
         u_max=np.array([p.u_max]),
-        lie_stack_grid=lie_stack_grid,
-        phi_grid=phi_grid,
-        rhs_grid=rhs_grid,
     )

@@ -240,14 +240,7 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
                 > feas_tol[:, None, :]).any(axis=-1)
     feasible = valid & ~violated
-    # these summed objectives may differ from the dot products below in the
-    # last bits; they only shortlist the near-minimal candidates
-    quad = diag[:, None, :] * cand * cand
-    lin = c[:, None, :] * cand
-    objective = np.where(feasible, (quad + lin).sum(-1), math.inf)
-    scale = np.where(feasible, (quad + np.abs(lin)).sum(-1), 0.0).max(axis=1)
-    best = objective.min(axis=1)
-    lacking = best == math.inf
+    lacking = ~feasible.any(axis=1)
     if lacking.any() and (
             _max_min_slack(a_all[lacking], b_all[lacking]) > FEAS_TOL).any():
         # clearly feasible yet no candidate survived: internal failure, do
@@ -256,16 +249,14 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
             "active-set enumeration found no optimum for a feasible instance"
         )
 
-    # rank the shortlist by the objective as dot products, as one instance
-    # on its own computes it: a stacked row-by-column matmul is bit-identical
-    exact = (diag[:, None, None] @ (cand * cand)[..., None]
-             + c[:, None, None] @ cand[..., None])[..., 0, 0]
-    shortlist = feasible & (objective <= (best + 1e-12 * (1.0 + scale))[:, None])
-    win = np.where(shortlist, exact, math.inf).argmin(axis=1)  # first minimum
-    pick = np.arange(n_inst), win
+    # the objective as dot products, as one instance on its own computes
+    # it: a stacked row-by-column matmul is bit-identical
+    objective = (diag[:, None, None] @ (cand * cand)[..., None]
+                 + c[:, None, None] @ cand[..., None])[..., 0, 0]
+    objective = np.where(feasible, objective, math.inf)
+    pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
     values = np.where(lacking[:, None], np.nan, cand[pick])
-    exact = np.where(lacking, math.inf, exact[pick])
-    return values, exact, ~lacking
+    return values, objective[pick], ~lacking
 
 
 def _max_min_slack(a_all: Array, b_all: Array) -> Array:

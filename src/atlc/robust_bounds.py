@@ -47,6 +47,8 @@ class Box:
         return self.lower.shape[0]
 
     def contains(self, x: Array, tol: float = 0.0) -> bool:
+        """Whether the state, or every state of a (..., n) batch, lies in
+        the box inflated by tol."""
         return bool(
             np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
         )
@@ -112,7 +114,7 @@ class GridStack:
 def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
     pts = grid_points(box, cfg)
     return GridStack(
-        points=pts, stack=model.lie_stack_grid(pts), phi=model.phi_grid(pts),
+        points=pts, stack=model.lie_stack(pts), phi=model.phi(pts),
         m=model.m, q=model.q,
     )
 

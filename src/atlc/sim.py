@@ -157,7 +157,7 @@ def integrate_until_trigger(
 
     inflate = cfg.abs_tol
     interior = states[:-1] if exit_reason == "trigger" else states
-    if interior.size and not all(box.contains(s, tol=inflate) for s in interior):
+    if not box.contains(interior, tol=inflate):
         raise IntegrationError(
             "pre-trigger sample escaped the event box", t_end, x_end
         )
@@ -181,23 +181,22 @@ def integrate_fixed_horizon(
     """Integrate under constant input over [0, horizon] with classic RK4,
     one step per dense sample at spacing dt, both endpoints included.
 
-    ``u`` is one input (scalar or q-vector), giving states of shape
-    (n_samples, n), or a (K, q) batch of inputs rolled out together from
-    the same start, giving states of shape (n_samples, K, n).  Returns
-    (times, states).
+    ``u`` is one input (a scalar when q = 1, or a q-vector), giving
+    states of shape (n_samples, n), or a (..., q) batch of inputs rolled
+    out together from the same start, giving states of shape
+    (n_samples, ..., n).  Returns (times, states).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
-    single = np.ndim(u) < 2
-    inputs = np.asarray(u, dtype=float).reshape(-1, model.q)
-    if single and inputs.shape[0] != 1:
-        raise ValueError(f"a single input needs {model.q} entries, got {np.size(u)}")
+    inputs = np.asarray(u, dtype=float)
+    if inputs.shape[-1:] != (model.q,) and not (inputs.ndim == 0 and model.q == 1):
+        raise ValueError(f"inputs need {model.q} entries, got shape {inputs.shape}")
     times = _dense_times(0.0, horizon, dt)
-    states = np.empty((times.size, inputs.shape[0], x0.size))
+    states = np.empty((times.size, *inputs.shape[:-1], x0.size))
     states[0] = x0
     x = states[0]
-    rhs = model.rhs_grid
+    rhs = model.rhs
     for i, h in enumerate(np.diff(times).tolist(), start=1):
         k1 = rhs(x, inputs)
         k2 = rhs(x + 0.5 * h * k1, inputs)
@@ -206,4 +205,4 @@ def integrate_fixed_horizon(
         x = states[i] = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
     if not np.isfinite(states).all():
         raise IntegrationError("rollout state is not finite", 0.0, x0)
-    return times, states[:, 0] if single else states
+    return times, states

@@ -96,8 +96,7 @@ def rollout_min_h(x_k: Array, u, T_look: float, model: SystemModel):
     inputs gives the K minima, from one evaluation of the safety output.
     """
     _, states = integrate_fixed_horizon(x_k, u, T_look, model)
-    h = model.lie_stack_grid(states.reshape(-1, model.n))[:, 0]
-    minima = h.reshape(states.shape[:-1]).min(axis=0)
+    minima = model.lie_stack(states)[..., 0].min(axis=0)
     return float(minima) if np.ndim(u) < 2 else minima
 
 
@@ -113,7 +112,9 @@ def with_predictions(
     table: tuple[CandidateEval, ...], x_k: Array, T_look: float, model: SystemModel
 ) -> tuple[CandidateEval, ...]:
     """The candidate table with every feasible candidate's prediction,
-    rolling out the inputs of those the selection left uncomputed."""
+    rolling out the inputs of those the selection left uncomputed.
+    Identical inputs yield identical rollouts: each distinct one is rolled
+    out once, all of them together."""
     missing = [i for i, e in enumerate(table) if e.feasible and e.min_h_pred is None]
     if not missing:
         return table
@@ -182,29 +183,24 @@ def select_tau(
     values, objective, optimal = _solve_rows(x_k, rows, clf_row, cfg, model)
     margins = rows.margins().max(axis=1)
     inputs = values[:, : model.q]
-    feasible = np.flatnonzero(optimal).tolist()
-    index, distinct = _distinct(inputs[feasible], model.q)
-    predictions = dict.fromkeys(feasible)  # None: not computed
-    if len(distinct) > 1:
-        # identical inputs yield identical rollouts: each distinct one is
-        # rolled out once, all of them together
-        rolled = rollout_min_h(x_k, distinct, cfg.tau_cfg.T_look, model)[index]
-        predictions = dict(zip(feasible, rolled.tolist()))
     table = tuple(
         CandidateEval(
-            tau=tau, feasible=ok, min_h_pred=predictions.get(i, -math.inf),
+            tau=tau, feasible=ok, min_h_pred=None if ok else -math.inf,
             qp_objective=float(objective[i]), u=inputs[i] if ok else None,
             delta=float(values[i, -1]) if ok else None,
         )
         for i, (tau, ok) in enumerate(zip(taus, optimal.tolist()))
     )
+    feasible = np.flatnonzero(optimal).tolist()
     if not feasible:
         return ControlDecision(
             u=None, tau=None, status="infeasible", delta=None,
             margin=float(margins.max()), qp_objective=math.inf, table=table,
         )
-    # the first maximum; with one distinct input, the smallest feasible tau
-    best = feasible[0] if len(distinct) < 2 else max(feasible, key=predictions.get)
+    best = feasible[0]  # with one distinct input, the smallest feasible tau
+    if len({inputs[i].tobytes() for i in feasible}) > 1:
+        table = with_predictions(table, x_k, cfg.tau_cfg.T_look, model)
+        best = max(feasible, key=lambda i: table[i].min_h_pred)  # first maximum
     chosen = table[best]
     return ControlDecision(
         u=chosen.u, tau=chosen.tau, status="optimal", delta=chosen.delta,

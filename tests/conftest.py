@@ -24,8 +24,7 @@ def sign_gain_model(params):
     scale = 1.0 / (10.0 * params.M)
     return dataclasses.replace(
         acc_model(params),
-        phi=lambda x: np.array([(50.0 - x[0]) * scale]),
-        phi_grid=lambda points: ((50.0 - points[:, 0]) * scale)[:, None],
+        phi=lambda x: ((50.0 - x[..., 0]) * scale)[..., None],
     )
 
 

@@ -245,8 +245,8 @@ def test_criterion_8_robust_bound_soundness(model, params):
 
         xs = rng.uniform(box.lower, box.upper, size=(1000, 2))
         us = rng.uniform(params.u_min, params.u_max, size=1000)
-        stacks = model.lie_stack_grid(xs)
-        phis = model.phi_grid(xs)[:, 0]
+        stacks = model.lie_stack(xs)
+        phis = model.phi(xs)[:, 0]
         w = taylor_weights(tau, model.m)
         expr = stacks @ w + phis * us * w[-1]
         bound = np.where(us >= 0.0, g_plus, g_minus) * us + h_r
@@ -267,8 +267,8 @@ def test_criterion_9_mean_value_property(model, params):
         stack0 = model.lie_stack(x0)
         w = taylor_weights(tau, model.m)
         inner = states[1:-1]
-        stacks = model.lie_stack_grid(inner)
-        phis = model.phi_grid(inner)[:, 0]
+        stacks = model.lie_stack(inner)
+        phis = model.phi(inner)[:, 0]
         residuals = stack0[0] + stack0[1] * w[1] + (stacks[:, 2] + phis * u) * w[2] - h_end
         crosses = bool(np.any(residuals[:-1] * residuals[1:] <= 0.0))
         if not (crosses or np.abs(residuals).min() < 1e-6):

@@ -45,6 +45,10 @@ def test_run_zeno_exit(tmp_path):
     assert code == 3
     summary = json.loads((tmp_path / "out" / "z_summary.json").read_text())
     assert summary["status"].startswith("aborted")
+    # the zero-length segment before the abort keeps its event's row
+    events = (tmp_path / "out" / "z_events.csv").read_text().splitlines()[1:]
+    assert summary["event_count"] == len(events) >= 1
+    assert summary["min_h"] is not None
 
 
 def test_run_missing_config(tmp_path):
@@ -164,7 +168,8 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     "v0=Infinity", "objective=foo", "clf_form=foo", "T=NaN", "T=Infinity",
     "T_look=NaN", "T_look=Infinity", "tau_max=Infinity",
     "n_tau=2.9", "n_tau=true", 'n_tau="3"', "n_tau=NaN", 'tlc_robust="false"',
-    "tlc_robust=0",
+    "tlc_robust=0", "T=true", "cd=true", "box_under=true", "box_over=[0.5, false]",
+    'z0="90"', "tau_min=true", 'T_look="1"',
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
@@ -182,6 +187,8 @@ def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     ({"kind": "tlc_fixed"}, "tau_fixed=0"),
     ({"kind": "hocbf", "p1": 0.3, "p2": 0.3}, "p1=NaN"),
     ({"kind": "tlc_fixed"}, 'tlc_robust="false"'),
+    ({"kind": "tlc_fixed"}, "tau_fixed=true"),
+    ({"kind": "hocbf", "p1": 0.3, "p2": 0.3}, "p2=true"),
 ])
 def test_run_rejects_non_finite_kind_setting(tmp_path, capsys, kind, override):
     cfg = write_config(tmp_path / "s.json", T=1.0, **kind)

@@ -159,30 +159,36 @@ def test_system_model_invariants(params):
         SystemModel(
             n=2, q=1, m=0, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
-            lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
-            rhs_grid=m.rhs_grid,
         )
     with pytest.raises(ValueError):
         SystemModel(
             n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
             clf_terms=m.clf_terms, u_min=np.array([1.0]), u_max=np.array([-1.0]),
-            lie_stack_grid=m.lie_stack_grid, phi_grid=m.phi_grid,
-            rhs_grid=m.rhs_grid,
         )
 
 
-def test_grid_evaluators_match_pointwise(params):
-    m = acc_model(params)
+@pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])
+def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
+    """Every evaluator on an (S, K, n) batch, and rhs with (S, K, q) inputs,
+    equals its per-state calls bit for bit, also at v = 0 and v < 0."""
+    m = sign_gain_model if name == "sign_gain" else acc_model(params, name)
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(10, 150, 64), rng.uniform(1, 35, 64)])
-    stack = m.lie_stack_grid(pts)
-    phi = m.phi_grid(pts)
-    for i, x in enumerate(pts):
-        np.testing.assert_allclose(stack[i], m.lie_stack(x), atol=1e-14)
-        np.testing.assert_allclose(phi[i], m.phi(x), atol=1e-18)
-    # the batched rollout right-hand side, bit for bit, also at v = 0 and v < 0
-    states = np.vstack([pts, [[40.0, 0.0], [40.0, -1.5]]])
-    inputs = rng.uniform(params.u_min, params.u_max, (states.shape[0], 1))
-    rhs = m.rhs_grid(states, inputs)
-    for i, x in enumerate(states):
-        np.testing.assert_array_equal(rhs[i], m.rhs(x, inputs[i]))
+    states = np.vstack([pts, [[40.0, 0.0], [40.0, -1.5]]]).reshape(6, 11, 2)
+    inputs = rng.uniform(params.u_min, params.u_max, (6, 11, 1))
+    V, lfV, lgV = m.clf_terms(states)
+    batches = {"lie_stack": m.lie_stack(states), "phi": m.phi(states),
+               "rhs": m.rhs(states, inputs), "V": V, "L_f V": lfV, "L_g V": lgV}
+    for index in np.ndindex(states.shape[:-1]):
+        x = states[index]
+        V, lfV, lgV = m.clf_terms(x)
+        single = {"lie_stack": m.lie_stack(x), "phi": m.phi(x),
+                  "rhs": m.rhs(x, inputs[index]), "V": V, "L_f V": lfV, "L_g V": lgV}
+        for key, value in single.items():
+            found = np.asarray(batches[key][index])
+            assert found.shape == np.shape(value), key
+            assert found.tobytes() == np.asarray(value).tobytes(), key
+    # the lattice bounds take stack @ weights, whose rounding follows the layout
+    assert batches["lie_stack"].flags.c_contiguous
+    assert m.rhs(states[0, 0], float(inputs[0, 0, 0])).tobytes() == \
+        m.rhs(states[0, 0], inputs[0, 0]).tobytes()

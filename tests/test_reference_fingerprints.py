@@ -3,27 +3,32 @@
 ``perfbench/reference.json`` holds the event count, the tau sequence and the
 applied inputs of the pinned scenarios: the adaptive loops, the robust
 fixed-scale loops (which solve the robust rows one time scale at a time)
-and the barrier baselines.  Running them here, with the benchmark's own
-check (tau exact, u within 1e-9), makes a change that flips a decision fail
-in the tests and not only in the benchmark.
+and the barrier baselines.  It also holds the margin rows of the 32 fixed
+states of the margin scan.  Running them here, with the benchmark's own
+check (tau exact, u and margins within 1e-9), makes a change that flips a
+decision or moves a margin fail in the tests and not only in the benchmark.
 """
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import atlc
 from atlc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def benchmark_checks():
-    spec = importlib.util.spec_from_file_location("perfbench_checks",
-                                                  PERFBENCH / "checks.py")
+def benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -34,8 +39,23 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"
 ADAPTIVE = ["atlc_cd04", "atlc_cd03"]
 
 
+def case_study_scan():
+    """The margin scan of the benchmark: the case study's box, tau grid and
+    bound lattice around each state."""
+    cfg = cli.build_controller_config(
+        cli.load_scenario(ROOT / "scenarios" / "atlc_cd04.json"))
+    model = atlc.acc_model(cfg.params, cfg.clf_form)
+    tc = cfg.tau_cfg
+    grid = np.linspace(tc.tau_min, tc.tau_max, tc.n_candidates)
+
+    def scan(z, v):
+        box = atlc.make_box(atlc.make_state(z, v), cfg.box_under, cfg.box_over)
+        return atlc.tau_star_scan(box, grid, model, cfg.bound_cfg)
+    return scan
+
+
 def check_loop(name, tmp_path, monkeypatch):
-    checks = benchmark_checks()
+    checks = benchmark_module("checks")
     simulate = cli.simulate_closed_loop
     logs = []
 
@@ -58,3 +78,12 @@ def test_adaptive_loop_matches_reference(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(set(REFERENCE["loops"]) - set(ADAPTIVE)))
 def test_baseline_loop_matches_reference(name, tmp_path, monkeypatch):
     check_loop(name, tmp_path, monkeypatch)
+
+
+def test_margin_scan_matches_reference():
+    checks = benchmark_module("checks")
+    states = benchmark_module("workloads").reference_scan_states()
+    assert len(states) == len(REFERENCE["scan"]) == 32
+    scan = case_study_scan()
+    for (z, v), ref in zip(states, REFERENCE["scan"]):
+        assert checks.check_scan(scan(z, v), ref) == [], (z, v)

@@ -148,8 +148,8 @@ def test_taylor_mean_value_property(model, params):
         lead = stack0[0] * w[0] + stack0[1] * w[1]
 
         inner = states[1:-1]
-        stacks = model.lie_stack_grid(inner)
-        phis = model.phi_grid(inner)[:, 0]
+        stacks = model.lie_stack(inner)
+        phis = model.phi(inner)[:, 0]
         residuals = lead + (stacks[:, 2] + phis * u) * w[2] - h_end
         crosses = np.any(residuals[:-1] * residuals[1:] <= 0.0)
         assert crosses or np.abs(residuals).min() < 1e-6
