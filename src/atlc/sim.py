@@ -1,11 +1,17 @@
 """Continuous-time integration under a zero-order-hold input.
 
-Closed-loop segments between events are integrated with an adaptive
-embedded Runge-Kutta 4(5) pair (scipy's RK45).  The event time is the first
-instant the state leaves the trigger box; it is located by root finding on
-the dense interpolant of the step that crossed, well inside the configured
-tolerance.  Dense log samples are produced at a fixed spacing independent
-of the internal adaptive steps.
+Closed-loop segments between events are integrated with the adaptive
+Dormand-Prince 5(4) pair.  The stepper here does only what the trigger
+needs, but each of its floating-point operations is the one scipy's RK45
+driver (``solve_ivp(method="RK45", dense_output=True, events=...)``) does:
+the same tableau, initial step, step-size control, interpolant, face
+sign-change rule and Brent root search.  Its segments are therefore
+bit-identical to that driver's, without the driver's per-face event
+callbacks, interpolant objects and wrapper calls around the rhs.  The
+event time is the first instant the state leaves the trigger box; it is
+located by root finding on the dense interpolant of the step that
+crossed.  Dense log samples are produced at a fixed spacing independent of
+the internal adaptive steps, each from the interpolant of its step.
 
 The lookahead rollouts of the time-scale selection need no event location,
 only the dense samples, so they take one classic fixed-step RK4 step per
@@ -15,10 +21,12 @@ model's vectorised right-hand side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from .model import SystemModel
 from .robust_bounds import Box
@@ -27,9 +35,22 @@ Array = np.ndarray
 
 DENSE_DT = 0.01  # log sample spacing [s]
 
+# Dormand-Prince 5(4) tableau and step-size control, as scipy's RK45 uses them
+_A_ROWS = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
+_B, _E, _P = RK45.B, RK45.E, RK45.P
+_N_STAGES = RK45.n_stages
+_ORDER = RK45.error_estimator_order
+_EXPONENT = -1 / (_ORDER + 1)
+_ONES = np.ones((_P.shape[1], 1))  # the interpolant's powers x, x^2, ... by cumprod
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Trigger-integration tolerances, all positive and finite; rel_tol of
+    at least 100 eps, below which the step-size control cannot work."""
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 0.01
@@ -37,8 +58,11 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "max_step", "trigger_bisection_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.rel_tol < 100 * _EPS:
+            raise ValueError(f"rel_tol must be at least 100 eps, got {self.rel_tol}")
 
 
 class IntegrationError(RuntimeError):
@@ -80,6 +104,51 @@ def _dense_times(t_start: float, t_end: float, dt: float = DENSE_DT) -> Array:
     return times
 
 
+def _rms(x: Array):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, u, y0: Array, f0: Array, span: float, cfg: IntegratorConfig):
+    """The first step size over an interval of length span (Hairer, Norsett
+    & Wanner, Sec. II.4), computed as scipy's ``select_initial_step``."""
+    scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms((rhs(y0 + h0 * f0, u) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ORDER + 1))
+    return min(100 * h0, h1, span, cfg.max_step)
+
+
+@dataclass(slots=True)
+class _Step:
+    """One accepted step from t_old to t_new and its quartic interpolant
+    y_old + h * Q (x, x^2, x^3, x^4), with x = (t - t_old) / h."""
+
+    t_old: float
+    t_new: float
+    h: float
+    y_old: Array
+    Q: Array
+
+    def at(self, t: float) -> Array:
+        x = (t - self.t_old) / self.h
+        p = (_ONES[:, 0] * x).cumprod()
+        return self.h * np.dot(self.Q, p) + self.y_old
+
+    def at_many(self, times: Array) -> Array:
+        """(n, len(times)) states."""
+        x = (times - self.t_old) / self.h
+        p = (_ONES * x).cumprod(axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None]
+        return y
+
+
 def integrate_until_trigger(
     x_k: Array,
     u,
@@ -95,80 +164,130 @@ def integrate_until_trigger(
     The trigger fires on the first strict exit through any face; a start
     state sitting on a face with outward flow exits immediately.  Every
     dense sample before the trigger is checked to lie in the box inflated
-    by the absolute tolerance.
+    by the absolute tolerance.  The segment equals, bit for bit, the one
+    ``solve_ivp(method="RK45", dense_output=True)`` gives with one
+    terminal event per face, and calls ``model.rhs`` as often.
     """
     x_k = np.asarray(x_k, dtype=float)
     if t_horizon <= t_start:
         raise ValueError("horizon must extend past the segment start")
+    rhs = model.rhs
+    t, t_bound = float(t_start), float(t_horizon)
+    y = x_k
+    f = rhs(y, u)
+    h_abs = _initial_step(rhs, u, y, f, t_bound - t, cfg)
+    K = np.empty((_N_STAGES + 1, y.size))  # the stages of the last step
+    # faces upper_0, lower_0, upper_1, ...: a face fires when its outward
+    # gap (y_i - bound) * outward goes from <= 0 to >= 0 over a step
+    faces = [
+        (i, bound, outward)
+        for i, pair in enumerate(zip(box.upper.tolist(), box.lower.tolist()))
+        for bound, outward in zip(pair, (1.0, -1.0))
+    ]
+    gap = _outward_gaps(y, faces)
+    ends, steps = [t], []
+    exit_face = None
+    while exit_face is None and t < t_bound:
+        t_new, y_new, f_new, h_abs = _step(rhs, u, t, y, f, h_abs, t_bound, K, cfg)
+        step = _Step(t, t_new, t_new - t, y, K.T.dot(_P))
+        gap_new = _outward_gaps(y_new, faces)
+        fired = [
+            face for face, old, new in zip(faces, gap, gap_new) if old <= 0 <= new
+        ]
+        t, y, f, gap = t_new, y_new, f_new, gap_new
+        if fired:
+            roots = np.array([_root(step, i, bound) for i, bound, _ in fired])
+            first = np.argsort(roots)[0]
+            exit_face, t = fired[first], roots[first]
+            y = step.at(t)
+        ends.append(t)
+        steps.append(step)
 
-    def rhs(t, y):
-        return model.rhs(y, u)
-
-    events = []
-    event_coords = []
-    for i in range(box.n):
-        def upper_exit(t, y, i=i):
-            return y[i] - box.upper[i]
-
-        def lower_exit(t, y, i=i):
-            return y[i] - box.lower[i]
-
-        upper_exit.terminal = True
-        upper_exit.direction = 1.0
-        lower_exit.terminal = True
-        lower_exit.direction = -1.0
-        events.extend([upper_exit, lower_exit])
-        event_coords.extend([i, i])
-
-    sol = solve_ivp(
-        rhs,
-        (t_start, t_horizon),
-        x_k,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-        events=events,
-    )
-    if sol.status == -1:
-        raise IntegrationError(sol.message, float(sol.t[-1]), sol.y[:, -1])
-
-    if sol.status == 1:
-        hit = [(te[0], j) for j, te in enumerate(sol.t_events) if te.size]
-        t_end, event_idx = min(hit)
-        t_end = float(t_end)
-        exit_reason = "trigger"
-        exit_coordinate = event_coords[event_idx]
-        x_end = sol.y_events[event_idx][0]
-    else:
-        t_end = t_horizon
-        exit_reason = "horizon_end"
-        exit_coordinate = None
-        x_end = sol.y[:, -1]
-
+    t_end = float(t) if exit_face is not None else t_horizon
     times = _dense_times(t_start, t_end)
     if times.size == 1:
-        states = np.asarray(x_end, dtype=float)[None, :].copy()
+        states = y[None, :].copy()
     else:
-        states = sol.sol(times).T
+        states = _dense_states(ends, steps, times, y.size)
         states[0] = x_k
-        states[-1] = x_end
+        states[-1] = y
 
-    inflate = cfg.abs_tol
-    interior = states[:-1] if exit_reason == "trigger" else states
-    if not box.contains(interior, tol=inflate):
-        raise IntegrationError(
-            "pre-trigger sample escaped the event box", t_end, x_end
-        )
+    interior = states[:-1] if exit_face is not None else states
+    if not box.contains(interior, tol=cfg.abs_tol):
+        raise IntegrationError("pre-trigger sample escaped the event box", t_end, y)
     return Segment(
         t_start=t_start,
         t_end=t_end,
         times=times,
         states=states,
-        exit_reason=exit_reason,
-        exit_coordinate=exit_coordinate,
+        exit_reason="trigger" if exit_face is not None else "horizon_end",
+        exit_coordinate=None if exit_face is None else exit_face[0],
     )
+
+
+def _step(rhs, u, t, y, f, h_abs, t_bound, K, cfg: IntegratorConfig):
+    """One accepted Dormand-Prince step from (t, y) with f = rhs(y, u), under
+    scipy's RK45 step-size control; fills K with the step's stages and
+    returns (t_new, y_new, f_new, next h_abs)."""
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+    if h_abs > cfg.max_step:
+        h_abs = cfg.max_step
+    elif h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise IntegrationError(
+                "Required step size is less than spacing between numbers.",
+                float(t), y,
+            )
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        h_abs = np.abs(h)
+        K[0] = f
+        for s, a in enumerate(_A_ROWS, start=1):
+            K[s] = rhs(y + np.dot(K[:s].T, a) * h, u)
+        y_new = y + h * np.dot(K[:-1].T, _B)
+        f_new = K[-1] = rhs(y_new, u)
+        scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        if error_norm < 1:
+            break
+        if np.isnan(error_norm):  # no step size would ever be accepted
+            raise IntegrationError("the error estimate is not a number", float(t), y)
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+        rejected = True
+    if error_norm == 0:
+        factor = _MAX_FACTOR
+    else:
+        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+    return t_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
+
+
+def _outward_gaps(y: Array, faces: list) -> list:
+    y = y.tolist()
+    return [(y[i] - bound) * outward for i, bound, outward in faces]
+
+
+def _root(step: _Step, i: int, bound: float) -> float:
+    """The time inside the step at which coordinate i crosses bound, by
+    Brent's method on the step's interpolant."""
+    return brentq(
+        lambda t: step.at(t)[i] - bound,
+        step.t_old, step.t_new, xtol=4 * _EPS, rtol=4 * _EPS,
+    )
+
+
+def _dense_states(ends: list, steps: list, times: Array, n: int) -> Array:
+    """(len(times), n) samples, each from the interpolant of the step that
+    contains it; a sample on a breakpoint belongs to the earlier step."""
+    which = np.searchsorted(ends, times, side="left") - 1
+    which = np.clip(which, 0, len(steps) - 1)
+    out = np.empty((times.size, n))
+    cuts = np.flatnonzero(np.diff(which)) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), times.size]):
+        out[lo:hi] = steps[which[lo]].at_many(times[lo:hi]).T
+    return out
 
 
 def integrate_fixed_horizon(

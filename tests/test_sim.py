@@ -1,10 +1,15 @@
 """Segment integration, trigger location, Taylor mean-value property."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from atlc import (
+    IntegrationError,
     IntegratorConfig,
+    Segment,
     acc_dynamics_rhs,
     integrate_until_trigger,
     make_box,
@@ -12,7 +17,7 @@ from atlc import (
     resistance_force,
 )
 from atlc.robust_bounds import taylor_weights
-from atlc.sim import integrate_fixed_horizon
+from atlc.sim import _dense_times, integrate_fixed_horizon
 
 from conftest import rk4_step
 
@@ -38,11 +43,131 @@ def reference_trigger_time(x0, u, box, params, dt=1e-5, t_max=10.0):
     raise AssertionError("no trigger within the reference horizon")
 
 
+def solve_ivp_segment(x_k, u, box, t_start, t_horizon, model, cfg):
+    """The segment as scipy's RK45 driver integrates it, with one terminal
+    event per box face, and the driver's rhs call count."""
+    x_k = np.asarray(x_k, dtype=float)
+    events = []
+    for i in range(box.n):
+        def upper_exit(t, y, i=i):
+            return y[i] - box.upper[i]
+
+        def lower_exit(t, y, i=i):
+            return y[i] - box.lower[i]
+
+        upper_exit.terminal = lower_exit.terminal = True
+        upper_exit.direction, lower_exit.direction = 1.0, -1.0
+        events.extend([upper_exit, lower_exit])
+    sol = solve_ivp(
+        lambda t, y: model.rhs(y, u), (t_start, t_horizon), x_k, method="RK45",
+        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        dense_output=True, events=events,
+    )
+    if sol.status == -1:
+        raise IntegrationError(sol.message, float(sol.t[-1]), sol.y[:, -1])
+    if sol.status == 1:
+        t_end, face = min((te[0], j) for j, te in enumerate(sol.t_events) if te.size)
+        t_end, reason, coordinate = float(t_end), "trigger", face // 2
+        x_end = sol.y_events[face][0]
+    else:
+        t_end, reason, coordinate = t_horizon, "horizon_end", None
+        x_end = sol.y[:, -1]
+    times = _dense_times(t_start, t_end)
+    if times.size == 1:
+        states = np.asarray(x_end, dtype=float)[None, :].copy()
+    else:
+        states = sol.sol(times).T
+        states[0] = x_k
+        states[-1] = x_end
+    segment = Segment(t_start, t_end, times, states, reason, coordinate)
+    return segment, sol.nfev
+
+
+def counting(model):
+    """The model with an rhs that appends to the returned list per call."""
+    calls = []
+
+    def rhs(x, u):
+        calls.append(None)
+        return model.rhs(x, u)
+
+    return dataclasses.replace(model, rhs=rhs), calls
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=-1.0)
+    eps = np.finfo(float).eps
+    for bad in (
+        dict(rel_tol=0.0), dict(max_step=-1.0), dict(rel_tol=float("nan")),
+        dict(abs_tol=float("inf")), dict(max_step=float("inf")),
+        dict(trigger_bisection_tol=float("nan")), dict(rel_tol=1e-15),
+        dict(rel_tol=99 * eps),
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
+    IntegratorConfig(rel_tol=100 * eps)
+
+
+def _segment_cases(params, starts, count):
+    """Seeded segments: starts drawn by ``starts(rng)``, inputs over
+    [u_min, u_max], box radii (one axis of radius zero in some), start
+    times, horizons shorter than max_step and ones that end before any
+    exit."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k in range(count):
+        x0 = starts(rng)
+        u = float(rng.uniform(params.u_min, params.u_max))
+        radii = rng.uniform(0.02, 1.5, size=2)
+        if k % 6 == 0:
+            radii[k // 6 % 2] = 0.0
+        t0 = float(rng.uniform(0.0, 30.0)) if k % 2 else 0.0
+        span = [rng.uniform(0.001, CFG.max_step), 0.3, 30.0][k % 3]
+        cases.append((x0, u, make_box(x0, radii, radii), t0, t0 + span))
+    return cases
+
+
+def _case_study_cases(model, params):
+    """Starts over the case study's gaps and speeds, and on a face with
+    outward or inward flow."""
+    cases = _segment_cases(params, lambda rng: make_state(
+        rng.uniform(12.0, 120.0), rng.uniform(2.0, 30.0)), 64)
+    x0 = make_state(90.0, 15.0)
+    for side in (1.0, -1.0):  # gap shrinks: lower face outward, upper inward
+        box = make_box(x0 + side * np.array([0.5, 0.0]), [0.5, 0.4], [0.5, 0.4])
+        cases.append((x0, 0.0, box, 0.0, 5.0))
+    return model, cases
+
+
+def _oscillator_cases(model, params):
+    """A damped oscillator near the origin.  The case-study dynamics
+    absorb most last-bit differences of a stage (the state is large against
+    its increments, and the force terms against the speed's), so a
+    reordered sum rarely shows there; here it does."""
+    J = np.array([[-0.31, 1.7], [-2.13, -0.42]])
+    gain = np.array([0.0, 1e-4])
+    oscillator = dataclasses.replace(model, rhs=lambda x, u: J @ x + gain * u)
+    return oscillator, _segment_cases(
+        params, lambda rng: rng.uniform(-2.0, 2.0, size=2), 64)
+
+
+@pytest.mark.parametrize(
+    "system", [_case_study_cases, _oscillator_cases], ids=["case_study", "oscillator"]
+)
+def test_segments_match_solve_ivp_bit_for_bit(system, model, params):
+    model, cases = system(model, params)
+    reasons = set()
+    for x0, u, box, t0, t1 in cases:
+        counted, calls = counting(model)
+        seg = integrate_until_trigger(x0, u, box, t0, t1, counted, CFG)
+        ref, nfev = solve_ivp_segment(x0, u, box, t0, t1, model, CFG)
+        for field in dataclasses.fields(Segment):
+            got, want = getattr(seg, field.name), getattr(ref, field.name)
+            assert np.array_equal(got, want), (field.name, got, want)
+        assert type(seg.t_end) is type(ref.t_end)
+        assert len(calls) == nfev
+        reasons.add((seg.exit_reason, seg.times.size == 1))
+    # exits through a face, at the horizon end and at the start instant
+    assert reasons == {("trigger", False), ("horizon_end", False), ("trigger", True)}
 
 
 def test_horizon_end_with_huge_box(model):
@@ -156,13 +281,41 @@ def test_taylor_mean_value_property(model, params):
 
 
 def test_integration_error_carries_state(model):
+    """A stiff rhs drives the step below the spacing of floats at t = 1:
+    the error carries the last accepted time and state, the start."""
+    stiff = dataclasses.replace(model, rhs=lambda x, u: 1e20 * x)
+    x0 = make_state(90.0, 15.0)
+    box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(IntegrationError) as caught:
+        integrate_until_trigger(x0, 0.0, box, 1.0, 2.0, stiff, CFG)
+    with pytest.raises(IntegrationError) as reference:
+        solve_ivp_segment(x0, 0.0, box, 1.0, 2.0, stiff, CFG)
+    error = caught.value
+    assert str(error) == str(reference.value)
+    assert "step size is less than spacing" in str(error)
+    assert error.t_last == 1.0
+    assert np.array_equal(error.x_last, x0)
+
+
+def test_nan_rhs_raises_integration_error(model):
+    """A NaN derivative makes every error estimate NaN; the step is refused
+    at once instead of shrinking forever."""
+    nan_model = dataclasses.replace(model, rhs=lambda x, u: np.array([np.nan, 1.0]))
+    x0 = make_state(90.0, 15.0)
+    box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(IntegrationError) as caught:
+        integrate_until_trigger(x0, 0.0, box, 2.0, 3.0, nan_model, CFG)
+    assert caught.value.t_last == 2.0
+    assert np.array_equal(caught.value.x_last, x0)
+
+
+def test_rhs_exception_propagates(model):
     class Boom(Exception):
         pass
 
     def exploding(x, u):
         raise Boom("rhs failure")
 
-    import dataclasses
     bad_model = dataclasses.replace(model, rhs=exploding)
     box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(Boom):
