@@ -102,6 +102,11 @@ def load_scenario(path: Path, overrides: dict | None = None) -> dict:
             raise ConfigError(f"override keys {bad} are not recognized")
         merged.update(overrides)
     merged.setdefault("id", path.stem)
+    sid = merged["id"]
+    # the id names the output files, so it may not leave the output directory
+    if (not isinstance(sid, str) or sid in ("", ".", "..")
+            or "/" in sid or "\\" in sid):
+        raise ConfigError(f"{path}: id must be a plain file-name stem, got {sid!r}")
     return merged
 
 

@@ -65,8 +65,9 @@ class BoundConfig:
     grid_points_per_axis: int = 21
 
     def __post_init__(self) -> None:
-        if self.grid_points_per_axis < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
+        k = self.grid_points_per_axis
+        if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+            raise ValueError(f"grid_points_per_axis must be an int >= 2, got {k!r}")
 
 
 def make_box(x_k: Array, under: Array, over: Array) -> Box:

@@ -8,7 +8,11 @@ the same tableau, initial step, step-size control, interpolant, face
 sign-change rule and Brent root search.  Its segments are therefore
 bit-identical to that driver's, without the driver's per-face event
 callbacks, interpolant objects and wrapper calls around the rhs.  The
-event time is the first instant the state leaves the trigger box; it is
+tableau and Brent's method are carried in this module, so scipy is not
+imported at run time: the tableau is written as the rational literals
+that scipy's ``RK45`` evaluates, giving the same floats, and ``_brent``
+repeats the operations of scipy's ``brentq`` in their order.  The event
+time is the first instant the state leaves the trigger box; it is
 located by root finding on the dense interpolant of the step that
 crossed.  Dense log samples are produced at a fixed spacing independent of
 the internal adaptive steps, each from the interpolant of its step.
@@ -25,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .model import SystemModel
 from .robust_bounds import Box
@@ -35,15 +37,36 @@ Array = np.ndarray
 
 DENSE_DT = 0.01  # log sample spacing [s]
 
-# Dormand-Prince 5(4) tableau and step-size control, as scipy's RK45 uses them
-_A_ROWS = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
-_B, _E, _P = RK45.B, RK45.E, RK45.P
-_N_STAGES = RK45.n_stages
-_ORDER = RK45.error_estimator_order
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) with Shampine's
+# quartic interpolant, as the rational literals of scipy's RK45
+_N_STAGES = 6
+_ORDER = 4  # of the error estimator
+_A_ROWS = [
+    np.array([1/5]),
+    np.array([3/40, 9/40]),
+    np.array([44/45, -56/15, 32/9]),
+    np.array([19372/6561, -25360/2187, 64448/6561, -212/729]),
+    np.array([9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]),
+]
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 _EXPONENT = -1 / (_ORDER + 1)
 _ONES = np.ones((_P.shape[1], 1))  # the interpolant's powers x, x^2, ... by cumprod
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -272,10 +295,74 @@ def _outward_gaps(y: Array, faces: list) -> list:
 def _root(step: _Step, i: int, bound: float) -> float:
     """The time inside the step at which coordinate i crosses bound, by
     Brent's method on the step's interpolant."""
-    return brentq(
-        lambda t: step.at(t)[i] - bound,
+    return _brent(
+        lambda t: float(step.at(t)[i]) - bound,
         step.t_old, step.t_new, xtol=4 * _EPS, rtol=4 * _EPS,
     )
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100):
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), with
+    the floating-point operations of scipy's ``brentq`` in their order.
+
+    f(a) and f(b) must differ in sign bit unless one is zero.  A NaN value
+    of f, or no convergence within maxiter iterations, raises
+    IntegrationError carrying the abscissa and value where it stopped.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise IntegrationError(
+                f"the function is not a number at {x!r}", x, [fx])
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflow; C's inf or NaN bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise IntegrationError(
+        f"Brent's method did not converge in {maxiter} iterations", xcur, [fcur])
 
 
 def _dense_states(ends: list, steps: list, times: Array, n: int) -> Array:

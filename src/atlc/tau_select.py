@@ -47,8 +47,9 @@ class TauSelectConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_min <= self.tau_max < math.inf:
             raise ValueError("need 0 < tau_min <= tau_max < inf")
-        if self.n_candidates < 1:
-            raise ValueError("need at least one candidate time scale")
+        n = self.n_candidates
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n_candidates must be an int >= 1, got {n!r}")
         if not 0.0 < self.T_look < math.inf:
             raise ValueError("lookahead horizon must be positive and finite")
 

@@ -181,6 +181,34 @@ def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    'id="../escaped"', "id=../escaped", 'id="a/b"', 'id="a\\\\b"', "id=.", "id=..",
+    'id=""', "id=", "id=7", "id=true", "id=null", 'id=["a"]',
+])
+def test_run_rejects_id_that_is_not_a_file_stem(tmp_path, capsys, override):
+    """The id names the output files: nothing is written, in the output
+    directory or next to it."""
+    cfg = write_config(tmp_path / "s.json", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    out = tmp_path / "runs" / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "id" in err[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json"]
+
+
+def test_compare_rejects_bad_id_before_any_run(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    write_config(d / "a.json", id="a", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(d / "b.json", id="../b", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "b.json" in err[0]
+    assert not out.exists() and not (tmp_path / "b_trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("kind, override", [
     ({"kind": "tlc_fixed"}, "tau_fixed=NaN"),
     ({"kind": "tlc_fixed"}, "tau_fixed=Infinity"),

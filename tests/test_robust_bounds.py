@@ -1,5 +1,7 @@
 """Worst-case bound computation: frozen values, soundness, refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,9 @@ def test_make_box_rejects_negative_radii():
 
 
 def test_bound_config_validation():
-    with pytest.raises(ValueError):
-        BoundConfig(grid_points_per_axis=1)
+    for bad in (1, 0, True, 2.5, 3.0, math.nan, math.inf, "21", None):
+        with pytest.raises(ValueError):
+            BoundConfig(grid_points_per_axis=bad)
 
 
 def test_h_ratlc_frozen_value(model, params):

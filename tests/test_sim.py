@@ -1,10 +1,14 @@
 """Segment integration, trigger location, Taylor mean-value property."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import brentq
+
+import atlc.sim as sim
 
 from atlc import (
     IntegrationError,
@@ -17,11 +21,12 @@ from atlc import (
     resistance_force,
 )
 from atlc.robust_bounds import taylor_weights
-from atlc.sim import _dense_times, integrate_fixed_horizon
+from atlc.sim import _brent, _dense_times, integrate_fixed_horizon
 
 from conftest import rk4_step
 
 CFG = IntegratorConfig()
+EPS = float(np.finfo(float).eps)
 
 
 def reference_trigger_time(x0, u, box, params, dt=1e-5, t_max=10.0):
@@ -322,3 +327,142 @@ def test_rhs_exception_propagates(model):
         integrate_until_trigger(
             make_state(90.0, 15.0), 0.0, box, 0.0, 1.0, bad_model, CFG
         )
+
+
+def test_tableau_equals_scipy_rk45():
+    """The in-tree Dormand-Prince tableau is scipy's, float for float."""
+    assert sim._N_STAGES == RK45.n_stages == 6
+    assert sim._ORDER == RK45.error_estimator_order == 4
+    assert len(sim._A_ROWS) == RK45.n_stages - 1
+    for s, row in enumerate(sim._A_ROWS, start=1):
+        assert np.array_equal(row, RK45.A[s, :s]), s
+    for mine, theirs in ((sim._B, RK45.B), (sim._E, RK45.E), (sim._P, RK45.P)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def brent_run(solve, f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+    """Where ``solve`` evaluates f, in order, and how it ends: (root, True),
+    or (the iterate where it gave up, False)."""
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    if solve is brentq:
+        root, result = brentq(traced, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                              full_output=True, disp=False)
+        return calls, (root, result.converged)
+    try:
+        return calls, (_brent(traced, a, b, xtol, rtol, maxiter), True)
+    except IntegrationError as exc:
+        return calls, (exc.t_last, False)
+
+
+def _bracket_cases(count):
+    """Seeded functions with a sign change over [a, b]: quartics, odd
+    powers whose flat roots stall the iteration, exponentials, cubics
+    whose extrapolation denominators underflow, and staircases on dyadic
+    brackets, whose equal values and exact halvings meet ties in the
+    comparisons."""
+    rng = np.random.default_rng(951)
+    families = [
+        lambda r, s: lambda x: float(np.polyval(np.multiply(r, s), x)),
+        lambda r, s: lambda x: (x - r[0]) * abs(x - r[0]) ** (2.0 + 10.0 * r[1] ** 2),
+        lambda r, s: lambda x: math.expm1(s[0] * (x - r[0])),
+        lambda r, s: lambda x: (x - r[0]) ** 3 + 1e-12 * s[0] * (x - r[0]),
+        lambda r, s: lambda x: math.floor(2.0 * (x - r[0])) + 0.5,
+    ]
+    cases = []
+    while len(cases) < count:
+        r = rng.normal(size=5).tolist()
+        s = (10.0 ** rng.uniform(0.0, 2.0, size=5)).tolist()
+        kind = len(cases) % len(families)
+        f = families[kind](r, s)
+        a, b = rng.uniform(-3.0, 3.0, size=2).tolist()
+        if kind == len(families) - 1:
+            a, b = round(8 * a) / 8, round(8 * b) / 8
+        if math.copysign(1.0, f(a)) != math.copysign(1.0, f(b)):
+            cases.append((f, a, b))
+    return cases
+
+
+def test_brent_matches_brentq_on_seeded_brackets():
+    """Every evaluation point and the result equal scipy's, whether it
+    converges or runs out of iterations, under the trigger's tolerances
+    and looser ones."""
+    outcomes = set()
+    for k, (f, a, b) in enumerate(_bracket_cases(600)):
+        xtol = [4 * EPS, 2.0 ** -20][k % 10 // 5]
+        mine = brent_run(_brent, f, a, b, xtol)
+        assert mine == brent_run(brentq, f, a, b, xtol), (k, a, b)
+        assert type(mine[1][0]) is float
+        outcomes.add(mine[1][1])
+    assert outcomes == {True, False}
+
+
+def test_brent_matches_brentq_on_crossing_steps(model, params, monkeypatch):
+    """The root searches that the case-study segments make, each on the
+    interpolant of its crossing step."""
+    searches = []
+    root = sim._root
+
+    def recording(step, i, bound):
+        searches.append((step, i, bound))
+        return root(step, i, bound)
+
+    monkeypatch.setattr(sim, "_root", recording)
+    for x0, u, box, t0, t1 in _case_study_cases(model, params)[1]:
+        integrate_until_trigger(x0, u, box, t0, t1, model, CFG)
+    assert len(searches) > 30
+    for step, i, bound in searches:
+        f = lambda t: float(step.at(t)[i]) - bound
+        want = brent_run(brentq, f, step.t_old, step.t_new)
+        assert brent_run(_brent, f, step.t_old, step.t_new) == want
+
+
+def test_brent_root_at_an_endpoint():
+    for a, b in ((0.5, 2.0), (-1.0, 0.5)):
+        f = lambda x: x - 0.5
+        assert _brent(f, a, b, 4 * EPS, 4 * EPS) == 0.5
+        assert brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS) == 0.5
+    # a negative zero counts as a root, not as a sign
+    assert _brent(lambda x: -0.0 if x == 1.0 else 1.0, 1.0, 2.0, 4 * EPS, 4 * EPS) == 1.0
+
+
+def test_brent_half_bracket_equal_to_tolerance_is_not_converged():
+    """At x = 0 the half bracket 2^-21 equals (xtol + rtol |x|) / 2: the
+    stop test is strict, so one more evaluation follows, as in scipy."""
+    f = lambda x: 3.0 * x * 2.0 ** 20 - 1.0
+    a, b, xtol = 0.0, 2.0 ** -20, 2.0 ** -20
+    calls, result = brent_run(_brent, f, a, b, xtol)
+    assert len(calls) == 3 and result[0] != a
+    assert (calls, result) == brent_run(brentq, f, a, b, xtol)
+
+
+def test_brent_rejects_same_sign_ends():
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(lambda x: x * x + 1.0, -1.0, 2.0, 4 * EPS, 4 * EPS)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+
+def test_brent_nan_value_raises_integration_error():
+    """The first trial point falls where f is not a number."""
+    f = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+    with pytest.raises(IntegrationError, match="not a number") as caught:
+        _brent(f, -1.0, 2.0, 4 * EPS, 4 * EPS)
+    assert 0.0 < caught.value.t_last < 1.0
+    assert np.isnan(caught.value.x_last).all()
+    with pytest.raises(IntegrationError):
+        _brent(lambda x: math.nan, -1.0, 2.0, 4 * EPS, 4 * EPS)
+
+
+def test_brent_nonconvergence_raises_integration_error():
+    """A jump has no root; each budget ends where scipy's ends."""
+    f = lambda x: 1.0 if x > 0.3 else -1.0
+    for maxiter in (1, 3, 10):
+        with pytest.raises(IntegrationError, match="did not converge"):
+            _brent(f, 0.0, 1.0, 4 * EPS, 4 * EPS, maxiter)
+        assert brent_run(_brent, f, 0.0, 1.0, maxiter=maxiter) == brent_run(
+            brentq, f, 0.0, 1.0, maxiter=maxiter)
