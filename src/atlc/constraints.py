@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import AccParams, SystemModel, resistance_force
 from .qp import ConstraintRow, QpInstance
-from .robust_bounds import GridStack, taylor_weights
+from .robust_bounds import GridStack, taylor_table
 
 Array = np.ndarray
 
@@ -56,9 +56,9 @@ def atlc_rows(gs: GridStack, taus, model: SystemModel) -> RobustRows:
     :func:`~atlc.robust_bounds.h_ratlc_from_stack` does; a product over all
     time scales at once rounds differently.
     """
-    weights = [taylor_weights(tau, gs.m) for tau in taus]
+    weights = taylor_table(taus, gs.m)
     h_worst = np.array([(gs.stack @ w).min() for w in weights])
-    scale = np.array([w[-1] for w in weights])
+    scale = weights[:, -1]
     branches = np.array(list(product((1.0, -1.0), repeat=model.q)))
     worst = np.where(branches > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
     gains = scale[:, None, None] * worst

@@ -11,6 +11,7 @@ instance built by :func:`acc_model` is the one concrete model shipped here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,17 @@ class AccParams:
         for name, value in (("f0", self.f0), ("f1", self.f1), ("f2", self.f2)):
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+
+    @cached_property
+    def _rhs_operands(self) -> tuple[Array, ...]:
+        """f0, f1, f2, M and vp as read-only 0-d arrays: a Python float
+        operand is converted on every ufunc call, which a batch of states
+        pays at each of its ufuncs."""
+        operands = tuple(np.array(value) for value in
+                         (self.f0, self.f1, self.f2, self.M, self.vp))
+        for operand in operands:
+            operand.setflags(write=False)
+        return operands
 
     @property
     def u_min(self) -> float:
@@ -139,10 +151,24 @@ def acc_dynamics_rhs(x: Array, u, p: AccParams) -> Array:
     """Time derivative of (gap, speed) under traction/braking force u [N].
 
     ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs."""
-    v = x[..., 1][()]  # a scalar for one state: cheaper arithmetic than 0-d arrays
     u = np.asarray(u, dtype=float)
     force = u[..., 0] if u.ndim else u[()]
-    return _columns(x, p.vp - v, (force - resistance_force(v, p)) / p.M)
+    if x.ndim == 1:  # scalar arithmetic is cheaper than 0-d arrays
+        v = x[1]
+        return _columns(x, p.vp - v, (force - resistance_force(v, p)) / p.M)
+    # a batch: the operations of resistance_force, in its order, in place;
+    # the last argument of each ufunc is its output (positional: cheaper)
+    f0, f1, f2, M, vp = p._rhs_operands
+    v = x[..., 1]
+    out = np.empty(x.shape)
+    rate, scratch = out[..., 1], out[..., 0]
+    np.multiply(f0, np.sign(v, rate), rate)
+    np.add(rate, np.multiply(f1, v, scratch), rate)
+    np.multiply(np.multiply(f2, v, scratch), v, scratch)
+    np.add(rate, scratch, rate)
+    np.divide(np.subtract(force, rate, rate), M, rate)
+    np.subtract(vp, v, scratch)
+    return out
 
 
 def acc_lie_stack(x: Array, p: AccParams):

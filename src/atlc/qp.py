@@ -8,7 +8,10 @@ equality-constrained KKT system and kept if it is primal feasible with
 nonnegative multipliers.  Strict convexity guarantees the optimum appears
 among these candidates.  The enumeration runs over a stack of instances of
 one shape at once, passed as arrays (the candidate time scales of one
-control decision); a single instance is the stack of one.  Infeasibility is certified
+control decision); a single instance is the stack of one.  Each candidate
+is computed once per distinct KKT system: a subset of constraints that,
+with the cost, is the same bits on every instance is solved once for the
+whole stack, the others per instance.  Infeasibility is certified
 separately by a max-min-slack vertex enumeration over the same stack.  A
 brute-force grid oracle is included for testing only.
 """
@@ -183,9 +186,11 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     determinant) are dropped, since strict convexity guarantees the optimum
     is certified by some linearly independent subset.  A candidate counts
     when it is primal feasible with nonnegative multipliers, and the first
-    one with the least objective wins.  Every candidate is computed per
-    instance, so a stacked solve returns exactly what one-at-a-time solves
-    return.
+    one with the least objective wins.  Every candidate is computed once per
+    distinct system: a subset whose constraints, and the cost, are the same
+    bits on every instance is one KKT system for the whole stack.  The
+    feasibility test, the objectives and the pick stay per instance, so a
+    stacked solve returns exactly what one-at-a-time solves return.
     """
     n_inst, _, dim = a.shape
     if n_inst == 0:
@@ -196,45 +201,26 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     # a zero row becomes a zero unit row, so every subset holding it has a
     # zero Gram determinant and is dropped
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-    a_unit = a_all / safe_norms[..., None]
-    b_unit = b_all / safe_norms
+    a_unit = (a_all / safe_norms[..., None]).reshape(-1, dim)
+    b_unit = (b_all / safe_norms).reshape(-1)
     neg_c = -c
-    q2 = np.zeros((n_inst, dim, dim))
-    q2[:, np.arange(dim), np.arange(dim)] = 2.0 * diag
+    two_diag = 2.0 * diag
+    varying = _varying(diag, c, a_all, b_all).tobytes()
 
-    subsets = [_combinations(n_con, size) for size in range(1, dim + 1)]
-    n_cand = 1 + sum(combos.shape[0] for combos in subsets)
+    n_combos = [_combinations(n_con, size).shape[0] for size in range(1, dim + 1)]
+    n_cand = 1 + sum(n_combos)
     cand = np.zeros((n_inst, n_cand, dim))
     valid = np.zeros((n_inst, n_cand), dtype=bool)  # KKT point, multipliers >= 0
-    cand[:, 0] = neg_c / (2.0 * diag)
+    cand[:, 0] = neg_c / two_diag
     valid[:, 0] = True
     first = 1
-    for combos in subsets:
-        n_combo, size = combos.shape
-        k = dim + size
-        rows = a_unit[:, combos]  # (n_inst, n_combo, size, dim)
-        gram = rows @ rows.swapaxes(-1, -2)
-        det = gram[..., 0, 0] if size == 1 else np.linalg.det(gram)
-        independent = np.abs(det) > 1e-12
-        kkt = np.zeros((n_inst, n_combo, k, k))
-        kkt[..., :dim, :dim] = q2[:, None]
-        kkt[..., :dim, dim:] = -rows.swapaxes(-1, -2)
-        kkt[..., dim:, :dim] = rows
-        kkt = kkt[independent]
-        rhs = np.empty((n_inst, n_combo, k))
-        rhs[..., :dim] = neg_c[:, None]
-        rhs[..., dim:] = b_unit[:, combos]
-        rhs = rhs[independent]
-        sols = _solve_stack(kkt, rhs)
-        # a non-finite solution entry makes every residual non-finite, so the
-        # residual test also rejects the NaN rows of singular systems
-        residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) \
-            <= 1e-6 * np.maximum(1.0, np.abs(rhs))
+    for size, n_combo in enumerate(n_combos, start=1):
+        cost, rows, system = _systems(n_inst, n_con, size, varying)
+        points, ok = _kkt_points(two_diag[cost], neg_c[cost], a_unit[rows], b_unit[rows])
         slots = slice(first, first + n_combo)
         first += n_combo
-        cand[:, slots][independent] = sols[:, :dim]
-        valid[:, slots][independent] = residual_ok.all(axis=1) & (
-            sols[:, dim:] >= -MULT_TOL).all(axis=1)
+        cand[:, slots] = points[system]
+        valid[:, slots] = ok[system]
 
     feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
     violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
@@ -257,6 +243,87 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
     values = np.where(lacking[:, None], np.nan, cand[pick])
     return values, objective[pick], ~lacking
+
+
+def _varying(diag, c, a_all, b_all) -> Array:
+    """Which constraints (box faces, then rows) are not the same bits on
+    every instance of the stack; all of them when the cost is not.  Bits,
+    not values: +0.0 and -0.0 can round a KKT solution differently."""
+    n_inst, n_con, _ = a_all.shape
+    if n_inst == 1:
+        return np.zeros(n_con, dtype=bool)
+
+    def differs(v: Array) -> Array:
+        bits = v.view(np.int64)
+        return bits != bits[:1]
+
+    if differs(diag).any() or differs(c).any():
+        return np.ones(n_con, dtype=bool)
+    return differs(a_all).any(axis=(0, 2)) | differs(b_all).any(axis=0)
+
+
+@lru_cache(maxsize=64)
+def _systems(n_inst: int, n_con: int, size: int, varying: bytes) -> tuple:
+    """The distinct KKT systems of the size-subsets over a stack whose
+    constraints marked in ``varying`` differ between instances: each subset
+    of shared constraints once, from instance 0, then, per instance, every
+    subset holding a varying constraint.
+
+    Returns, per system, the index of its cost among the stack's costs and
+    the indices of its constraints among the stack's (n_inst * n_con)
+    constraints; then the index of each (instance, subset) candidate's
+    system, subsets in lexicographic order.  The cost varies only when every
+    constraint does, so with a shared subset it is instance 0's; with no
+    varying constraint, every instance takes the systems of instance 0.
+    """
+    combos = _combinations(n_con, size)
+    own = np.frombuffer(varying, dtype=bool)[combos].any(axis=1)
+    shared, owned = np.flatnonzero(~own), np.flatnonzero(own)
+    inst = np.repeat(np.arange(n_inst), owned.size)
+    rows = np.concatenate([
+        combos[shared], inst[:, None] * n_con + np.tile(combos[owned], (n_inst, 1))])
+    system = np.empty((n_inst, combos.shape[0]), dtype=int)
+    system[:, shared] = np.arange(shared.size)
+    system[:, owned] = shared.size + np.arange(inst.size).reshape(n_inst, -1)
+    for array in (inst, rows, system):
+        array.setflags(write=False)
+    return (slice(0, 1) if shared.size else inst, rows,
+            system if owned.size else slice(None))
+
+
+def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
+                rhs_rows: Array) -> tuple[Array, Array]:
+    """KKT points of min diag @ x**2 + c @ x subject to rows @ x = rhs_rows,
+    one system per leading index: rows (n, size, dim) of unit normals.
+
+    Returns the points (n, dim), zero where the rows are linearly dependent,
+    and whether each is a KKT point with nonnegative multipliers (n,).
+    """
+    n_sys, size, dim = rows.shape
+    k = dim + size
+    gram = rows @ rows.swapaxes(-1, -2)
+    det = gram[..., 0, 0] if size == 1 else np.linalg.det(gram)
+    independent = np.abs(det) > 1e-12
+    kkt = np.zeros((n_sys, k, k))
+    kkt[:, np.arange(dim), np.arange(dim)] = two_diag
+    kkt[:, :dim, dim:] = -rows.swapaxes(-1, -2)
+    kkt[:, dim:, :dim] = rows
+    kkt = kkt[independent]
+    rhs = np.empty((n_sys, k))
+    rhs[:, :dim] = neg_c
+    rhs[:, dim:] = rhs_rows
+    rhs = rhs[independent]
+    sols = _solve_stack(kkt, rhs)
+    # a non-finite solution entry makes every residual non-finite, so the
+    # residual test also rejects the NaN rows of singular systems
+    residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) \
+        <= 1e-6 * np.maximum(1.0, np.abs(rhs))
+    points = np.zeros((n_sys, dim))
+    ok = np.zeros(n_sys, dtype=bool)
+    points[independent] = sols[:, :dim]
+    ok[independent] = residual_ok.all(axis=1) & (
+        sols[:, dim:] >= -MULT_TOL).all(axis=1)
+    return points, ok
 
 
 def _max_min_slack(a_all: Array, b_all: Array) -> Array:

@@ -120,11 +120,19 @@ def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
     )
 
 
+def taylor_table(taus, m: int) -> Array:
+    """Coefficients tau^i / i! for i = 0..m, one row per time scale of
+    ``taus``, each from Python arithmetic on the time scale as given."""
+    factorials = [math.factorial(i) for i in range(m + 1)]
+    for tau in taus:
+        if tau <= 0.0:
+            raise ValueError(f"time scale must be positive, got {tau}")
+    return np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
+
+
 def taylor_weights(tau: float, m: int) -> Array:
     """Coefficients tau^i / i! for i = 0..m."""
-    if tau <= 0.0:
-        raise ValueError(f"time scale must be positive, got {tau}")
-    return np.array([tau**i / math.factorial(i) for i in range(m + 1)])
+    return taylor_table([tau], m)[0]
 
 
 def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:

@@ -390,7 +390,9 @@ def integrate_fixed_horizon(
     ``u`` is one input (a scalar when q = 1, or a q-vector), giving
     states of shape (n_samples, n), or a (..., q) batch of inputs rolled
     out together from the same start, giving states of shape
-    (n_samples, ..., n).  Returns (times, states).
+    (n_samples, ..., n).  Returns (times, states).  The stage states share
+    one buffer, so ``model.rhs`` must return a new array, not a view of
+    its state argument.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -401,14 +403,20 @@ def integrate_fixed_horizon(
     times = _dense_times(0.0, horizon, dt)
     states = np.empty((times.size, *inputs.shape[:-1], x0.size))
     states[0] = x0
-    x = states[0]
     rhs = model.rhs
+    # the step x + h/6 (k1 + 2 (k2 + k3) + k4), operation for operation, in
+    # two buffers: the stage state and the weighted slope sum; the last
+    # argument of each ufunc is its output (positional: cheaper)
+    stage, slope = np.empty_like(states[0]), np.empty_like(states[0])
+    x = states[0]
     for i, h in enumerate(np.diff(times).tolist(), start=1):
         k1 = rhs(x, inputs)
-        k2 = rhs(x + 0.5 * h * k1, inputs)
-        k3 = rhs(x + 0.5 * h * k2, inputs)
-        k4 = rhs(x + h * k3, inputs)
-        x = states[i] = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        k2 = rhs(np.add(x, np.multiply(0.5 * h, k1, stage), stage), inputs)
+        k3 = rhs(np.add(x, np.multiply(0.5 * h, k2, stage), stage), inputs)
+        k4 = rhs(np.add(x, np.multiply(h, k3, stage), stage), inputs)
+        np.multiply(2.0, np.add(k2, k3, slope), slope)
+        np.add(np.add(k1, slope, slope), k4, slope)
+        x = np.add(x, np.multiply(h / 6.0, slope, slope), states[i])
     if not np.isfinite(states).all():
         raise IntegrationError("rollout state is not finite", 0.0, x0)
     return times, states

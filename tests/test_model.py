@@ -170,12 +170,14 @@ def test_system_model_invariants(params):
 @pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])
 def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
     """Every evaluator on an (S, K, n) batch, and rhs with (S, K, q) inputs,
-    equals its per-state calls bit for bit, also at v = 0 and v < 0."""
+    equals its per-state calls bit for bit, also at v = 0, v = -0, v < 0
+    and a NaN speed."""
     m = sign_gain_model if name == "sign_gain" else acc_model(params, name)
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(10, 150, 64), rng.uniform(1, 35, 64)])
-    states = np.vstack([pts, [[40.0, 0.0], [40.0, -1.5]]]).reshape(6, 11, 2)
-    inputs = rng.uniform(params.u_min, params.u_max, (6, 11, 1))
+    special = [[40.0, 0.0], [40.0, -1.5], [40.0, -0.0], [40.0, np.nan]]
+    states = np.vstack([pts, special]).reshape(4, 17, 2)
+    inputs = rng.uniform(params.u_min, params.u_max, (4, 17, 1))
     V, lfV, lgV = m.clf_terms(states)
     batches = {"lie_stack": m.lie_stack(states), "phi": m.phi(states),
                "rhs": m.rhs(states, inputs), "V": V, "L_f V": lfV, "L_g V": lgV}

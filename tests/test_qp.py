@@ -220,10 +220,58 @@ def stack_arrays(instances):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
+def shared_stacks(rng):
+    """Stacks whose instances share some constraints or the cost, as the
+    arrays of solve_qp_stack with a leading instance axis."""
+    stacks = []
+    # the controller's shape over (u, delta): a safety row per instance, a
+    # shared convergence row, box and cost; some safety rows infeasible
+    mass = 1650.0
+    for _ in range(6):
+        n = 40
+        gains = -np.linspace(0.05, 2.0, n) ** 2 / (2.0 * mass)
+        h = rng.uniform(-60.0, 40.0) + rng.uniform(-5.0, 5.0, n)
+        a = np.zeros((n, 2, 2))
+        a[:, 0, 0] = gains
+        a[:, 1] = [rng.uniform(-1e-2, 1e-2), 1.0]  # convergence row, as >=
+        b = np.column_stack([-h, np.full(n, rng.uniform(-50.0, 50.0))])
+        diag = np.tile([1.0 / mass**2, 1.0e5], (n, 1))
+        linear = np.tile([rng.uniform(-1e-3, 1e-3), 0.0], (n, 1))
+        lower = np.tile([-0.4 * mass * 9.81, 0.0], (n, 1))
+        upper = np.tile([0.4 * mass * 9.81, 1.0e7], (n, 1))
+        stacks.append((diag, linear, a, b, lower, upper))
+    # a row shared but for the sign of a zero coefficient, which moves the
+    # sign of the optimum's zero entry, next to a per-instance row
+    n = 6
+    a = np.zeros((n, 2, 2))
+    a[:, 0] = [1.0, 0.0]
+    a[1::2, 0, 1] = -0.0
+    a[:, 1] = [0.5, 1.0]
+    b = np.column_stack([np.ones(n), -3.0 - np.arange(n)])
+    box = np.full((n, 2), 2.0)
+    stacks.append((np.ones((n, 2)), np.tile([-1.0, 0.0], (n, 1)), a, b, -box, box))
+    # two shared rows and a per-instance one in 1 to 3 dimensions, under a
+    # shared and under a per-instance cost
+    for dim in (1, 2, 3):
+        n = 12
+        a = np.empty((n, 3, dim))
+        a[:, :2] = rng.uniform(-2.0, 2.0, (2, dim))
+        a[:, 2] = rng.uniform(-2.0, 2.0, (n, dim))
+        b = np.column_stack([np.tile(rng.uniform(-2.0, 1.0, 2), (n, 1)),
+                             rng.uniform(-3.0, 2.0, n)])
+        box = np.broadcast_to(rng.uniform(0.5, 3.0, dim), (n, dim))
+        diag = rng.uniform(0.05, 10.0, (n, dim))
+        linear = rng.uniform(-5.0, 5.0, (n, dim))
+        stacks.append((diag[0], linear[0], a, b, -box, box))
+        stacks.append((diag, linear, a, b, -box, box))
+    return stacks
+
+
 def test_stacked_solve_matches_single_solves():
     """Solving instances of one shape as one array stack returns, bit for
     bit, what solving each alone returns, infeasible verdicts included;
-    cost rows shared by the stack may be passed once."""
+    cost rows shared by the stack may be passed once.  So do stacks that
+    share constraints or the cost, whose shared systems are solved once."""
     rng = np.random.default_rng(77)
     groups = {}
     for _ in range(600):
@@ -246,6 +294,16 @@ def test_stacked_solve_matches_single_solves():
             assert shared[1][i] == single.objective
             np.testing.assert_array_equal(shared[0][i], single.values)
     assert len(groups) == 12 and infeasible > 0
+    infeasible = 0
+    for arrays in shared_stacks(rng):
+        values, objective, optimal = solve_qp_stack(*arrays)
+        for i in range(values.shape[0]):
+            single = solve_qp_stack(
+                *(v if v.ndim == 1 else v[i : i + 1] for v in arrays))
+            assert (values[i].tobytes(), objective[i], optimal[i]) == (
+                single[0][0].tobytes(), single[1][0], single[2][0])
+            infeasible += not optimal[i]
+    assert infeasible > 0
 
     empty = [column[:0] for column in stack_arrays(groups[(2, 1)])]
     values, objective, optimal = solve_qp_stack(*empty)

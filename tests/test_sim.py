@@ -262,6 +262,49 @@ def test_speed_hold_equilibrium(model, params):
     assert np.abs(states[:, 1] - v0).max() <= 1e-8
 
 
+def allocating_rk4(x0, u, horizon, model, dt=sim.DENSE_DT):
+    """The rollout as plain array expressions, one new array per operation:
+    the reference for the in-place steps of integrate_fixed_horizon."""
+    inputs = np.asarray(u, dtype=float)
+    times = _dense_times(0.0, horizon, dt)
+    states = np.empty((times.size, *inputs.shape[:-1], x0.size))
+    states[0] = x0
+    x = states[0]
+    for i, h in enumerate(np.diff(times).tolist(), start=1):
+        k1 = model.rhs(x, inputs)
+        k2 = model.rhs(x + 0.5 * h * k1, inputs)
+        k3 = model.rhs(x + 0.5 * h * k2, inputs)
+        k4 = model.rhs(x + h * k3, inputs)
+        x = states[i] = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return times, states
+
+
+@pytest.mark.parametrize("system", ["case_study", "sign_gain"])
+def test_rollout_equals_allocating_rk4_bit_for_bit(system, model, sign_gain_model,
+                                                   params):
+    """One input (a scalar or a q-vector) or a (K, q) batch, at the dense
+    spacing and at tau/400, braking through v = 0 included: the in-place
+    rollout equals the allocating expressions bit for bit."""
+    m = sign_gain_model if system == "sign_gain" else model
+    rng = np.random.default_rng(41)
+    speeds = np.concatenate([rng.uniform(0.2, 3.0, 2), rng.uniform(3.0, 30.0, 4)])
+    through_zero = 0
+    for v0 in speeds:
+        x0 = np.array([rng.uniform(11.0, 60.0), v0])
+        batch = rng.uniform(params.u_min, params.u_max, (int(rng.integers(2, 13)), 1))
+        batch[0] = params.u_min
+        tau = rng.uniform(0.05, 2.0)
+        for u in (float(batch[0, 0]), batch[1], batch):
+            for horizon, dt in ((1.0, sim.DENSE_DT), (tau, tau / 400.0)):
+                times, states = integrate_fixed_horizon(x0, u, horizon, m, dt=dt)
+                ref_times, ref_states = allocating_rk4(x0, u, horizon, m, dt=dt)
+                assert times.tobytes() == ref_times.tobytes()
+                assert states.shape == ref_states.shape
+                assert states.tobytes() == ref_states.tobytes()
+                through_zero += bool((states[..., 1] < 0.0).any())
+    assert through_zero >= 4
+
+
 def test_taylor_mean_value_property(model, params):
     """The expansion with the curvature terms moved to some interior instant
     reproduces the endpoint value exactly; the residual over a dense sweep

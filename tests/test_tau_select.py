@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import atlc.model
+import atlc.qp
 from atlc import (
     AccParams,
     ConstraintRow,
@@ -25,7 +27,7 @@ from atlc.cli import build_controller_config, load_scenario
 from atlc.constraints import build_clf_row, build_qp_instance
 from atlc.margin import margin_from_stack
 from atlc.robust_bounds import g_ratlc_from_stack, h_ratlc_from_stack, stack_on_grid
-from atlc.sim import integrate_fixed_horizon
+from atlc.sim import _dense_times, integrate_fixed_horizon
 from atlc.tau_select import candidate_taus, with_predictions
 
 from conftest import rk4_flow
@@ -323,3 +325,41 @@ def test_decision_equals_full_rollout_selection():
         one_input += all(skipped)
         assert all(skipped) or not any(skipped)
     assert len(cd04_states) >= 15 and 0 < one_input < len(cases)
+
+
+def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
+    """At the first atlc_cd04 event the stacked QP of the 40 candidates
+    solves 173 KKT systems: the 13 independent subsets of shared constraints
+    (box faces and convergence row) once, and the 4 holding the safety row
+    per candidate, where solving every candidate on its own takes 680.  A
+    contested decision rolls out with 4 rhs calls per RK4 step."""
+    solved = []
+    solve = atlc.qp._solve_stack
+
+    def counted_solve(matrices, rhs):
+        solved.append(matrices.shape[0])
+        return solve(matrices, rhs)
+
+    rhs_calls = []
+    rhs = atlc.model.acc_dynamics_rhs
+
+    def counted_rhs(*args):
+        rhs_calls.append(np.ndim(args[0]))
+        return rhs(*args)
+
+    monkeypatch.setattr(atlc.qp, "_solve_stack", counted_solve)
+    monkeypatch.setattr(atlc.model, "acc_dynamics_rhs", counted_rhs)
+    cfg = build_controller_config(load_scenario(SCENARIOS / "atlc_cd04.json"))
+    case_model = acc_model(cfg.params, cfg.clf_form)
+    x = make_state(cfg.z0, cfg.v0)
+    decision = select_tau(x, make_box(x, cfg.box_under, cfg.box_over), cfg, case_model)
+    assert len(decision.table) == 40 and all(e.feasible for e in decision.table)
+    assert sum(solved) == 173 and rhs_calls == []
+
+    x, params = near_limit_states(1)[0]
+    cfg = ControllerConfig(params=params)
+    case_model = acc_model(params)
+    decision = select_tau(x, make_box(x, [0.5, 0.5], [0.5, 0.5]), cfg, case_model)
+    assert all(e.min_h_pred is not None for e in decision.table if e.feasible)
+    steps = _dense_times(0.0, cfg.tau_cfg.T_look).size - 1
+    assert rhs_calls == [2] * (4 * steps)  # one batch of distinct inputs
