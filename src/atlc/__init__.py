@@ -8,7 +8,6 @@ from .controller import (
     ControllerKind,
     EventRecord,
     SimulationError,
-    Summary,
     TrajectoryLog,
     ZenoError,
     compute_control,
@@ -49,7 +48,6 @@ __all__ = [
     "QpSolution",
     "Segment",
     "SimulationError",
-    "Summary",
     "SystemModel",
     "TauSelectConfig",
     "TrajectoryLog",

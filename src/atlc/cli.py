@@ -253,7 +253,7 @@ def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
     mean_abs_du = (
         float(np.mean(np.abs(np.diff(event_u)))) if event_u.size > 1 else 0.0
     )
-    n_events = int(event_index.max()) + 1 if rows else 0
+    n_events = int(event_index.max()) + 1
     infeasible = int(np.sum(~feasible[first_of_event]))
     return {
         "min_h": float(fmt(h.min())),

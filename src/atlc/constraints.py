@@ -52,9 +52,13 @@ def atlc_rows(gs: GridStack, taus, model: SystemModel) -> RobustRows:
     there is one row per non-empty sign orthant of the input box.  When the
     rows of all orthants coincide (constant input gain over the box) a
     single row over the full box is equivalent and returned instead.
-    h_worst takes one lattice product per time scale, as
-    :func:`~atlc.robust_bounds.h_ratlc_from_stack` does; a product over all
-    time scales at once rounds differently.
+    h_worst is the minimum of the joint Taylor sum of h over the box
+    lattice, from one lattice product per time scale, so each entry is
+    bit for bit that time scale's value on its own; a product over all time
+    scales at once rounds differently.  The lattice minimum upper-bounds
+    the true box minimum and meets it when the sum is monotone per axis, as
+    in the car-following case, where the minimizing vertex is a lattice
+    point.
     """
     weights = taylor_table(taus, gs.m)
     h_worst = np.array([(gs.stack @ w).min() for w in weights])

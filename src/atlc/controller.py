@@ -136,14 +136,6 @@ class EventRecord:
     table: tuple[CandidateEval, ...] | None = None  # adaptive variant only
 
 
-@dataclass(frozen=True)
-class Summary:
-    min_h: float
-    event_count: int
-    infeasible_events: int
-    effort: float
-
-
 @dataclass
 class TrajectoryLog:
     """Per-event decisions plus dense closed-loop samples on [0, T].
@@ -164,7 +156,6 @@ class TrajectoryLog:
     delta: Array = field(default_factory=lambda: np.empty(0))
     event_index: Array = field(default_factory=lambda: np.empty(0, dtype=int))
     feasible: Array = field(default_factory=lambda: np.empty(0, dtype=bool))
-    summary: Summary | None = None
 
 
 class ZenoError(RuntimeError):
@@ -260,7 +251,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
         try:
             decision = compute_control(x, cfg, model, box)
         except Exception as exc:  # noqa: BLE001 - attach partial log
-            _finalize(log, dense, cfg)
+            _finalize(log, dense)
             raise SimulationError(str(exc), log) from exc
         feasible = decision.status == "optimal"
         u_apply = float(decision.u[0]) if feasible else fallback_control(cfg.params)
@@ -277,7 +268,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
                 x, u_apply, box, t, cfg.T, model, cfg.integrator_cfg
             )
         except Exception as exc:  # noqa: BLE001 - attach partial log
-            _finalize(log, dense, cfg)
+            _finalize(log, dense)
             raise SimulationError(str(exc), log) from exc
 
         # dense rows: segment start plus interior samples; the segment end
@@ -300,7 +291,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
             dt = seg.t_end - t
             record.dt_inter_event = dt
             if dt <= cfg.integrator_cfg.trigger_bisection_tol:
-                _finalize(log, dense, cfg)
+                _finalize(log, dense)
                 raise ZenoError(
                     f"inter-event time {dt:.3e} s at t={t:.6f} is within the "
                     "trigger tolerance", log,
@@ -309,29 +300,14 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
         t = seg.t_end
         k += 1
 
-    _finalize(log, dense, cfg)
+    _finalize(log, dense)
     return log
 
 
-def _finalize(log: TrajectoryLog, dense: dict[str, list], cfg: ControllerConfig) -> None:
+def _finalize(log: TrajectoryLog, dense: dict[str, list]) -> None:
     for key, values in dense.items():  # no segment: the log keeps its empty columns
         setattr(log, key, np.concatenate(values))
-    log.summary = summarize(log, cfg.params)
 
 
 def effort_integrand(u: Array, v: Array, p: AccParams) -> Array:
     return ((u - resistance_force(v, p)) / p.M) ** 2
-
-
-def summarize(log: TrajectoryLog, p: AccParams) -> Summary:
-    infeasible = sum(not e.feasible for e in log.events)
-    if log.t.size == 0:
-        return Summary(min_h=math.inf, event_count=len(log.events),
-                       infeasible_events=infeasible, effort=0.0)
-    effort = float(np.trapezoid(effort_integrand(log.u, log.v, p), log.t))
-    return Summary(
-        min_h=float(log.h.min()),
-        event_count=len(log.events),
-        infeasible_events=infeasible,
-        effort=effort,
-    )

@@ -9,7 +9,6 @@ nonnegative grid point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,41 +54,20 @@ def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
 
 
 def tau_star_scan(
-    box: Box,
-    tau_grid,
-    model: SystemModel,
-    cfg: BoundConfig,
-    refine: bool = False,
-    refine_tol: float = 1e-6,
+    box: Box, tau_grid, model: SystemModel, cfg: BoundConfig
 ) -> MarginMap:
     """Evaluate the margin over an ascending grid and locate the first
     feasible time scale.
 
-    The grid scan approximates the true minimal feasible scale from above.
-    With ``refine``, the bracket between the last infeasible and the first
-    feasible grid point is bisected down to ``refine_tol``, or until the
-    midpoint no longer splits the bracket, sharpening tau_star without
-    changing the reported grid values.
+    One lattice serves every grid point.  The first feasible grid point
+    bounds the true minimal feasible scale from above; a finer grid
+    tightens it.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("time-scale grid must be nonempty")
-    if not (math.isfinite(refine_tol) and refine_tol >= 0.0):
-        raise ValueError(f"refine_tol must be finite and nonnegative, got {refine_tol}")
     gs = stack_on_grid(box, model, cfg)
     values = atlc_rows(gs, grid, model).margins().max(axis=1)
     feasible = np.flatnonzero(values >= 0.0)
     tau_star = float(grid[feasible[0]]) if feasible.size else None
-    if refine and tau_star is not None and feasible[0] > 0:
-        lo = float(grid[feasible[0] - 1])  # infeasible end of the bracket
-        hi = tau_star
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # adjacent floats: nothing left to split
-                break
-            if margin_from_stack(gs, mid, model) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        tau_star = hi
     return MarginMap(tau_grid=grid, values=values, tau_star=tau_star)

@@ -12,8 +12,7 @@ control decision); a single instance is the stack of one.  Each candidate
 is computed once per distinct KKT system: a subset of constraints that,
 with the cost, is the same bits on every instance is solved once for the
 whole stack, the others per instance.  Infeasibility is certified
-separately by a max-min-slack vertex enumeration over the same stack.  A
-brute-force grid oracle is included for testing only.
+separately by a max-min-slack vertex enumeration over the same stack.
 """
 
 from __future__ import annotations
@@ -355,35 +354,3 @@ def _max_min_slack(a_all: Array, b_all: Array) -> Array:
     best = np.full(n_inst, -math.inf)
     np.maximum.at(best, inst_idx[vertex], points[vertex, -1])
     return best
-
-
-def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
-    """Brute-force reference: best feasible point of a tensor grid over the box.
-
-    Test-only oracle, limited to dim <= 3.
-    """
-    if inst.dim > 3:
-        raise ValueError("grid oracle supports at most 3 decision variables")
-    axes = [
-        np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
-        for lo, hi in zip(inst.lower, inst.upper)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.reshape(-1) for m in mesh])
-    feasible = np.ones(pts.shape[0], dtype=bool)
-    for row in inst.rows:
-        a, b = row.as_ge()
-        feasible &= pts @ a >= b - 1e-12 * max(1.0, abs(b))
-    if not np.any(feasible):
-        return QpSolution(
-            values=np.full(inst.dim, np.nan), objective=math.inf,
-            status="infeasible",
-        )
-    candidates = pts[feasible]
-    objectives = (candidates * candidates) @ inst.quadratic_diag \
-        + candidates @ inst.linear_cost
-    idx = int(np.argmin(objectives))
-    return QpSolution(
-        values=candidates[idx], objective=float(objectives[idx]),
-        status="optimal",
-    )

@@ -1,14 +1,14 @@
-"""Worst-case Taylor expansion quantities over an event hyperrectangle.
+"""Event boxes and the evaluation lattice of the worst-case Taylor bounds.
 
 Between control updates the state is confined to a box around the last
 event state.  The safety condition is therefore tightened with the
 worst-case drift term (minimum of the joint Taylor sum over the box) and a
 per-component worst-case input gain whose sign branch depends on the sign
-of the corresponding input entry.  Extrema are taken over a tensor
-evaluation lattice that always contains the box vertices; the per-axis
-point counts are snapped to a dyadic cell count so refining the lattice
-only ever adds midpoints and the computed minimum never increases under
-refinement.
+of the corresponding input entry; :func:`~atlc.constraints.atlc_rows`
+builds both.  Extrema are taken over a tensor evaluation lattice that
+always contains the box vertices; the per-axis point counts are snapped to
+a dyadic cell count so refining the lattice only ever adds midpoints and
+the computed minimum never increases under refinement.
 """
 
 from __future__ import annotations
@@ -42,20 +42,12 @@ class Box:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
-
     def contains(self, x: Array, tol: float = 0.0) -> bool:
         """Whether the state, or every state of a (..., n) batch, lies in
         the box inflated by tol."""
         return bool(
             np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
         )
-
-    def boundary_distance(self, x: Array) -> Array:
-        """Per-coordinate distance to the nearest face."""
-        return np.minimum(np.abs(x - self.lower), np.abs(self.upper - x))
 
 
 @dataclass(frozen=True)
@@ -128,35 +120,3 @@ def taylor_table(taus, m: int) -> Array:
         if tau <= 0.0:
             raise ValueError(f"time scale must be positive, got {tau}")
     return np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
-
-
-def taylor_weights(tau: float, m: int) -> Array:
-    """Coefficients tau^i / i! for i = 0..m."""
-    return taylor_table([tau], m)[0]
-
-
-def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:
-    """Minimum of the joint Taylor sum of h over the box lattice.
-
-    The lattice minimum upper-bounds the true box minimum and converges to
-    it under refinement; for models whose sum is monotone per axis (the
-    car-following case) the two coincide because the minimizing vertex is a
-    lattice point.
-    """
-    values = gs.stack @ taylor_weights(tau, gs.m)
-    return float(values.min())
-
-
-def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> Array:
-    """Worst-case input-gain row (tau^m / m!) * extremum of phi over the box.
-
-    Component j uses the box minimum of phi_j when the branch declares
-    u_j >= 0 and the maximum otherwise, so the row times any
-    branch-consistent input lower-bounds the exact input contribution.
-    """
-    branch = np.asarray(sign_branch)
-    if branch.shape != (gs.q,) or not (np.abs(branch) == 1).all():
-        raise ValueError("sign branch must be a vector of +1/-1 per input")
-    scale = taylor_weights(tau, gs.m)[-1]
-    worst = np.where(branch > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
-    return scale * worst

@@ -21,16 +21,11 @@ from atlc import (
     simulate_closed_loop,
     solve_qp,
 )
-from atlc.qp import oracle_grid_solve
-from atlc.robust_bounds import (
-    g_ratlc_from_stack,
-    h_ratlc_from_stack,
-    stack_on_grid,
-    taylor_weights,
-)
+from atlc.robust_bounds import stack_on_grid, taylor_table
 from atlc.margin import tau_star_scan
 from atlc.sim import integrate_fixed_horizon
 
+from references import g_ratlc_from_stack, h_ratlc_from_stack, oracle_grid_solve
 from test_qp import (
     grid_min_slack,
     kkt_residual,
@@ -67,6 +62,14 @@ def suite():
     return runs
 
 
+def infeasible_events(log):
+    return sum(not e.feasible for e in log.events)
+
+
+def min_h(log):
+    return float(log.h.min())
+
+
 def events_after(log, t_from):
     return [e for e in log.events if e.t >= t_from]
 
@@ -88,11 +91,10 @@ def test_criterion_1_atlc_safety_feasibility(suite):
     ok = True
     for cd in (1.2, 0.7, 0.4, 0.3):
         log, wall = suite[f"atlc_{cd}"]
-        s = log.summary
-        good = s.infeasible_events == 0 and s.min_h >= -1e-6
+        infeas, h = infeasible_events(log), min_h(log)
+        good = infeas == 0 and h >= -1e-6
         ok &= good and wall < 120.0
-        details.append(f"cd={cd}: infeas={s.infeasible_events} "
-                       f"min_h={s.min_h:.3f} ({wall:.0f}s)")
+        details.append(f"cd={cd}: infeas={infeas} min_h={h:.3f} ({wall:.0f}s)")
     report(1, "adaptive variant safe and feasible", ok, "; ".join(details))
 
 
@@ -101,10 +103,10 @@ def test_criterion_2_tlc_failure_cases(suite):
     ok = True
     for cd in (0.7, 0.4):
         log, _ = suite[f"tlc_{cd}"]
-        s = log.summary
-        good = s.infeasible_events >= 1 and s.min_h < 0.0
+        infeas, h = infeasible_events(log), min_h(log)
+        good = infeas >= 1 and h < 0.0
         ok &= good
-        details.append(f"cd={cd}: infeas={s.infeasible_events} min_h={s.min_h:.3f}")
+        details.append(f"cd={cd}: infeas={infeas} min_h={h:.3f}")
     report(2, "fixed scale fails under weak braking", ok, "; ".join(details))
 
 
@@ -122,14 +124,13 @@ def test_criterion_2_tlc_strong_braking_feasible(suite):
     the 27 infeasible events at 0.7 g and the 46 at 0.4 g, where
     criterion 2a shows the fixed scale unsafe."""
     log, _ = suite["tlc_1.2"]
-    s = log.summary
-    weaker = {cd: suite[f"tlc_{cd}"][0].summary.infeasible_events
-              for cd in (0.7, 0.4)}
+    infeas, h = infeasible_events(log), min_h(log)
+    weaker = {cd: infeasible_events(suite[f"tlc_{cd}"][0]) for cd in (0.7, 0.4)}
     recovered = log.events[-1].feasible
-    fewer = all(s.infeasible_events < n for n in weaker.values())
-    ok = s.min_h >= -1e-6 and recovered and fewer
+    fewer = all(infeas < n for n in weaker.values())
+    ok = h >= -1e-6 and recovered and fewer
     report(2, "fixed scale survives strong braking", ok,
-           f"cd=1.2: infeas={s.infeasible_events} min_h={s.min_h:.3f} "
+           f"cd=1.2: infeas={infeas} min_h={h:.3f} "
            f"recovered={recovered}; infeas at cd=0.7: {weaker[0.7]}, "
            f"cd=0.4: {weaker[0.4]}")
 
@@ -137,13 +138,13 @@ def test_criterion_2_tlc_strong_braking_feasible(suite):
 def test_criterion_3_hocbf_dichotomy(suite):
     agg, _ = suite["hocbf_aggressive"]
     cons, _ = suite["hocbf_conservative"]
-    a, c = agg.summary, cons.summary
-    ok = (a.infeasible_events >= 1 and a.min_h < 0.0
-          and c.infeasible_events == 0 and c.min_h >= -1e-6)
+    a_infeas, a_h = infeasible_events(agg), min_h(agg)
+    c_infeas, c_h = infeasible_events(cons), min_h(cons)
+    ok = a_infeas >= 1 and a_h < 0.0 and c_infeas == 0 and c_h >= -1e-6
     report(
         3, "barrier-rate dichotomy", ok,
-        f"aggressive(5,5): infeas={a.infeasible_events} min_h={a.min_h:.3f}; "
-        f"conservative(0.3,0.3): infeas={c.infeasible_events} min_h={c.min_h:.3f}",
+        f"aggressive(5,5): infeas={a_infeas} min_h={a_h:.3f}; "
+        f"conservative(0.3,0.3): infeas={c_infeas} min_h={c_h:.3f}",
     )
 
 
@@ -247,7 +248,7 @@ def test_criterion_8_robust_bound_soundness(model, params):
         us = rng.uniform(params.u_min, params.u_max, size=1000)
         stacks = model.lie_stack(xs)
         phis = model.phi(xs)[:, 0]
-        w = taylor_weights(tau, model.m)
+        w = taylor_table([tau], model.m)[0]
         expr = stacks @ w + phis * us * w[-1]
         bound = np.where(us >= 0.0, g_plus, g_minus) * us + h_r
         violations += int(np.sum(bound - expr > 1e-9))
@@ -265,7 +266,7 @@ def test_criterion_9_mean_value_property(model, params):
         _, states = integrate_fixed_horizon(x0, u, tau, model, dt=tau / 400.0)
         h_end = model.lie_stack(states[-1])[0]
         stack0 = model.lie_stack(x0)
-        w = taylor_weights(tau, model.m)
+        w = taylor_table([tau], model.m)[0]
         inner = states[1:-1]
         stacks = model.lie_stack(inner)
         phis = model.phi(inner)[:, 0]
@@ -327,7 +328,8 @@ def test_criterion_11_event_trigger_containment(suite):
         worst_inside = max(worst_inside, float(excess))
         if event.index + 1 < len(log.events):
             trigger_state = log.events[event.index + 1].x
-            crossing = float(box.boundary_distance(trigger_state).min())
+            crossing = float(np.minimum(np.abs(trigger_state - box.lower),
+                                        np.abs(box.upper - trigger_state)).min())
             worst_crossing = max(
                 worst_crossing if math.isfinite(worst_crossing) else 0.0,
                 crossing,

@@ -20,8 +20,10 @@ from atlc.constraints import (
     row_margin,
 )
 from atlc.model import resistance_force
-from atlc.robust_bounds import g_ratlc_from_stack, h_ratlc_from_stack, stack_on_grid
+from atlc.robust_bounds import stack_on_grid
 from atlc.tau_select import candidate_taus
+
+from references import g_ratlc_from_stack, h_ratlc_from_stack
 
 CFG = BoundConfig()
 

@@ -113,7 +113,7 @@ def test_trigger_disabled_gives_single_event():
         box_under=huge, box_over=huge, T=2.0,
     )
     log = simulate_closed_loop(cfg)
-    assert log.summary.event_count == 1
+    assert len(log.events) == 1
     assert np.unique(log.u).size == 1
     assert log.t[0] == 0.0 and log.t[-1] == 2.0
 
@@ -153,8 +153,10 @@ def test_log_consistency(params):
     log = simulate_closed_loop(cfg)
     np.testing.assert_array_equal(log.h, log.z - params.lp)
     np.testing.assert_array_equal(log.V, (log.v - params.vd) ** 2)
-    assert log.summary.min_h == log.h.min()
-    assert log.summary.event_count == len(log.events)
+    # the CLI's summary reads the event count and feasibility off these columns
+    assert log.event_index.max() + 1 == len(log.events)
+    np.testing.assert_array_equal(
+        log.feasible, [log.events[k].feasible for k in log.event_index])
 
 
 def test_delta_cap_never_active():
@@ -168,8 +170,8 @@ def test_delta_cap_never_active():
 def test_safety_when_all_events_feasible():
     cfg = ControllerConfig(T=6.0)
     log = simulate_closed_loop(cfg)
-    assert log.summary.infeasible_events == 0
-    assert log.summary.min_h >= -1e-6
+    assert all(e.feasible for e in log.events)
+    assert log.h.min() >= -1e-6
 
 
 def test_safety_under_feasibility_randomized():
@@ -190,8 +192,8 @@ def test_safety_under_feasibility_randomized():
             T=6.0,
         )
         log = simulate_closed_loop(cfg)
-        if log.summary.infeasible_events == 0:
-            assert log.summary.min_h >= -1e-6
+        if all(e.feasible for e in log.events):
+            assert log.h.min() >= -1e-6
 
 
 def test_fallback_engages_and_is_logged():
@@ -205,7 +207,7 @@ def test_fallback_engages_and_is_logged():
     log = simulate_closed_loop(cfg)
     assert not log.events[0].feasible
     assert log.events[0].u == pytest.approx(fallback_control(p))
-    assert log.summary.infeasible_events >= 1
+    assert sum(not e.feasible for e in log.events) >= 1
 
 
 def test_zeno_abort_on_degenerate_box():
@@ -215,8 +217,12 @@ def test_zeno_abort_on_degenerate_box():
     with pytest.raises(ZenoError) as excinfo:
         simulate_closed_loop(cfg)
     log = excinfo.value.log
-    assert log.summary is not None
     assert len(log.events) >= 1
+    # finalising the partial log joins each dense column into one array
+    columns = [log.t, log.z, log.v, log.u, log.h, log.V, log.delta,
+               log.event_index, log.feasible]
+    assert {np.shape(c) for c in columns} == {(log.t.size,)} and log.t.size >= 1
+    assert np.unique(log.event_index).tolist() == list(range(len(log.events)))
 
 
 def test_margin_sign_matches_feasibility():
@@ -227,6 +233,6 @@ def test_margin_sign_matches_feasibility():
         kind=ControllerKind.tlc_fixed(0.5), params=p, z0=20.0, v0=24.0, T=4.0,
     )
     log = simulate_closed_loop(cfg)
-    assert log.summary.infeasible_events > 0
+    assert sum(not e.feasible for e in log.events) > 0
     for event in log.events:
         assert event.feasible == (event.margin >= -1e-12)

@@ -1,13 +1,13 @@
 """Feasibility margin: frozen values, threshold structure, continuity."""
 
-import math
-
 import numpy as np
 import pytest
 
 from atlc import BoundConfig, make_box, make_state, tau_star_scan
 from atlc.margin import MarginMap, margin_from_stack
-from atlc.robust_bounds import GridStack, h_ratlc_from_stack, stack_on_grid
+from atlc.robust_bounds import GridStack, stack_on_grid
+
+from references import h_ratlc_from_stack
 
 CFG = BoundConfig()
 
@@ -98,39 +98,6 @@ def test_tau_star_scan_cases(model):
         np.array([0.3]), model, CFG,
     )
     assert single.tau_star == 0.3
-
-
-def test_tau_star_bisection_refinement(model):
-    """Refinement tightens tau_star inside the bracket between the last
-    infeasible and the first feasible grid point."""
-    # worst-case h starts negative but the gap is opening: small scales are
-    # infeasible, larger ones feasible
-    box = make_box(make_state(10.3, 13.0), [0.5, 0.5], [0.5, 0.5])
-    grid = np.linspace(0.05, 2.0, 40)
-    coarse = tau_star_scan(box, grid, model, CFG)
-    assert coarse.tau_star is not None and coarse.tau_star > grid[0]
-
-    refined = tau_star_scan(box, grid, model, CFG, refine=True)
-    idx = int(np.flatnonzero(coarse.values >= 0.0)[0])
-    assert grid[idx - 1] < refined.tau_star <= coarse.tau_star
-    gs = stack_on_grid(box, model, CFG)
-    assert margin_from_stack(gs, refined.tau_star, model) >= 0.0
-    assert margin_from_stack(gs, refined.tau_star - 2e-6, model) < 0.0
-    np.testing.assert_array_equal(refined.values, coarse.values)
-
-
-def test_tau_star_bisection_to_adjacent_floats(model):
-    """With no tolerance the bisection stops at adjacent floats: tau_star is
-    feasible and the float just below it is not."""
-    box = make_box(make_state(10.3, 13.0), [0.5, 0.5], [0.5, 0.5])
-    grid = np.linspace(0.05, 2.0, 40)
-    tau_star = tau_star_scan(box, grid, model, CFG, refine=True, refine_tol=0.0).tau_star
-    gs = stack_on_grid(box, model, CFG)
-    assert margin_from_stack(gs, tau_star, model) >= 0.0
-    assert margin_from_stack(gs, float(np.nextafter(tau_star, 0.0)), model) < 0.0
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            tau_star_scan(box, grid, model, CFG, refine=True, refine_tol=bad)
 
 
 def test_margin_map_validation():

@@ -8,7 +8,9 @@ import pytest
 from scipy.optimize import nnls
 
 from atlc import ConstraintRow, QpInstance, solve_qp
-from atlc.qp import _constraints_ge, _instance_arrays, oracle_grid_solve, solve_qp_stack
+from atlc.qp import _constraints_ge, _instance_arrays, _solve_stack, solve_qp_stack
+
+from references import oracle_grid_solve
 
 
 def random_instance(rng):
@@ -319,3 +321,22 @@ def test_stacked_solve_matches_single_solves():
     ):
         with pytest.raises(ValueError):
             solve_qp_stack(*bad)
+
+
+def test_solve_stack_singular_system_gives_nan_row():
+    """LAPACK rejects a stack holding one exactly singular system, so the
+    stacked solve falls back to one solve per system: the singular one gives
+    a NaN row and every other row is its own solve, bit for bit.  The KKT
+    systems are filtered on the Gram determinant of their rows, not on the
+    KKT matrix itself, so this path stays reachable in principle."""
+    rng = np.random.default_rng(13)
+    matrices = rng.uniform(-1.0, 1.0, (5, 3, 3))
+    # the second row is twice the first: partial pivoting leaves an exact zero
+    matrices[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    rhs = rng.uniform(-1.0, 1.0, (5, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(matrices, rhs[..., None])
+    sols = _solve_stack(matrices, rhs)
+    assert np.isnan(sols[2]).all()
+    for i in (0, 1, 3, 4):
+        assert sols[i].tobytes() == np.linalg.solve(matrices[i], rhs[i]).tobytes()

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from atlc import BoundConfig, Box, make_box, make_state
-from atlc.robust_bounds import (
-    g_ratlc_from_stack,
-    grid_points,
-    h_ratlc_from_stack,
-    stack_on_grid,
-    taylor_weights,
-)
+from atlc.robust_bounds import grid_points, stack_on_grid, taylor_table
+
+from references import g_ratlc_from_stack, h_ratlc_from_stack
 
 CFG = BoundConfig()
 
@@ -29,7 +25,7 @@ def dense_min_oracle(box, tau, params, n=201):
 
 def taylor_expr(x, u, tau, model):
     stack = model.lie_stack(x)
-    w = taylor_weights(tau, model.m)
+    w = taylor_table([tau], model.m)[0]
     return float(stack @ w + (model.phi(x) @ np.atleast_1d(u)) * w[-1])
 
 
@@ -171,5 +167,5 @@ def test_degenerate_identity_machine_precision(model):
     gs = stack_on_grid(make_box(x, [0.0, 0.0], [0.0, 0.0]), model, CFG)
     stack = model.lie_stack(x)
     for tau in (0.05, 0.5, 2.0):
-        w = taylor_weights(tau, model.m)
+        w = taylor_table([tau], model.m)[0]
         assert h_ratlc_from_stack(gs, tau) == float(stack @ w)

@@ -26,11 +26,12 @@ from atlc import (
 from atlc.cli import build_controller_config, load_scenario
 from atlc.constraints import build_clf_row, build_qp_instance
 from atlc.margin import margin_from_stack
-from atlc.robust_bounds import g_ratlc_from_stack, h_ratlc_from_stack, stack_on_grid
+from atlc.robust_bounds import stack_on_grid
 from atlc.sim import _dense_times, integrate_fixed_horizon
 from atlc.tau_select import candidate_taus, with_predictions
 
 from conftest import rk4_flow
+from references import g_ratlc_from_stack, h_ratlc_from_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
