@@ -25,7 +25,7 @@ from .model import (
     make_state,
     resistance_force,
 )
-from .qp import ConstraintRow, QpInstance, QpSolution, solve_qp
+from .qp import QpInstance, QpSolution, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box
 from .sim import IntegratorConfig, IntegrationError, Segment, integrate_until_trigger
 from .tau_select import TauSelectConfig, rollout_min_h, select_tau
@@ -36,7 +36,6 @@ __all__ = [
     "AccParams",
     "BoundConfig",
     "Box",
-    "ConstraintRow",
     "ControlDecision",
     "ControllerConfig",
     "ControllerKind",

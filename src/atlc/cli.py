@@ -210,12 +210,12 @@ def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) 
     for e in log.events:
         if e.table is None:
             continue
-        for entry in with_predictions(e.table, e.x, cfg.tau_cfg.T_look, model):
-            rows.append([
-                str(e.index), fmt(e.t), fmt(entry.tau), fmt(entry.feasible),
-                fmt(entry.min_h_pred if math.isfinite(entry.min_h_pred) else None),
-                fmt(entry.qp_objective if math.isfinite(entry.qp_objective) else None),
-            ])
+        table = with_predictions(e.table, e.x, cfg.tau_cfg.T_look, model)
+        for tau, feasible, pred, objective in zip(
+                table.tau.tolist(), table.feasible.tolist(),
+                table.min_h_pred.tolist(), table.qp_objective.tolist()):
+            rows.append([str(e.index), fmt(e.t), fmt(tau), fmt(feasible), fmt(pred),
+                         fmt(objective if feasible else None)])
     _write_csv(
         path,
         ["event_index", "t", "tau", "feasible", "min_h_pred", "qp_objective"],

@@ -1,6 +1,6 @@
 """Inequality rows for the controller variants, in the QP row format.
 
-Every row acts on the stacked decision vector (u_1..u_q, delta).  Safety
+Every row is a pair (a, b) meaning a @ (u_1..u_q, delta) >= b.  Safety
 rows leave the slack coefficient at zero; only the CLF row is relaxed by
 delta.  Pointwise rows (fixed-time-scale and second-order barrier
 baselines) are evaluated at the event state; the robust adaptive row uses
@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .model import AccParams, SystemModel, resistance_force
-from .qp import ConstraintRow, QpInstance
+from .qp import QpInstance
 from .robust_bounds import GridStack, taylor_table
 
 Array = np.ndarray
@@ -34,9 +34,9 @@ class RobustRows:
     lower: Array  # (B, q)
     upper: Array  # (B, q)
 
-    def row(self, k: int, b: int) -> ConstraintRow:
+    def row(self, k: int, b: int) -> tuple[Array, float]:
         """Row b at time scale k, over the decision vector (u, delta)."""
-        return ConstraintRow(np.append(self.gains[k, b], 0.0), -self.h_worst[k], "ge")
+        return np.append(self.gains[k, b], 0.0), -self.h_worst[k]
 
     def margins(self) -> Array:
         """Best slack of each row over its part of the input box, (K, B):
@@ -83,14 +83,14 @@ def _best_slack(gains: Array, h, lower: Array, upper: Array) -> Array:
     return (gains[..., None, :] @ best[..., None])[..., 0, 0] + h
 
 
-def row_margin(row: ConstraintRow, lower: Array, upper: Array) -> float:
+def row_margin(row: tuple[Array, float], lower: Array, upper: Array) -> float:
     """Best achievable slack of a safety row over the input box
     [lower, upper]: the row is satisfiable there iff this is >= 0."""
-    a, b = row.as_ge()
+    a, b = row
     return float(_best_slack(a[:-1], -b, lower, upper))  # no slack column
 
 
-def build_tlc_row(x: Array, tau: float, model: SystemModel) -> ConstraintRow:
+def build_tlc_row(x: Array, tau: float, model: SystemModel) -> tuple[Array, float]:
     """Pointwise fixed-time-scale safety row for a relative-degree-2 output.
 
     phi(x) @ u >= -(L_f^2 h + (2/tau) L_f h + (2/tau^2) h), the exact
@@ -102,13 +102,12 @@ def build_tlc_row(x: Array, tau: float, model: SystemModel) -> ConstraintRow:
         raise ValueError("pointwise row is defined for relative degree 2")
     h, lfh, lf2h = model.lie_stack(x)
     rhs = -(lf2h + (2.0 / tau) * lfh + (2.0 / tau**2) * h)
-    coeffs = np.concatenate([model.phi(x), [0.0]])
-    return ConstraintRow(coefficients=coeffs, rhs=rhs, sense="ge")
+    return np.concatenate([model.phi(x), [0.0]]), rhs
 
 
 def build_hocbf_row(
     x: Array, p1: float, p2: float, model: SystemModel
-) -> ConstraintRow:
+) -> tuple[Array, float]:
     """Second-order barrier row phi(x) @ u >= -(L_f^2 h + (p1+p2) L_f h + p1 p2 h)."""
     if p1 <= 0.0 or p2 <= 0.0:
         raise ValueError("barrier rates must be positive")
@@ -116,17 +115,16 @@ def build_hocbf_row(
         raise ValueError("second-order barrier row needs relative degree 2")
     h, lfh, lf2h = model.lie_stack(x)
     rhs = -(lf2h + (p1 + p2) * lfh + p1 * p2 * h)
-    coeffs = np.concatenate([model.phi(x), [0.0]])
-    return ConstraintRow(coefficients=coeffs, rhs=rhs, sense="ge")
+    return np.concatenate([model.phi(x), [0.0]]), rhs
 
 
-def build_clf_row(x: Array, c3: float, model: SystemModel) -> ConstraintRow:
-    """Slack-relaxed convergence row L_g V @ u - delta <= -(L_f V + c3 V)."""
+def build_clf_row(x: Array, c3: float, model: SystemModel) -> tuple[Array, float]:
+    """Slack-relaxed convergence row L_g V @ u - delta <= -(L_f V + c3 V),
+    stored negated: -L_g V @ u + delta >= L_f V + c3 V."""
     if c3 <= 0.0:
         raise ValueError("convergence rate must be positive")
     V, lfV, lgV = model.clf_terms(x)
-    coeffs = np.concatenate([lgV, [-1.0]])
-    return ConstraintRow(coefficients=coeffs, rhs=-(lfV + c3 * V), sense="le")
+    return np.concatenate([-lgV, [1.0]]), lfV + c3 * V
 
 
 def build_qp_instance(
@@ -138,7 +136,7 @@ def build_qp_instance(
     u_lower: Array | None = None,
     u_upper: Array | None = None,
 ) -> QpInstance:
-    """Assemble the controller QP over (u, delta) from safety/CLF rows.
+    """Assemble the controller QP over (u, delta) from (a, b) rows.
 
     objective "plain" minimizes ||u||^2 + w delta^2; "acc_effort" minimizes
     ((u - F_r(v)) / M)^2 + w delta^2, expanded into diagonal-plus-linear
@@ -172,7 +170,8 @@ def build_qp_instance(
     return QpInstance(
         quadratic_diag=diag,
         linear_cost=linear,
-        rows=tuple(rows),
+        a_ge=np.array([a for a, _ in rows]),
+        b_ge=np.array([b for _, b in rows]),
         lower=lower,
         upper=upper,
     )

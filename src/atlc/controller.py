@@ -36,7 +36,6 @@ from .qp import QpSolution, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
 from .tau_select import (
-    CandidateEval,
     ControlDecision,
     TauSelectConfig,
     select_tau,
@@ -133,7 +132,7 @@ class EventRecord:
     delta: float | None
     margin: float
     dt_inter_event: float | None = None  # set once the segment ends in a trigger
-    table: tuple[CandidateEval, ...] | None = None  # adaptive variant only
+    table: np.recarray | None = None  # adaptive variant only
 
 
 @dataclass
@@ -186,11 +185,10 @@ def _decision(
     if sol.status != "optimal":
         return ControlDecision(
             u=None, tau=tau, status="infeasible", delta=None, margin=margin,
-            qp_objective=math.inf,
         )
     return ControlDecision(
         u=sol.values[: model.q], tau=tau, status="optimal",
-        delta=float(sol.values[-1]), margin=margin, qp_objective=sol.objective,
+        delta=float(sol.values[-1]), margin=margin,
     )
 
 

@@ -31,50 +31,27 @@ MULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """One affine inequality over the decision vector: coeffs @ x {>=,<=} rhs."""
-
-    coefficients: Array
-    rhs: float
-    sense: str
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or not np.isfinite(coeffs).all():
-            raise ValueError("row coefficients must be a finite vector")
-        if not math.isfinite(self.rhs):
-            raise ValueError("row rhs must be finite")
-        if self.sense not in ("ge", "le"):
-            raise ValueError(f"sense must be 'ge' or 'le', got {self.sense!r}")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "rhs", float(self.rhs))
-
-    def as_ge(self) -> tuple[Array, float]:
-        """Coefficients and rhs normalized to the >= orientation."""
-        if self.sense == "ge":
-            return self.coefficients, self.rhs
-        return -self.coefficients, -self.rhs
-
-
-@dataclass(frozen=True)
 class QpInstance:
-    """min sum_i quadratic_diag[i] x_i^2 + linear_cost @ x over rows and box."""
+    """min sum_i quadratic_diag[i] x_i^2 + linear_cost @ x over the rows
+    a_ge @ x >= b_ge, a_ge (r, dim) and b_ge (r,), and the box."""
 
     quadratic_diag: Array
     linear_cost: Array
-    rows: tuple[ConstraintRow, ...]
+    a_ge: Array
+    b_ge: Array
     lower: Array
     upper: Array
 
     def __post_init__(self) -> None:
-        for name in ("quadratic_diag", "linear_cost", "lower", "upper"):
+        for name in ("quadratic_diag", "linear_cost", "a_ge", "b_ge", "lower", "upper"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "rows", tuple(self.rows))
         vectors = [self.linear_cost, self.lower, self.upper]
-        vectors += [row.coefficients for row in self.rows]
-        if any(vector.shape != (self.dim,) for vector in vectors):
+        rows = self.a_ge.shape[:1]
+        if (any(vector.shape != (self.dim,) for vector in vectors)
+                or self.a_ge.shape != rows + (self.dim,) or self.b_ge.shape != rows):
             raise ValueError("cost, box and rows must match the instance dimension")
-        _check(self.quadratic_diag, self.lower, self.upper, self.linear_cost)
+        _check(self.quadratic_diag, self.lower, self.upper, self.linear_cost,
+               self.a_ge, self.b_ge)
 
     @property
     def dim(self) -> int:
@@ -86,15 +63,6 @@ class QpSolution:
     values: Array
     objective: float
     status: str  # "optimal" | "infeasible"
-
-
-def _instance_arrays(inst: QpInstance) -> tuple[Array, ...]:
-    """One instance as a stack of one: cost, rows as A @ x >= b, and box."""
-    rows_ge = [row.as_ge() for row in inst.rows]
-    a = np.array([a for a, _ in rows_ge]).reshape(1, len(rows_ge), inst.dim)
-    b = np.array([[b for _, b in rows_ge]]).reshape(1, len(rows_ge))
-    return (inst.quadratic_diag[None], inst.linear_cost[None], a, b,
-            inst.lower[None], inst.upper[None])
 
 
 def _constraints_ge(a, b, lower, upper) -> tuple[Array, Array]:
@@ -141,7 +109,9 @@ def _solve_stack(matrices: Array, rhs: Array) -> Array:
 
 def solve_qp(inst: QpInstance) -> QpSolution:
     """Global optimum of one instance; the stacked solve of a batch of one."""
-    values, objective, optimal = _enumerate(*_instance_arrays(inst))
+    values, objective, optimal = _enumerate(*(v[None] for v in (
+        inst.quadratic_diag, inst.linear_cost, inst.a_ge, inst.b_ge,
+        inst.lower, inst.upper)))
     return QpSolution(values=values[0], objective=float(objective[0]),
                       status="optimal" if optimal[0] else "infeasible")
 

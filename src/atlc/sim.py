@@ -103,8 +103,7 @@ class Segment:
 
     ``times``/``states`` are the dense log samples (strictly increasing,
     first at t_start, last at t_end).  exit_reason is "trigger" when the
-    box was left, "horizon_end" otherwise; exit_coordinate names the
-    crossing state component for trigger exits.
+    box was left, "horizon_end" otherwise.
     """
 
     t_start: float
@@ -112,7 +111,6 @@ class Segment:
     times: Array
     states: Array
     exit_reason: str
-    exit_coordinate: int | None
 
 
 def _dense_times(t_start: float, t_end: float, dt: float = DENSE_DT) -> Array:
@@ -244,7 +242,6 @@ def integrate_until_trigger(
         times=times,
         states=states,
         exit_reason="trigger" if exit_face is not None else "horizon_end",
-        exit_coordinate=None if exit_face is None else exit_face[0],
     )
 
 

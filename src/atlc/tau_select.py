@@ -5,29 +5,30 @@ scales.  For every candidate the robust safety QP is solved; if feasible,
 the closed system is rolled out under the resulting constant input over a
 lookahead horizon and the predicted minimum of the safety output is
 recorded.  The candidate maximizing that prediction wins, ties going to
-the smallest time scale (the least restrictive constraint).  Infeasible
-candidates keep a -inf sentinel so they lose every comparison.
+the smallest time scale (the least restrictive constraint).
 
 The candidates are evaluated as arrays: one table of robust rows for every
 time scale, one stacked QP solve over its rows, and one fixed-step
 integration of the distinct inputs (compared by their exact bytes).  A
 prediction can only separate candidates whose inputs differ, so the
 rollout runs only when two or more distinct inputs are feasible; with one,
-the smallest feasible time scale wins, the predictions are left
-uncomputed (None) and :func:`with_predictions` computes them on demand.
+the smallest feasible time scale wins and :func:`with_predictions`
+computes the predictions on demand.  The candidates are one record array
+(``ControlDecision.table``) in which a NaN prediction means none was made:
+the candidate is infeasible, or it was not rolled out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constraints import RobustRows, atlc_rows, build_clf_row, build_qp_instance
 from .model import SystemModel
-from .qp import ConstraintRow, QpSolution, solve_qp, solve_qp_stack
+from .qp import QpSolution, solve_qp, solve_qp_stack
 from .robust_bounds import Box, GridStack, stack_on_grid
 from .sim import integrate_fixed_horizon
 
@@ -55,23 +56,15 @@ class TauSelectConfig:
 
 
 @dataclass(frozen=True)
-class CandidateEval:
-    tau: float
-    feasible: bool
-    min_h_pred: float | None  # None: feasible, rollout not run
-    qp_objective: float
-    u: Array | None
-    delta: float | None
-
-
-@dataclass(frozen=True)
 class ControlDecision:
     """The input chosen at one event, or u = None when the QP is infeasible.
 
     ``margin`` is the robust feasibility margin at the chosen time scale;
     when every candidate of the adaptive variant is infeasible it is the
-    largest margin over the candidates.  ``table`` lists the adaptive
-    variant's candidates.
+    largest margin over the candidates.  ``table`` holds the adaptive
+    variant's candidates, a row per time scale: ``tau``, ``feasible``,
+    ``min_h_pred`` (NaN: no prediction), ``qp_objective`` (+inf when
+    infeasible), ``u`` (q,) and ``delta`` (NaN when infeasible).
     """
 
     u: Array | None
@@ -79,8 +72,7 @@ class ControlDecision:
     status: str  # "optimal" | "infeasible"
     delta: float | None
     margin: float
-    qp_objective: float
-    table: tuple[CandidateEval, ...] | None = None
+    table: np.recarray | None = None
 
 
 def candidate_taus(cfg: TauSelectConfig) -> Array:
@@ -110,24 +102,23 @@ def _distinct(inputs, q: int) -> tuple[list[int], Array]:
 
 
 def with_predictions(
-    table: tuple[CandidateEval, ...], x_k: Array, T_look: float, model: SystemModel
-) -> tuple[CandidateEval, ...]:
-    """The candidate table with every feasible candidate's prediction,
-    rolling out the inputs of those the selection left uncomputed.
-    Identical inputs yield identical rollouts: each distinct one is rolled
-    out once, all of them together."""
-    missing = [i for i, e in enumerate(table) if e.feasible and e.min_h_pred is None]
-    if not missing:
+    table: np.recarray, x_k: Array, T_look: float, model: SystemModel
+) -> np.recarray:
+    """The candidate table with every feasible candidate's prediction: a
+    copy in which the inputs of those the selection left without one are
+    rolled out.  Identical inputs yield identical rollouts: each distinct
+    one is rolled out once, all of them together."""
+    missing = np.flatnonzero(table.feasible & np.isnan(table.min_h_pred))
+    if not missing.size:
         return table
-    index, distinct = _distinct([table[i].u for i in missing], model.q)
-    rolled = rollout_min_h(x_k, distinct, T_look, model)[index].tolist()
-    filled = dict(zip(missing, rolled))
-    return tuple(replace(e, min_h_pred=filled[i]) if i in filled else e
-                 for i, e in enumerate(table))
+    index, distinct = _distinct(table.u[missing], model.q)
+    filled = table.copy()
+    filled.min_h_pred[missing] = rollout_min_h(x_k, distinct, T_look, model)[index]
+    return filled
 
 
 def _solve_rows(
-    x_k: Array, rows: RobustRows, clf_row: ConstraintRow, cfg: ControllerConfig,
+    x_k: Array, rows: RobustRows, clf_row: tuple[Array, float], cfg: ControllerConfig,
     model: SystemModel,
 ) -> tuple[Array, Array, Array]:
     """The QP of every row of the table, in one stacked solve: the CLF-row
@@ -135,7 +126,7 @@ def _solve_rows(
     time scale, returns the first feasible row's optimum with the least
     objective, its objective and its feasibility flag."""
     base = build_qp_instance([clf_row], model, cfg.objective, x=x_k, params=cfg.params)
-    a_clf, b_clf = clf_row.as_ge()
+    a_clf, b_clf = clf_row
     n_tau, n_branch, q = rows.gains.shape
     a = np.zeros((n_tau, n_branch, 2, q + 1))
     a[..., 0, :q] = rows.gains
@@ -179,31 +170,26 @@ def select_tau(
     x_k = np.asarray(x_k, dtype=float)
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
-    taus = [float(tau) for tau in candidate_taus(cfg.tau_cfg)]
+    taus = candidate_taus(cfg.tau_cfg).tolist()
     rows = atlc_rows(gs, taus, model)
     values, objective, optimal = _solve_rows(x_k, rows, clf_row, cfg, model)
     margins = rows.margins().max(axis=1)
-    inputs = values[:, : model.q]
-    table = tuple(
-        CandidateEval(
-            tau=tau, feasible=ok, min_h_pred=None if ok else -math.inf,
-            qp_objective=float(objective[i]), u=inputs[i] if ok else None,
-            delta=float(values[i, -1]) if ok else None,
-        )
-        for i, (tau, ok) in enumerate(zip(taus, optimal.tolist()))
-    )
-    feasible = np.flatnonzero(optimal).tolist()
-    if not feasible:
+    table = np.recarray(len(taus), dtype=[
+        ("tau", float), ("feasible", bool), ("min_h_pred", float),
+        ("qp_objective", float), ("u", float, (model.q,)), ("delta", float)])
+    table.tau, table.feasible, table.min_h_pred = taus, optimal, math.nan
+    table.qp_objective, table.u, table.delta = objective, values[:, :-1], values[:, -1]
+    feasible = np.flatnonzero(optimal)
+    if not feasible.size:
         return ControlDecision(
             u=None, tau=None, status="infeasible", delta=None,
-            margin=float(margins.max()), qp_objective=math.inf, table=table,
+            margin=float(margins.max()), table=table,
         )
     best = feasible[0]  # with one distinct input, the smallest feasible tau
-    if len({inputs[i].tobytes() for i in feasible}) > 1:
+    if len({u.tobytes() for u in table.u[feasible]}) > 1:
         table = with_predictions(table, x_k, cfg.tau_cfg.T_look, model)
-        best = max(feasible, key=lambda i: table[i].min_h_pred)  # first maximum
-    chosen = table[best]
+        best = feasible[np.argmax(table.min_h_pred[feasible])]  # first maximum
     return ControlDecision(
-        u=chosen.u, tau=chosen.tau, status="optimal", delta=chosen.delta,
-        margin=float(margins[best]), qp_objective=chosen.qp_objective, table=table,
+        u=values[best, :-1], tau=taus[best], status="optimal",
+        delta=float(values[best, -1]), margin=float(margins[best]), table=table,
     )

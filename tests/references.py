@@ -1,8 +1,9 @@
 """Reference computations that the tests compare the package against.
 
 Each computes one quantity the simplest way: a brute-force grid search for
-the QP optimum, and the lattice bounds of one time scale and one input-sign
-branch at a time, which ``atlc.constraints.atlc_rows`` builds as one table.
+the QP optimum, the normalized row slacks of a QP instance, and the lattice
+bounds of one time scale and one input-sign branch at a time, which
+``atlc.constraints.atlc_rows`` builds as one table.
 """
 
 import math
@@ -27,8 +28,7 @@ def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.reshape(-1) for m in mesh])
     feasible = np.ones(pts.shape[0], dtype=bool)
-    for row in inst.rows:
-        a, b = row.as_ge()
+    for a, b in zip(inst.a_ge, inst.b_ge):
         feasible &= pts @ a >= b - 1e-12 * max(1.0, abs(b))
     if not np.any(feasible):
         return QpSolution(
@@ -43,6 +43,14 @@ def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
         values=candidates[idx], objective=float(objectives[idx]),
         status="optimal",
     )
+
+
+def row_slacks(inst: QpInstance, points: np.ndarray) -> np.ndarray:
+    """Slack a @ x - b of each nonzero row of ``inst`` at the points
+    (..., dim), divided by the row's norm: (..., nonzero rows)."""
+    norms = np.linalg.norm(inst.a_ge, axis=1)
+    keep = norms > 0.0
+    return (points @ inst.a_ge[keep].T - inst.b_ge[keep]) / norms[keep]
 
 
 def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:

@@ -25,7 +25,9 @@ from atlc.robust_bounds import stack_on_grid, taylor_table
 from atlc.margin import tau_star_scan
 from atlc.sim import integrate_fixed_horizon
 
-from references import g_ratlc_from_stack, h_ratlc_from_stack, oracle_grid_solve
+from references import (
+    g_ratlc_from_stack, h_ratlc_from_stack, oracle_grid_solve, row_slacks,
+)
 from test_qp import (
     grid_min_slack,
     kkt_residual,
@@ -204,7 +206,7 @@ def test_criterion_7_qp_correctness():
         sol = solve_qp(inst)
         oracle = oracle_grid_solve(inst, per_axis)
 
-        if inst.rows:
+        if inst.b_ge.size:
             margin = grid_min_slack(inst, per_axis)
             robust = abs(margin) > float(np.linalg.norm(spacing))
         else:
@@ -213,12 +215,8 @@ def test_criterion_7_qp_correctness():
             assert sol.status == oracle.status
         if sol.status == "optimal" and oracle.status == "optimal":
             assert sol.objective <= oracle.objective + 1e-9
-            slacks = [
-                (r.as_ge()[0] @ sol.values - r.as_ge()[1])
-                / np.linalg.norm(r.as_ge()[0])
-                for r in inst.rows if np.linalg.norm(r.as_ge()[0]) > 0
-            ]
-            if not slacks or min(slacks) > float(np.linalg.norm(spacing)):
+            slacks = row_slacks(inst, sol.values)
+            if not slacks.size or slacks.min() > float(np.linalg.norm(spacing)):
                 assert oracle.objective - sol.objective \
                     <= objective_gap_bound(inst, spacing)
             scale = max(1.0, float(np.abs(inst.linear_cost).max())

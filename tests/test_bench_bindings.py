@@ -38,3 +38,20 @@ def test_benchmark_worker_setup(workload):
     proc = run_python(str(ROOT / "perfbench" / "worker.py"), "setup", workload)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ready\n"
+
+
+def test_tracer_reads_an_adaptive_decision():
+    """The traced run counts the candidates of a real decision and the
+    feasible ones among them: at (12, 24) 2 of the 40 are feasible."""
+    script = "\n".join([
+        "import atlc, atlc.cli, tracer",
+        "probe = tracer.Tracer()",
+        "probe.install()",
+        "decision = atlc.compute_control(atlc.make_state(12.0, 24.0), atlc.ControllerConfig())",
+        "print(probe.counts['tau_select.candidates'],",
+        "      probe.counts['tau_select.feasible_candidates'],",
+        "      int(decision.table.feasible.sum()))",
+    ])
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["40", "2", "2"]

@@ -299,14 +299,43 @@ def test_margin_map_rejects_bad_grid(tmp_path, capsys, grid_args):
     assert not out.exists()
 
 
+def read_rows(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_trace_candidates(tmp_path):
+    """One row per candidate and event.  From a near-limit start, where two
+    events have feasible candidates (one distinct input each, so the writer
+    computes their predictions) and four have none: infeasible rows leave
+    the prediction and the objective empty, feasible rows fill both, and
+    each feasible event's tau is a feasible row with the largest printed
+    prediction."""
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=0.3)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--trace-candidates"])
     assert code == 0
-    with open(tmp_path / "out" / "s_candidates.csv", encoding="utf-8",
-              newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_rows(tmp_path / "out" / "s_candidates.csv")
     summary = json.loads((tmp_path / "out" / "s_summary.json").read_text())
     assert len(rows) == 40 * summary["event_count"]
     assert all(r["feasible"] == "1" for r in rows)
+
+    near = write_config(tmp_path / "near.json", kind="atlc", z0=12.0, v0=24.0, T=0.3)
+    code = main(["run", "--config", str(near), "--out", str(tmp_path / "near"),
+                 "--trace-candidates"])
+    assert code == 2  # unsafe once every candidate is infeasible
+    events = read_rows(tmp_path / "near" / "near_events.csv")
+    rows = read_rows(tmp_path / "near" / "near_candidates.csv")
+    assert len(events) == 6 and len(rows) == 40 * 6
+    for r in rows:
+        filled = r["feasible"] == "1"
+        assert (r["min_h_pred"] != "") == (r["qp_objective"] != "") == filled
+    by_event = {e["event_index"]: [r for r in rows if r["event_index"] == e["event_index"]]
+                for e in events}
+    assert sum(not any(r["feasible"] == "1" for r in c) for c in by_event.values()) == 4
+    feasible_events = [e for e in events if e["feasible"] == "1"]
+    assert len(feasible_events) == 2
+    for e in feasible_events:
+        preds = {r["tau"]: float(r["min_h_pred"])
+                 for r in by_event[e["event_index"]] if r["feasible"] == "1"}
+        assert preds[e["tau"]] == max(preds.values())

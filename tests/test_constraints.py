@@ -38,7 +38,7 @@ def robust_row(box, tau, model):
 
 def feasible_interval(row, u_min, u_max):
     """Input interval allowed by a single-input safety row."""
-    a, b = row.as_ge()
+    a, b = row
     coeff = a[0]
     if coeff > 0:
         return max(u_min, b / coeff), u_max
@@ -49,19 +49,16 @@ def feasible_interval(row, u_min, u_max):
 
 def test_atlc_row_values(model):
     box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
-    row = robust_row(box, 0.5, model)
-    assert row.sense == "ge"
-    assert row.coefficients == pytest.approx([-7.575757575757576e-5, 0.0], abs=1e-18)
-    assert row.rhs == pytest.approx(-78.70542897727272, abs=1e-12)
+    a, b = robust_row(box, 0.5, model)
+    assert a == pytest.approx([-7.575757575757576e-5, 0.0], abs=1e-18)
+    assert b == pytest.approx(-78.70542897727272, abs=1e-12)
 
 
 def test_atlc_row_degenerate_small_tau(model):
     box = make_box(make_state(90.0, 15.0), [0.0, 0.0], [0.0, 0.0])
-    row = robust_row(box, 0.05, model)
-    assert row.coefficients[0] == pytest.approx(
-        (0.05**2 / 2) * (-1.0 / 1650.0), abs=1e-20
-    )
-    assert row.rhs == pytest.approx(-79.94459950757575, abs=1e-12)
+    a, b = robust_row(box, 0.05, model)
+    assert a[0] == pytest.approx((0.05**2 / 2) * (-1.0 / 1650.0), abs=1e-20)
+    assert b == pytest.approx(-79.94459950757575, abs=1e-12)
 
 
 def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model, params):
@@ -71,12 +68,12 @@ def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model, params):
     gs = stack_on_grid(box, sign_gain_model, CFG)
     rows = atlc_rows(gs, [0.5], sign_gain_model)
     (up_lo, down_lo), (up_hi, down_hi) = rows.lower, rows.upper
-    up, down = rows.row(0, 0), rows.row(0, 1)
+    (a_up, b_up), (a_down, b_down) = rows.row(0, 0), rows.row(0, 1)
     np.testing.assert_array_equal([up_lo, up_hi], [[0.0], [params.u_max]])
     np.testing.assert_array_equal([down_lo, down_hi], [[params.u_min], [0.0]])
-    assert up.rhs == down.rhs
+    assert b_up == b_down
     # u >= 0 takes the least gain over the box, u <= 0 the greatest
-    assert up.coefficients[0] < 0.0 < down.coefficients[0]
+    assert a_up[0] < 0.0 < a_down[0]
 
 
 def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
@@ -100,17 +97,17 @@ def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
 
 
 def test_tlc_row_values(model):
-    row = build_tlc_row(make_state(90.0, 15.0), 0.5, model)
-    assert row.coefficients == pytest.approx([-6.060606060606061e-4, 0.0])
-    assert row.rhs == pytest.approx(-635.6396060606061, abs=1e-10)
+    a, b = build_tlc_row(make_state(90.0, 15.0), 0.5, model)
+    assert a == pytest.approx([-6.060606060606061e-4, 0.0])
+    assert b == pytest.approx(-635.6396060606061, abs=1e-10)
 
-    row = build_tlc_row(make_state(11.0, 15.0), 0.5, model)
-    assert row.rhs == pytest.approx(-3.6396060606060607, abs=1e-12)
+    _, b = build_tlc_row(make_state(11.0, 15.0), 0.5, model)
+    assert b == pytest.approx(-3.6396060606060607, abs=1e-12)
 
     # boundary state with zero drift: condition degenerates to the bare
     # second-derivative row
-    row = build_tlc_row(make_state(10.0, 13.89), 0.5, model)
-    assert row.rhs == pytest.approx(-resistance_force(13.89, AccParams()) / 1650.0)
+    _, b = build_tlc_row(make_state(10.0, 13.89), 0.5, model)
+    assert b == pytest.approx(-resistance_force(13.89, AccParams()) / 1650.0)
 
 
 def test_tlc_row_rejects(model):
@@ -119,11 +116,11 @@ def test_tlc_row_rejects(model):
 
 
 def test_hocbf_row_values(model):
-    row = build_hocbf_row(make_state(90.0, 15.0), 1.0, 1.0, model)
-    assert row.rhs == pytest.approx(-77.85960606060606, abs=1e-10)
+    _, b = build_hocbf_row(make_state(90.0, 15.0), 1.0, 1.0, model)
+    assert b == pytest.approx(-77.85960606060606, abs=1e-10)
 
     row = build_hocbf_row(make_state(11.0, 15.0), 1.0, 1.0, model)
-    assert row.rhs == pytest.approx(1.1403939393939394, abs=1e-12)
+    assert row[1] == pytest.approx(1.1403939393939394, abs=1e-12)
     # positive rhs with a negative input coefficient forces braking
     lo, hi = feasible_interval(row, -1e6, 1e6)
     assert hi == pytest.approx(-1881.65, abs=0.01)
@@ -137,26 +134,27 @@ def test_hocbf_tlc_coefficient_non_identity(model):
     fixed-time-scale row but not the position weight (16 vs 8)."""
     x = make_state(90.0, 15.0)
     h, lfh, lf2h, _ = acc_lie_stack(x, AccParams())
-    tlc = build_tlc_row(x, 0.5, model)
-    hocbf = build_hocbf_row(x, 4.0, 4.0, model)
-    assert -tlc.rhs == pytest.approx(lf2h + 4.0 * lfh + 8.0 * h)
-    assert -hocbf.rhs == pytest.approx(lf2h + 8.0 * lfh + 16.0 * h)
+    _, tlc_b = build_tlc_row(x, 0.5, model)
+    _, hocbf_b = build_hocbf_row(x, 4.0, 4.0, model)
+    assert -tlc_b == pytest.approx(lf2h + 4.0 * lfh + 8.0 * h)
+    assert -hocbf_b == pytest.approx(lf2h + 8.0 * lfh + 16.0 * h)
 
 
 def test_clf_row_values(model, params):
-    row = build_clf_row(make_state(90.0, 15.0), 2.0, model)
-    assert row.sense == "le"
-    assert row.coefficients == pytest.approx([-0.010909090909090908, -1.0])
-    assert row.rhs == pytest.approx(-163.43290909090908, abs=1e-10)
+    """The row L_g V @ u - delta <= -(L_f V + c3 V), stored negated as
+    -L_g V @ u + delta >= L_f V + c3 V."""
+    a, b = build_clf_row(make_state(90.0, 15.0), 2.0, model)
+    assert a == pytest.approx([0.010909090909090908, 1.0])
+    assert b == pytest.approx(163.43290909090908, abs=1e-10)
 
-    row = build_clf_row(make_state(50.0, params.vd), 2.0, model)
-    assert row.coefficients == pytest.approx([0.0, -1.0])
-    assert row.rhs == pytest.approx(0.0, abs=1e-15)
+    a, b = build_clf_row(make_state(50.0, params.vd), 2.0, model)
+    assert a == pytest.approx([0.0, 1.0])
+    assert b == pytest.approx(0.0, abs=1e-15)
 
-    # F_r(25) = 281.35: L_f V = -0.34103..., rhs = -(L_f V + 2 V)
-    row = build_clf_row(make_state(90.0, 25.0), 2.0, model)
-    assert row.coefficients[0] == pytest.approx(2.0 / 1650.0)
-    assert row.rhs == pytest.approx(-1.6589696969696969, abs=1e-12)
+    # F_r(25) = 281.35: L_f V = -0.34103..., b = L_f V + 2 V
+    a, b = build_clf_row(make_state(90.0, 25.0), 2.0, model)
+    assert a[0] == pytest.approx(-2.0 / 1650.0)
+    assert b == pytest.approx(1.6589696969696969, abs=1e-12)
 
     with pytest.raises(ValueError):
         build_clf_row(make_state(90.0, 15.0), 0.0, model)
@@ -176,9 +174,7 @@ def test_degenerate_atlc_equals_scaled_tlc(model, params):
         lo_t, hi_t = feasible_interval(tlc, params.u_min, params.u_max)
         assert lo_a == pytest.approx(lo_t, rel=1e-12, abs=1e-9)
         assert hi_a == pytest.approx(hi_t, rel=1e-12, abs=1e-9)
-        np.testing.assert_allclose(
-            atlc.coefficients, (tau**2 / 2) * tlc.coefficients, rtol=1e-12
-        )
+        np.testing.assert_allclose(atlc[0], (tau**2 / 2) * tlc[0], rtol=1e-12)
 
 
 def test_safety_rows_brake_side(model):
@@ -188,23 +184,23 @@ def test_safety_rows_brake_side(model):
     for _ in range(25):
         x = np.array([rng.uniform(10.5, 120.0), rng.uniform(1.0, 30.0)])
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-        assert build_tlc_row(x, 0.5, model).coefficients[0] < 0
-        assert build_hocbf_row(x, 1.0, 2.0, model).coefficients[0] < 0
-        assert robust_row(box, 0.5, model).coefficients[0] < 0
+        assert build_tlc_row(x, 0.5, model)[0][0] < 0
+        assert build_hocbf_row(x, 1.0, 2.0, model)[0][0] < 0
+        assert robust_row(box, 0.5, model)[0][0] < 0
 
 
 def test_rows_are_affine_with_slack_column(model):
     x = make_state(90.0, 15.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-    for row in (
+    for a, _ in (
         build_tlc_row(x, 0.5, model),
         build_hocbf_row(x, 1.0, 1.0, model),
         robust_row(box, 0.5, model),
     ):
-        assert row.coefficients.shape == (2,)
-        assert row.coefficients[1] == 0.0  # slack never enters safety rows
-    clf = build_clf_row(x, 2.0, model)
-    assert clf.coefficients[1] == -1.0
+        assert a.shape == (2,)
+        assert a[1] == 0.0  # slack never enters safety rows
+    a_clf, _ = build_clf_row(x, 2.0, model)
+    assert a_clf[1] == 1.0
 
 
 def test_build_qp_instance_objectives(model, params):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from atlc import ConstraintRow, QpInstance, solve_qp
-from atlc.qp import _constraints_ge, _instance_arrays, _solve_stack, solve_qp_stack
+from atlc import QpInstance, solve_qp
+from atlc.qp import _constraints_ge, _solve_stack, solve_qp_stack
 
-from references import oracle_grid_solve
+from references import oracle_grid_solve, row_slacks
 
 
 def random_instance(rng):
@@ -19,12 +19,13 @@ def random_instance(rng):
     linear = rng.uniform(-5.0, 5.0, dim)
     lower = rng.uniform(-3.0, -0.1, dim)
     upper = rng.uniform(0.1, 3.0, dim)
-    rows = []
-    for _ in range(int(rng.integers(0, 4))):
+    n_rows = int(rng.integers(0, 4))
+    a_ge, b_ge = np.empty((n_rows, dim)), np.empty(n_rows)
+    for i in range(n_rows):
         coeffs = rng.uniform(-2.0, 2.0, dim)
-        sense = "ge" if rng.random() < 0.5 else "le"
-        rows.append(ConstraintRow(coeffs, float(rng.uniform(-2.0, 2.0)), sense))
-    return QpInstance(diag, linear, tuple(rows), lower, upper)
+        sign = 1.0 if rng.random() < 0.5 else -1.0  # -1: drawn as a @ x <= b
+        a_ge[i], b_ge[i] = sign * coeffs, sign * rng.uniform(-2.0, 2.0)
+    return QpInstance(diag, linear, a_ge, b_ge, lower, upper)
 
 
 def oracle_points(inst):
@@ -39,14 +40,7 @@ def grid_min_slack(inst, per_axis):
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(inst.lower, inst.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.reshape(-1) for m in mesh])
-    min_slack = np.full(pts.shape[0], np.inf)
-    for row in inst.rows:
-        a, b = row.as_ge()
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
-            continue
-        min_slack = np.minimum(min_slack, (pts @ a - b) / norm)
-    return float(min_slack.max())
+    return float(row_slacks(inst, pts).min(axis=1, initial=np.inf).max())
 
 
 def objective_gap_bound(inst, spacing):
@@ -59,8 +53,8 @@ def objective_gap_bound(inst, spacing):
 def kkt_residual(inst, solution):
     """Stationarity residual with multipliers fitted by nonnegative least
     squares over the active constraints."""
-    _, _, a, b, lower, upper = _instance_arrays(inst)
-    (a_all,), (b_all,) = _constraints_ge(a, b, lower, upper)
+    (a_all,), (b_all,) = _constraints_ge(
+        inst.a_ge[None], inst.b_ge[None], inst.lower[None], inst.upper[None])
     x = solution.values
     slack = a_all @ x - b_all
     active = slack <= 1e-6 * np.maximum(1.0, np.abs(b_all))
@@ -75,7 +69,8 @@ def test_unconstrained_minimum():
     inst = QpInstance(
         quadratic_diag=np.array([1.0, 1e5]),
         linear_cost=np.zeros(2),
-        rows=(),
+        a_ge=np.empty((0, 2)),
+        b_ge=np.empty(0),
         lower=np.array([-1.0, 0.0]),
         upper=np.array([1.0, 10.0]),
     )
@@ -89,13 +84,11 @@ def test_clf_relaxation_instance():
     """Speed-tracking event at (90, 15): the input rides its upper bound and
     the slack sits on the relaxed row (unclipped stationary input ~13820
     exceeds the bound)."""
-    row = ConstraintRow(
-        np.array([-0.010909090909090908, -1.0]), -163.43290909090908, "le"
-    )
     inst = QpInstance(
         quadratic_diag=np.array([1.0, 1.0e5]),
         linear_cost=np.zeros(2),
-        rows=(row,),
+        a_ge=np.array([[0.010909090909090908, 1.0]]),
+        b_ge=np.array([163.43290909090908]),
         lower=np.array([-6474.6, 0.0]),
         upper=np.array([6474.6, 100.0]),
     )
@@ -112,7 +105,8 @@ def test_infeasible_row():
     inst = QpInstance(
         quadratic_diag=np.array([1.0]),
         linear_cost=np.zeros(1),
-        rows=(ConstraintRow(np.array([-1.0]), 1.0, "ge"),),
+        a_ge=np.array([[-1.0]]),
+        b_ge=np.array([1.0]),
         lower=np.array([-0.5]),
         upper=np.array([0.5]),
     )
@@ -124,7 +118,8 @@ def test_oracle_trivial_cases():
     inst = QpInstance(
         quadratic_diag=np.array([1.0, 1.0]),
         linear_cost=np.zeros(2),
-        rows=(),
+        a_ge=np.empty((0, 2)),
+        b_ge=np.empty(0),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
     )
@@ -132,23 +127,27 @@ def test_oracle_trivial_cases():
     np.testing.assert_allclose(sol.values, [0.0, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         oracle_grid_solve(
-            QpInstance(np.ones(4), np.zeros(4), (), -np.ones(4), np.ones(4)), 5
+            QpInstance(np.ones(4), np.zeros(4), np.empty((0, 4)), np.empty(0),
+                       -np.ones(4), np.ones(4)), 5
         )
 
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        QpInstance(np.array([0.0]), np.zeros(1), (), -np.ones(1), np.ones(1))
+        QpInstance(np.array([0.0]), np.zeros(1), np.empty((0, 1)), np.empty(0),
+                   -np.ones(1), np.ones(1))
     with pytest.raises(ValueError):
-        QpInstance(np.ones(2), np.zeros(2), (), np.ones(2), -np.ones(2))
-    with pytest.raises(ValueError):
-        QpInstance(
-            np.ones(2), np.zeros(2),
-            (ConstraintRow(np.ones(3), 0.0, "ge"),),
-            -np.ones(2), np.ones(2),
-        )
-    with pytest.raises(ValueError):
-        ConstraintRow(np.ones(2), 0.0, "eq")
+        QpInstance(np.ones(2), np.zeros(2), np.empty((0, 2)), np.empty(0),
+                   np.ones(2), -np.ones(2))
+    for a_ge, b_ge in (
+        (np.ones((1, 3)), np.zeros(1)),  # a row of the wrong length
+        (np.ones(2), np.zeros(1)),  # a row not stacked
+        (np.ones((2, 2)), np.zeros(1)),  # more rows than right-hand sides
+        (np.array([[1.0, np.nan]]), np.zeros(1)),
+        (np.ones((1, 2)), np.array([np.inf])),
+    ):
+        with pytest.raises(ValueError):
+            QpInstance(np.ones(2), np.zeros(2), a_ge, b_ge, -np.ones(2), np.ones(2))
 
 
 def test_oracle_equivalence_randomized():
@@ -163,7 +162,7 @@ def test_oracle_equivalence_randomized():
         sol = solve_qp(inst)
         oracle = oracle_grid_solve(inst, per_axis)
 
-        if inst.rows:
+        if inst.b_ge.size:
             margin = grid_min_slack(inst, per_axis)
             robust = abs(margin) > float(np.linalg.norm(spacing))
         else:
@@ -181,13 +180,8 @@ def test_oracle_equivalence_randomized():
             # two-sided gap bound is valid only when a grid point near the
             # optimum is guaranteed feasible: every row slack must exceed
             # the largest possible snapping move
-            slacks = [
-                (row.as_ge()[0] @ sol.values - row.as_ge()[1])
-                / np.linalg.norm(row.as_ge()[0])
-                for row in inst.rows
-                if np.linalg.norm(row.as_ge()[0]) > 0
-            ]
-            if not slacks or min(slacks) > float(np.linalg.norm(spacing)):
+            slacks = row_slacks(inst, sol.values)
+            if not slacks.size or slacks.min() > float(np.linalg.norm(spacing)):
                 two_sided += 1
                 gap = objective_gap_bound(inst, spacing)
                 assert oracle.objective - sol.objective <= gap
@@ -200,17 +194,14 @@ def test_objective_monotone_under_row_removal():
     rng = np.random.default_rng(5)
     for _ in range(200):
         inst = random_instance(rng)
-        if not inst.rows:
+        if not inst.b_ge.size:
             continue
         full = solve_qp(inst)
         if full.status != "optimal":
             continue
-        for drop in range(len(inst.rows)):
-            reduced = QpInstance(
-                inst.quadratic_diag, inst.linear_cost,
-                tuple(r for i, r in enumerate(inst.rows) if i != drop),
-                inst.lower, inst.upper,
-            )
+        for drop in range(inst.b_ge.size):
+            reduced = dataclasses.replace(inst, a_ge=np.delete(inst.a_ge, drop, 0),
+                                          b_ge=np.delete(inst.b_ge, drop))
             rsol = solve_qp(reduced)
             assert rsol.status == "optimal"
             assert rsol.objective <= full.objective + 1e-9
@@ -218,8 +209,8 @@ def test_objective_monotone_under_row_removal():
 
 def stack_arrays(instances):
     """A group of instances of one shape as the arrays of solve_qp_stack."""
-    parts = [_instance_arrays(inst) for inst in instances]
-    return [np.concatenate(column) for column in zip(*parts)]
+    return [np.stack([getattr(inst, f.name) for inst in instances])
+            for f in dataclasses.fields(QpInstance)]
 
 
 def shared_stacks(rng):
@@ -278,7 +269,7 @@ def test_stacked_solve_matches_single_solves():
     groups = {}
     for _ in range(600):
         inst = random_instance(rng)
-        groups.setdefault((inst.dim, len(inst.rows)), []).append(inst)
+        groups.setdefault((inst.dim, inst.b_ge.size), []).append(inst)
     infeasible = 0
     for group in groups.values():
         values, objective, optimal = solve_qp_stack(*stack_arrays(group))

@@ -72,10 +72,10 @@ def solve_ivp_segment(x_k, u, box, t_start, t_horizon, model, cfg):
         raise IntegrationError(sol.message, float(sol.t[-1]), sol.y[:, -1])
     if sol.status == 1:
         t_end, face = min((te[0], j) for j, te in enumerate(sol.t_events) if te.size)
-        t_end, reason, coordinate = float(t_end), "trigger", face // 2
+        t_end, reason = float(t_end), "trigger"
         x_end = sol.y_events[face][0]
     else:
-        t_end, reason, coordinate = t_horizon, "horizon_end", None
+        t_end, reason = t_horizon, "horizon_end"
         x_end = sol.y[:, -1]
     times = _dense_times(t_start, t_end)
     if times.size == 1:
@@ -84,7 +84,7 @@ def solve_ivp_segment(x_k, u, box, t_start, t_horizon, model, cfg):
         states = sol.sol(times).T
         states[0] = x_k
         states[-1] = x_end
-    segment = Segment(t_start, t_end, times, states, reason, coordinate)
+    segment = Segment(t_start, t_end, times, states, reason)
     return segment, sol.nfev
 
 
@@ -193,7 +193,8 @@ def test_trigger_time_matches_reference(model, params):
     box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
     seg = integrate_until_trigger(x0, 0.0, box, 0.0, 30.0, model, CFG)
     assert seg.exit_reason == "trigger"
-    assert seg.exit_coordinate == 0  # the gap coordinate crosses first
+    # the gap coordinate crosses first, onto the box's lower gap face
+    assert seg.states[-1, 0] == box.lower[0] == 89.5
 
     t_ref, x_ref = reference_trigger_time(x0, 0.0, box, params)
     assert 0.4 < seg.t_end < 0.5

@@ -11,7 +11,6 @@ import atlc.model
 import atlc.qp
 from atlc import (
     AccParams,
-    ConstraintRow,
     ControllerConfig,
     TauSelectConfig,
     acc_dynamics_rhs,
@@ -54,7 +53,7 @@ def scripted_selection(x, box, cfg, model):
         tau = float(tau)
         # constant gain: both sign branches give this one row
         gain = np.append(g_ratlc_from_stack(gs, tau, [1.0]), 0.0)
-        row = ConstraintRow(gain, -h_ratlc_from_stack(gs, tau), "ge")
+        row = gain, -h_ratlc_from_stack(gs, tau)
         inst = build_qp_instance(
             [row, clf], model, cfg.objective, x=x, params=cfg.params
         )
@@ -149,9 +148,8 @@ def test_infeasible_candidate_loses(model):
     decision = select_tau(x, box, cfg, model)
     assert decision.status == "optimal"
     assert decision.tau == 0.1
-    flags = [entry.feasible for entry in decision.table]
-    assert flags == [True, False]
-    assert decision.table[1].min_h_pred == -math.inf
+    assert decision.table.feasible.tolist() == [True, False]
+    assert math.isnan(decision.table.min_h_pred[1])  # no prediction
 
 
 def test_all_infeasible_reported(model):
@@ -165,7 +163,7 @@ def test_all_infeasible_reported(model):
     decision = select_tau(x, box, cfg, model)
     assert decision.status == "infeasible"
     assert decision.tau is None and decision.u is None
-    assert all(e.min_h_pred == -math.inf for e in decision.table)
+    assert np.isnan(decision.table.min_h_pred).all()
 
 
 @pytest.mark.parametrize("z, v", [(49.8, 15.0), (50.2, 20.0), (60.0, 15.0)])
@@ -322,9 +320,9 @@ def test_decision_equals_full_rollout_selection():
         tau, u, status, margin, _ = scripted_selection(x, box, cfg, case_model)
         assert (decision.tau, decision.status, decision.margin) == (tau, status, margin)
         assert decision.u.tobytes() == u.tobytes()
-        skipped = [e.min_h_pred is None for e in decision.table if e.feasible]
-        one_input += all(skipped)
-        assert all(skipped) or not any(skipped)
+        skipped = np.isnan(decision.table.min_h_pred[decision.table.feasible])
+        one_input += skipped.all()
+        assert skipped.all() or not skipped.any()
     assert len(cd04_states) >= 15 and 0 < one_input < len(cases)
 
 
@@ -361,6 +359,6 @@ def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
     cfg = ControllerConfig(params=params)
     case_model = acc_model(params)
     decision = select_tau(x, make_box(x, [0.5, 0.5], [0.5, 0.5]), cfg, case_model)
-    assert all(e.min_h_pred is not None for e in decision.table if e.feasible)
+    assert not np.isnan(decision.table.min_h_pred[decision.table.feasible]).any()
     steps = _dense_times(0.0, cfg.tau_cfg.T_look).size - 1
     assert rhs_calls == [2] * (4 * steps)  # one batch of distinct inputs
