@@ -11,7 +11,6 @@ from .controller import (
     TrajectoryLog,
     ZenoError,
     compute_control,
-    fallback_control,
     simulate_closed_loop,
 )
 from .margin import MarginMap, tau_star_scan
@@ -56,7 +55,6 @@ __all__ = [
     "acc_lie_stack",
     "acc_model",
     "compute_control",
-    "fallback_control",
     "integrate_until_trigger",
     "make_box",
     "make_state",

@@ -28,11 +28,10 @@ from .controller import (
     SimulationError,
     TrajectoryLog,
     ZenoError,
-    effort_integrand,
     simulate_closed_loop,
 )
-from .margin import tau_star_scan
-from .model import AccParams, acc_model, make_state
+from .margin import ascending_grid, tau_star_scan
+from .model import AccParams, acc_model, effort_integrand, make_state
 from .robust_bounds import make_box
 from .tau_select import TauSelectConfig, candidate_taus, with_predictions
 
@@ -50,8 +49,8 @@ DEFAULTS = {
     "lp": 10.0, "c3": 2.0, "w": 1.0e5, "ca": 0.4, "cd": 0.4,
     "tau_min": 0.05, "tau_max": 2.0, "n_tau": 40, "T_look": 1.0,
     "box_under": 0.5, "box_over": 0.5, "T": 30.0, "kind": "atlc",
-    "tau_fixed": 0.5, "tlc_robust": True, "objective": "acc_effort",
-    "clf_form": "quadratic", "z0": 90.0, "v0": 15.0,
+    "tau_fixed": 0.5, "tlc_robust": True, "clf_form": "quadratic",
+    "z0": 90.0, "v0": 15.0,
 }
 PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
 FLOAT_KEYS = PARAM_KEYS + (
@@ -157,8 +156,7 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
             kind=kind, params=params, tau_cfg=tau_cfg, T=num["T"],
             box_under=_radii("box_under", scenario["box_under"]),
             box_over=_radii("box_over", scenario["box_over"]),
-            z0=num["z0"], v0=num["v0"],
-            objective=str(scenario["objective"]), clf_form=str(scenario["clf_form"]),
+            z0=num["z0"], v0=num["v0"], clf_form=str(scenario["clf_form"]),
         )
     except ConfigError:
         raise
@@ -391,11 +389,11 @@ def cmd_margin_map(args) -> int:
         cfg = build_controller_config(scenario)
         x = make_state(args.z, args.v)
         tc = cfg.tau_cfg
-        grid = candidate_taus(TauSelectConfig(
+        grid = ascending_grid(candidate_taus(TauSelectConfig(
             tau_min=tc.tau_min if args.tau_min is None else args.tau_min,
             tau_max=tc.tau_max if args.tau_max is None else args.tau_max,
             n_candidates=tc.n_candidates if args.n_tau is None else args.n_tau,
-        ))
+        )))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

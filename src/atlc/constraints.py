@@ -14,14 +14,13 @@ from itertools import product
 
 import numpy as np
 
-from .model import AccParams, SystemModel, resistance_force
+from .model import SystemModel
 from .qp import QpInstance
 from .robust_bounds import GridStack, taylor_table
 
 Array = np.ndarray
 
 DELTA_CAP = 1.0e7  # keeps the slack box bounded; never active in practice
-OBJECTIVES = ("plain", "acc_effort")
 
 
 @dataclass(frozen=True)
@@ -130,48 +129,19 @@ def build_clf_row(x: Array, c3: float, model: SystemModel) -> tuple[Array, float
 def build_qp_instance(
     rows,
     model: SystemModel,
-    objective: str,
-    x: Array | None = None,
-    params: AccParams | None = None,
+    x: Array,
+    w: float,
     u_lower: Array | None = None,
     u_upper: Array | None = None,
 ) -> QpInstance:
-    """Assemble the controller QP over (u, delta) from (a, b) rows.
-
-    objective "plain" minimizes ||u||^2 + w delta^2; "acc_effort" minimizes
-    ((u - F_r(v)) / M)^2 + w delta^2, expanded into diagonal-plus-linear
-    form (the constant term is dropped).
-    """
-    q = model.q
-    if params is None:
-        raise ValueError("need params for the slack weight")
-    w = params.w
-    if objective == "plain":
-        diag = np.concatenate([np.ones(q), [w]])
-        linear = np.zeros(q + 1)
-    elif objective == "acc_effort":
-        if x is None:
-            raise ValueError("acc_effort objective needs the state")
-        if q != 1:
-            raise ValueError("acc_effort objective is single-input")
-        fr = resistance_force(x[1], params)
-        m2 = params.M**2
-        diag = np.array([1.0 / m2, w])
-        linear = np.array([-2.0 * fr / m2, 0.0])
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    lower = np.concatenate(
-        [model.u_min if u_lower is None else np.asarray(u_lower, float), [0.0]]
-    )
-    upper = np.concatenate(
-        [model.u_max if u_upper is None else np.asarray(u_upper, float),
-         [DELTA_CAP]]
-    )
+    """Assemble the controller QP over (u, delta) from (a, b) rows: the
+    model's input cost at the state x plus w delta^2."""
+    diag, linear = model.cost(x)
     return QpInstance(
-        quadratic_diag=diag,
-        linear_cost=linear,
+        quadratic_diag=np.append(diag, w),
+        linear_cost=np.append(linear, 0.0),
         a_ge=np.array([a for a, _ in rows]),
         b_ge=np.array([b for _, b in rows]),
-        lower=lower,
-        upper=upper,
+        lower=np.append(model.u_min if u_lower is None else u_lower, 0.0),
+        upper=np.append(model.u_max if u_upper is None else u_upper, DELTA_CAP),
     )

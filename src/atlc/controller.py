@@ -3,9 +3,9 @@
 At each event the state is measured, the trigger box is rebuilt around it,
 the variant's QP is solved (or the adaptive time-scale selection run), and
 the resulting input is held constant until the state exits the box or the
-final time is reached.  When the QP is infeasible the input falls back to
-maximum braking and feasibility is re-tested at the next event, so the
-event-triggered structure is preserved through fallback phases.
+final time is reached.  When the QP is infeasible the model's fallback
+input (maximum braking) is held and feasibility is re-tested at the next
+event, so the event-triggered structure is preserved through fallback phases.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
-    OBJECTIVES,
     build_clf_row,
     build_hocbf_row,
     build_qp_instance,
@@ -24,14 +23,7 @@ from .constraints import (
     row_margin,
 )
 from .margin import margin_from_stack
-from .model import (
-    CLF_FORMS,
-    AccParams,
-    SystemModel,
-    acc_model,
-    make_state,
-    resistance_force,
-)
+from .model import CLF_FORMS, AccParams, SystemModel, acc_model, make_state
 from .qp import QpSolution, solve_qp
 from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
@@ -100,7 +92,6 @@ class ControllerConfig:
     bound_cfg: BoundConfig = field(default_factory=BoundConfig)
     integrator_cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
     T: float = 30.0
-    objective: str = "acc_effort"
     clf_form: str = "quadratic"
     z0: float = 90.0
     v0: float = 15.0
@@ -114,11 +105,9 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {radii}")
             object.__setattr__(self, name, radii)
         make_state(self.z0, self.v0)  # rejects a non-finite start state
-        for name, allowed in (("objective", OBJECTIVES), ("clf_form", CLF_FORMS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(
-                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
-                )
+        if self.clf_form not in CLF_FORMS:
+            raise ValueError(
+                f"clf_form must be one of {CLF_FORMS}, got {self.clf_form!r}")
 
 
 @dataclass
@@ -174,11 +163,6 @@ class SimulationError(RuntimeError):
         self.log = log
 
 
-def fallback_control(p: AccParams) -> float:
-    """Maximum braking force, applied while the QP is infeasible."""
-    return -p.cd * p.M * p.g_grav
-
-
 def _decision(
     sol: QpSolution, tau: float | None, margin: float, model: SystemModel
 ) -> ControlDecision:
@@ -222,9 +206,7 @@ def compute_control(
         safety = build_tlc_row(x_k, kind.tau_fixed, model)
     else:
         safety = build_hocbf_row(x_k, kind.p1, kind.p2, model)
-    inst = build_qp_instance(
-        [safety, clf], model, cfg.objective, x=x_k, params=cfg.params
-    )
+    inst = build_qp_instance([safety, clf], model, x_k, cfg.params.w)
     margin = row_margin(safety, model.u_min, model.u_max)
     # tau_fixed is None for hocbf, which has no time scale to log
     return _decision(solve_qp(inst), kind.tau_fixed, margin, model)
@@ -252,7 +234,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
             _finalize(log, dense)
             raise SimulationError(str(exc), log) from exc
         feasible = decision.status == "optimal"
-        u_apply = float(decision.u[0]) if feasible else fallback_control(cfg.params)
+        u_apply = float((decision.u if feasible else model.fallback)[0])
 
         record = EventRecord(
             index=k, t=t, x=x.copy(), tau=decision.tau, u=u_apply,
@@ -305,7 +287,3 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
 def _finalize(log: TrajectoryLog, dense: dict[str, list]) -> None:
     for key, values in dense.items():  # no segment: the log keeps its empty columns
         setattr(log, key, np.concatenate(values))
-
-
-def effort_integrand(u: Array, v: Array, p: AccParams) -> Array:
-    return ((u - resistance_force(v, p)) / p.M) ** 2

@@ -34,14 +34,21 @@ class MarginMap:
     tau_star: float | None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.tau_grid, dtype=float)
+        grid = ascending_grid(self.tau_grid)
         vals = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != vals.shape:
+        if grid.shape != vals.shape:
             raise ValueError("grid and values must be matching vectors")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-            raise ValueError("time-scale grid must be strictly increasing")
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "values", vals)
+
+
+def ascending_grid(tau_grid) -> Array:
+    """The time-scale grid as a float vector, checked to be nonempty and
+    strictly increasing."""
+    grid = np.asarray(tau_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("time-scale grid must be a nonempty strictly increasing vector")
+    return grid
 
 
 def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
@@ -63,9 +70,7 @@ def tau_star_scan(
     bounds the true minimal feasible scale from above; a finer grid
     tightens it.
     """
-    grid = np.asarray(tau_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("time-scale grid must be nonempty")
+    grid = ascending_grid(tau_grid)
     gs = stack_on_grid(box, model, cfg)
     values = atlc_rows(gs, grid, model).margins().max(axis=1)
     feasible = np.flatnonzero(values >= 0.0)

@@ -4,8 +4,9 @@ The controller stack only ever talks to a :class:`SystemModel`, which bundles
 the dynamics ``xdot = f(x) + g(x) u``, the safety output ``h`` together with
 its Lie derivatives up to the relative degree ``m``, the input gain
 ``phi = L_g L_f^(m-1) h`` (the only place the input enters the m-th
-derivative of ``h``), CLF terms, and the input box.  The car-following
-instance built by :func:`acc_model` is the one concrete model shipped here.
+derivative of ``h``), CLF terms, the input box, the controller's input cost
+and the fallback input.  The car-following instance built by
+:func:`acc_model` is the one concrete model shipped here.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class SystemModel:
     equals its per-state calls bit for bit, so worst-case bounds over a box
     and the lookahead rollouts need no Python-level loop.  All evaluators
     are pure functions.
+
+    ``cost(x)`` returns the q-vectors ``(diag, linear)`` of the controller's
+    input cost ``sum(diag * u * u) + linear @ u`` at one state, and
+    ``fallback`` is the input held while the QP is infeasible.
     """
 
     n: int
@@ -115,6 +120,8 @@ class SystemModel:
     clf_terms: Callable[[Array], tuple[float, float, Array]]
     u_min: Array
     u_max: Array
+    cost: Callable[[Array], tuple[Array, Array]]
+    fallback: Array
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -127,8 +134,13 @@ class SystemModel:
             raise ValueError("input bounds must be finite")
         if np.any(u_min > u_max):
             raise ValueError("need u_min <= u_max componentwise")
+        fallback = np.asarray(self.fallback, dtype=float)
+        if fallback.shape != (self.q,) or not np.all(
+                (u_min <= fallback) & (fallback <= u_max)):
+            raise ValueError("fallback input must be a q-vector in the input box")
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
+        object.__setattr__(self, "fallback", fallback)
 
 
 def resistance_force(v, p: AccParams):
@@ -136,6 +148,11 @@ def resistance_force(v, p: AccParams):
 
     Elementwise for an array of speeds."""
     return p.f0 * np.sign(v) + p.f1 * v + p.f2 * v * v
+
+
+def effort_integrand(u: Array, v: Array, p: AccParams) -> Array:
+    """Squared net acceleration ((u - F_r(v)) / M)^2, the control effort."""
+    return ((u - resistance_force(v, p)) / p.M) ** 2
 
 
 def _columns(x: Array, *values) -> Array:
@@ -217,6 +234,11 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
         V, lfV, lgV = acc_clf_terms(x, p, clf_form)
         return V, lfV, _columns(x, lgV)
 
+    def cost(x: Array) -> tuple[Array, Array]:
+        # effort_integrand expanded in u; the constant term is dropped
+        m2 = p.M**2
+        return np.array([1.0 / m2]), np.array([-2.0 * resistance_force(x[1], p) / m2])
+
     return SystemModel(
         n=2,
         q=1,
@@ -227,4 +249,6 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
         clf_terms=clf_terms,
         u_min=np.array([p.u_min]),
         u_max=np.array([p.u_max]),
+        cost=cost,
+        fallback=np.array([p.u_min]),  # maximum braking
     )

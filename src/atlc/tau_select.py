@@ -76,8 +76,6 @@ class ControlDecision:
 
 
 def candidate_taus(cfg: TauSelectConfig) -> Array:
-    if cfg.n_candidates == 1:
-        return np.array([cfg.tau_min])
     return np.linspace(cfg.tau_min, cfg.tau_max, cfg.n_candidates)
 
 
@@ -125,7 +123,7 @@ def _solve_rows(
     QP with the row added and the input box cut to the row's part.  Per
     time scale, returns the first feasible row's optimum with the least
     objective, its objective and its feasibility flag."""
-    base = build_qp_instance([clf_row], model, cfg.objective, x=x_k, params=cfg.params)
+    base = build_qp_instance([clf_row], model, x_k, cfg.params.w)
     a_clf, b_clf = clf_row
     n_tau, n_branch, q = rows.gains.shape
     a = np.zeros((n_tau, n_branch, 2, q + 1))
@@ -155,8 +153,8 @@ def solve_event_qp(
     rows = atlc_rows(gs, [tau], model)
     solutions = [
         solve_qp(build_qp_instance(
-            [rows.row(0, b), clf_row], model, cfg.objective, x=x_k,
-            params=cfg.params, u_lower=lower, u_upper=upper,
+            [rows.row(0, b), clf_row], model, x_k, cfg.params.w,
+            u_lower=lower, u_upper=upper,
         ))
         for b, (lower, upper) in enumerate(zip(rows.lower, rows.upper))
     ]

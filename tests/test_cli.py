@@ -169,7 +169,7 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     "T_look=NaN", "T_look=Infinity", "tau_max=Infinity",
     "n_tau=2.9", "n_tau=true", 'n_tau="3"', "n_tau=NaN", 'tlc_robust="false"',
     "tlc_robust=0", "T=true", "cd=true", "box_under=true", "box_over=[0.5, false]",
-    'z0="90"', "tau_min=true", 'T_look="1"',
+    'z0="90"', "tau_min=true", 'T_look="1"', "objective=acc_effort",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
@@ -288,6 +288,7 @@ def test_margin_map_single_point_and_infeasible(tmp_path):
 @pytest.mark.parametrize("grid_args", [
     ["--n-tau", "0"], ["--n-tau", "-3"], ["--tau-min", "0"],
     ["--tau-min", "1.5", "--tau-max", "0.5"],
+    ["--tau-min", "0.5", "--tau-max", "0.5"],
 ])
 def test_margin_map_rejects_bad_grid(tmp_path, capsys, grid_args):
     cfg = write_config(tmp_path / "s.json", kind="atlc")

@@ -203,25 +203,15 @@ def test_rows_are_affine_with_slack_column(model):
     assert a_clf[1] == 1.0
 
 
-def test_build_qp_instance_objectives(model, params):
+def test_build_qp_instance_cost(model, params):
+    """The model's effort cost ((u - F_r(v)) / M)^2 expanded in u, bit for
+    bit, plus the slack weight; the box gains the slack's bounds."""
     x = make_state(90.0, 15.0)
     rows = [build_clf_row(x, params.c3, model)]
-
-    plain = build_qp_instance(rows, model, "plain", x=x, params=params)
-    np.testing.assert_allclose(plain.quadratic_diag, [1.0, params.w])
-    np.testing.assert_allclose(plain.linear_cost, [0.0, 0.0])
-
-    effort = build_qp_instance(rows, model, "acc_effort", x=x, params=params)
-    np.testing.assert_allclose(
-        effort.quadratic_diag, [1.0 / params.M**2, params.w], rtol=1e-15
-    )
-    np.testing.assert_allclose(
-        effort.linear_cost, [-2.0 * 131.35 / params.M**2, 0.0], rtol=1e-15
-    )
-    np.testing.assert_allclose(effort.lower, [params.u_min, 0.0])
-    np.testing.assert_allclose(effort.upper, [params.u_max, 1.0e7])
-
-    with pytest.raises(ValueError):
-        build_qp_instance(rows, model, "l1", x=x, params=params)
-    with pytest.raises(ValueError):
-        build_qp_instance(rows, model, "acc_effort")
+    inst = build_qp_instance(rows, model, x, params.w)
+    fr = resistance_force(x[1], params)
+    assert fr == pytest.approx(131.35, rel=1e-15)
+    assert inst.quadratic_diag.tolist() == [1.0 / params.M**2, params.w]
+    assert inst.linear_cost.tolist() == [-2.0 * fr / params.M**2, 0.0]
+    assert inst.lower.tolist() == [params.u_min, 0.0]
+    assert inst.upper.tolist() == [params.u_max, 1.0e7]

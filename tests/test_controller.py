@@ -10,8 +10,8 @@ from atlc import (
     ControllerConfig,
     ControllerKind,
     ZenoError,
+    acc_model,
     compute_control,
-    fallback_control,
     make_box,
     make_state,
     simulate_closed_loop,
@@ -23,8 +23,8 @@ from atlc.tau_select import candidate_taus
 
 
 def test_fallback_values():
-    assert fallback_control(AccParams(cd=0.4)) == pytest.approx(-6474.6)
-    assert fallback_control(AccParams(cd=1.2)) == pytest.approx(-19423.8)
+    assert acc_model(AccParams(cd=0.4)).fallback[0] == pytest.approx(-6474.6)
+    assert acc_model(AccParams(cd=1.2)).fallback[0] == pytest.approx(-19423.8)
     with pytest.raises(ValueError):
         AccParams(cd=0.0)
 
@@ -206,7 +206,7 @@ def test_fallback_engages_and_is_logged():
     )
     log = simulate_closed_loop(cfg)
     assert not log.events[0].feasible
-    assert log.events[0].u == pytest.approx(fallback_control(p))
+    assert log.events[0].u == pytest.approx(acc_model(p).fallback[0])
     assert sum(not e.feasible for e in log.events) >= 1
 
 

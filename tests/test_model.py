@@ -155,16 +155,16 @@ def test_acc_params_invariants():
 def test_system_model_invariants(params):
     m = acc_model(params)
     assert (m.n, m.q, m.m) == (2, 1, 2)
-    with pytest.raises(ValueError):
-        SystemModel(
-            n=2, q=1, m=0, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
-            clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
-        )
-    with pytest.raises(ValueError):
-        SystemModel(
-            n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
-            clf_terms=m.clf_terms, u_min=np.array([1.0]), u_max=np.array([-1.0]),
-        )
+    assert m.fallback.tolist() == m.u_min.tolist()  # maximum braking
+    fields = dict(n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
+                  clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
+                  cost=m.cost, fallback=m.fallback)
+    SystemModel(**fields)
+    for bad in ({"m": 0}, {"u_min": np.array([1.0]), "u_max": np.array([-1.0])},
+                {"fallback": np.array([0.0, 0.0])}, {"fallback": 0.0},
+                {"fallback": m.u_max + 1.0}, {"fallback": np.array([np.nan])}):
+        with pytest.raises(ValueError):
+            SystemModel(**{**fields, **bad})
 
 
 @pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])

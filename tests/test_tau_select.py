@@ -54,9 +54,7 @@ def scripted_selection(x, box, cfg, model):
         # constant gain: both sign branches give this one row
         gain = np.append(g_ratlc_from_stack(gs, tau, [1.0]), 0.0)
         row = gain, -h_ratlc_from_stack(gs, tau)
-        inst = build_qp_instance(
-            [row, clf], model, cfg.objective, x=x, params=cfg.params
-        )
+        inst = build_qp_instance([row, clf], model, x, cfg.params.w)
         sol = solve_qp(inst)
         if sol.status != "optimal":
             table.append((tau, -math.inf))
