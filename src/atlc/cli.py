@@ -30,7 +30,7 @@ from .controller import (
     ZenoError,
     simulate_closed_loop,
 )
-from .margin import ascending_grid, tau_star_scan
+from .margin import tau_star_scan
 from .model import AccParams, acc_model, effort_integrand, make_state
 from .robust_bounds import make_box
 from .tau_select import TauSelectConfig, candidate_taus, with_predictions
@@ -171,20 +171,24 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    """fmt of each entry of a float array, through Python floats."""
+    return ["" if x != x else f"{x:.9g}" for x in values.tolist()]
+
+
 def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
     events_by_index = {e.index: e for e in log.events}
     seen: set[int] = set()
     rows = []
-    for i in range(log.t.size):
-        k = int(log.event_index[i])
+    for t, z, v, u, h, V, delta, k, feasible in zip(
+            *map(_fmt_floats, (log.t, log.z, log.v, log.u, log.h, log.V, log.delta)),
+            log.event_index.tolist(), log.feasible.tolist()):
         event = events_by_index[k]
         is_event_row = k not in seen
         seen.add(k)
         rows.append([
-            fmt(log.t[i]), fmt(log.z[i]), fmt(log.v[i]), fmt(log.u[i]),
-            fmt(event.tau) if is_event_row else "",
-            fmt(log.h[i]), fmt(log.V[i]), fmt(log.delta[i]),
-            str(k), fmt(bool(log.feasible[i])),
+            t, z, v, u, fmt(event.tau) if is_event_row else "", h, V, delta,
+            str(k), "1" if feasible else "0",
             fmt(event.dt_inter_event) if is_event_row else "",
         ])
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
@@ -229,19 +233,18 @@ def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
     exactly.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         rows = list(reader)
     if not rows:
         return {
             "min_h": None, "event_count": 0, "infeasible_events": 0,
             "effort": 0.0, "mean_abs_du": 0.0,
         }
-    t = np.array([float(r["t"]) for r in rows])
-    v = np.array([float(r["v"]) for r in rows])
-    u = np.array([float(r["u"]) for r in rows])
-    h = np.array([float(r["h"]) for r in rows])
-    event_index = np.array([int(r["event_index"]) for r in rows])
-    feasible = np.array([r["feasible"] == "1" for r in rows])
+    column = dict(zip(header, zip(*rows)))
+    t, v, u, h = (np.array(list(map(float, column[key]))) for key in "tvuh")
+    event_index = np.array(list(map(int, column["event_index"])))
+    feasible = np.array([value == "1" for value in column["feasible"]])
 
     effort = float(np.trapezoid(effort_integrand(u, v, params), t))
 
@@ -389,11 +392,11 @@ def cmd_margin_map(args) -> int:
         cfg = build_controller_config(scenario)
         x = make_state(args.z, args.v)
         tc = cfg.tau_cfg
-        grid = ascending_grid(candidate_taus(TauSelectConfig(
+        grid = candidate_taus(TauSelectConfig(
             tau_min=tc.tau_min if args.tau_min is None else args.tau_min,
             tau_max=tc.tau_max if args.tau_max is None else args.tau_max,
             n_candidates=tc.n_candidates if args.n_tau is None else args.n_tau,
-        )))
+        ))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -167,12 +167,18 @@ def _columns(x: Array, *values) -> Array:
 def acc_dynamics_rhs(x: Array, u, p: AccParams) -> Array:
     """Time derivative of (gap, speed) under traction/braking force u [N].
 
-    ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs."""
+    ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs.  One
+    state is evaluated in Python floats, a batch in place with ufuncs; both
+    do the IEEE operations of :func:`resistance_force` in its order, so a
+    batch equals its per-state calls bit for bit."""
+    if x.ndim == 1:  # one state: Python floats cost less than numpy scalars
+        force = u.item() if isinstance(u, np.ndarray) else float(u)
+        v = x.item(1)
+        # sgn(v) as a comparison; a NaN speed still propagates through f1 * v
+        fr = p.f0 * ((v > 0.0) - (v < 0.0)) + p.f1 * v + p.f2 * v * v
+        return np.array([p.vp - v, (force - fr) / p.M])
     u = np.asarray(u, dtype=float)
     force = u[..., 0] if u.ndim else u[()]
-    if x.ndim == 1:  # scalar arithmetic is cheaper than 0-d arrays
-        v = x[1]
-        return _columns(x, p.vp - v, (force - resistance_force(v, p)) / p.M)
     # a batch: the operations of resistance_force, in its order, in place;
     # the last argument of each ufunc is its output (positional: cheaper)
     f0, f1, f2, M, vp = p._rhs_operands

@@ -17,6 +17,14 @@ located by root finding on the dense interpolant of the step that
 crossed.  Dense log samples are produced at a fixed spacing independent of
 the internal adaptive steps, each from the interpolant of its step.
 
+Step sizes, error norms and the root search's interpolant powers are
+Python floats, and the elementwise parts of the dense samples are one array
+operation per segment: the same IEEE operations, so the same bits, without
+numpy-scalar overhead.  Every dot product stays the BLAS call scipy makes,
+on the same operands (``ndarray.dot`` is the C function behind ``np.dot``,
+without its dispatch wrapper): OpenBLAS picks an FMA kernel per CPU, so a
+sum written out in Python would match scipy on some machines only.
+
 The lookahead rollouts of the time-scale selection need no event location,
 only the dense samples, so they take one classic fixed-step RK4 step per
 sample and advance a whole batch of constant inputs together through the
@@ -125,8 +133,9 @@ def _dense_times(t_start: float, t_end: float, dt: float = DENSE_DT) -> Array:
     return times
 
 
-def _rms(x: Array):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x: Array) -> float:
+    """np.linalg.norm(x) / sqrt(size): the norm is sqrt(x . x)."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(rhs, u, y0: Array, f0: Array, span: float, cfg: IntegratorConfig):
@@ -158,16 +167,8 @@ class _Step:
 
     def at(self, t: float) -> Array:
         x = (t - self.t_old) / self.h
-        p = (_ONES[:, 0] * x).cumprod()
-        return self.h * np.dot(self.Q, p) + self.y_old
-
-    def at_many(self, times: Array) -> Array:
-        """(n, len(times)) states."""
-        x = (times - self.t_old) / self.h
-        p = (_ONES * x).cumprod(axis=0)
-        y = self.h * np.dot(self.Q, p)
-        y += self.y_old[:, None]
-        return y
+        x2 = x * x  # the powers as cumprod forms them
+        return self.h * self.Q.dot(np.array([x, x2, x2 * x, x2 * x * x])) + self.y_old
 
 
 def integrate_until_trigger(
@@ -198,6 +199,7 @@ def integrate_until_trigger(
     f = rhs(y, u)
     h_abs = _initial_step(rhs, u, y, f, t_bound - t, cfg)
     K = np.empty((_N_STAGES + 1, y.size))  # the stages of the last step
+    KT = [K[:s].T for s in range(_N_STAGES + 2)]  # the first s stages, as columns
     # faces upper_0, lower_0, upper_1, ...: a face fires when its outward
     # gap (y_i - bound) * outward goes from <= 0 to >= 0 over a step
     faces = [
@@ -208,9 +210,11 @@ def integrate_until_trigger(
     gap = _outward_gaps(y, faces)
     ends, steps = [t], []
     exit_face = None
+    y_abs = np.abs(y)
     while exit_face is None and t < t_bound:
-        t_new, y_new, f_new, h_abs = _step(rhs, u, t, y, f, h_abs, t_bound, K, cfg)
-        step = _Step(t, t_new, t_new - t, y, K.T.dot(_P))
+        t_new, y_new, f_new, y_abs, h_abs = _step(
+            rhs, u, t, y, f, y_abs, h_abs, t_bound, K, KT, cfg)
+        step = _Step(t, t_new, t_new - t, y, KT[-1].dot(_P))
         gap_new = _outward_gaps(y_new, faces)
         fired = [
             face for face, old, new in zip(faces, gap, gap_new) if old <= 0 <= new
@@ -245,10 +249,11 @@ def integrate_until_trigger(
     )
 
 
-def _step(rhs, u, t, y, f, h_abs, t_bound, K, cfg: IntegratorConfig):
-    """One accepted Dormand-Prince step from (t, y) with f = rhs(y, u), under
-    scipy's RK45 step-size control; fills K with the step's stages and
-    returns (t_new, y_new, f_new, next h_abs)."""
+def _step(rhs, u, t, y, f, y_abs, h_abs, t_bound, K, KT, cfg: IntegratorConfig):
+    """One accepted Dormand-Prince step from (t, y) with f = rhs(y, u) and
+    y_abs = |y|, under scipy's RK45 step-size control.  K[:s].T is KT[s].
+    Fills K with the step's stages and returns (t_new, y_new, f_new,
+    |y_new|, next h_abs); step sizes and error norms are Python floats."""
     min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     if h_abs > cfg.max_step:
         h_abs = cfg.max_step
@@ -258,30 +263,30 @@ def _step(rhs, u, t, y, f, h_abs, t_bound, K, cfg: IntegratorConfig):
     while True:
         if h_abs < min_step:
             raise IntegrationError(
-                "Required step size is less than spacing between numbers.",
-                float(t), y,
-            )
+                "Required step size is less than spacing between numbers.", t, y)
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
-        h_abs = np.abs(h)
+        h_abs = abs(h)
         K[0] = f
         for s, a in enumerate(_A_ROWS, start=1):
-            K[s] = rhs(y + np.dot(K[:s].T, a) * h, u)
-        y_new = y + h * np.dot(K[:-1].T, _B)
+            K[s] = rhs(y + KT[s].dot(a) * h, u)
+        y_new = y + h * KT[-2].dot(_B)
         f_new = K[-1] = rhs(y_new, u)
-        scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        y_new_abs = np.abs(y_new)
+        scale = cfg.abs_tol + np.maximum(y_abs, y_new_abs) * cfg.rel_tol
+        error_norm = _rms(KT[-1].dot(_E) * h / scale)
         if error_norm < 1:
             break
-        if np.isnan(error_norm):  # no step size would ever be accepted
-            raise IntegrationError("the error estimate is not a number", float(t), y)
+        if math.isnan(error_norm):  # no step size would ever be accepted
+            raise IntegrationError("the error estimate is not a number", t, y)
         h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
         rejected = True
     if error_norm == 0:
         factor = _MAX_FACTOR
     else:
         factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
-    return t_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
+    next_h_abs = h_abs * (min(1, factor) if rejected else factor)
+    return t_new, y_new, f_new, y_new_abs, next_h_abs
 
 
 def _outward_gaps(y: Array, faces: list) -> list:
@@ -364,14 +369,22 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100):
 
 def _dense_states(ends: list, steps: list, times: Array, n: int) -> Array:
     """(len(times), n) samples, each from the interpolant of the step that
-    contains it; a sample on a breakpoint belongs to the earlier step."""
+    contains it; a sample on a breakpoint belongs to the earlier step.
+
+    The abscissae, their powers, the h scaling and the y_old offset are one
+    array operation each over all samples; only the product with each
+    step's Q is made per step, on that step's columns of the powers."""
     which = np.searchsorted(ends, times, side="left") - 1
     which = np.clip(which, 0, len(steps) - 1)
-    out = np.empty((times.size, n))
-    cuts = np.flatnonzero(np.diff(which)) + 1
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), times.size]):
-        out[lo:hi] = steps[which[lo]].at_many(times[lo:hi]).T
-    return out
+    t_old, h = np.array([(step.t_old, step.h) for step in steps])[which].T
+    p = (_ONES * ((times - t_old) / h)).cumprod(axis=0)
+    y = np.empty((times.size, n))
+    cuts = (np.flatnonzero(np.diff(which)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, times.size]):
+        y[lo:hi] = steps[which[lo]].Q.dot(p[:, lo:hi]).T
+    y *= h[:, None]
+    y += np.array([step.y_old for step in steps])[which]
+    return y
 
 
 def integrate_fixed_horizon(

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constraints import RobustRows, atlc_rows, build_clf_row, build_qp_instance
+from .margin import ascending_grid
 from .model import SystemModel
 from .qp import QpSolution, solve_qp, solve_qp_stack
 from .robust_bounds import Box, GridStack, stack_on_grid
@@ -51,6 +52,7 @@ class TauSelectConfig:
         n = self.n_candidates
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n_candidates must be an int >= 1, got {n!r}")
+        ascending_grid(candidate_taus(self))  # equal bounds: one candidate only
         if not 0.0 < self.T_look < math.inf:
             raise ValueError("lookahead horizon must be positive and finite")
 

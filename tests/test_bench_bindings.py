@@ -55,3 +55,32 @@ def test_tracer_reads_an_adaptive_decision():
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["40", "2", "2"]
+
+
+def test_tracer_counts_every_trigger_rhs_call():
+    """The traced run's model.rhs_evals.trigger counts the one-state rhs
+    calls through acc_dynamics_rhs; here it equals the model.rhs calls of
+    the trigger segments of a short tlc_cd04 run, counted on the model."""
+    script = "\n".join([
+        "import dataclasses, pathlib",
+        "import atlc.cli, atlc.controller as controller, tracer",
+        "probe = tracer.Tracer()",
+        "probe.install()",
+        "calls = []",
+        "traced = controller.integrate_until_trigger",
+        "def counting(x, u, box, t0, t1, model, cfg):",
+        "    def rhs(y, v):",
+        "        calls.append(None)",
+        "        return model.rhs(y, v)",
+        "    counted = dataclasses.replace(model, rhs=rhs)",
+        "    return traced(x, u, box, t0, t1, counted, cfg)",
+        "controller.integrate_until_trigger = counting",
+        "path = pathlib.Path('scenarios/tlc_cd04.json')",
+        "scenario = atlc.cli.load_scenario(path, {'T': 0.3})",
+        "controller.simulate_closed_loop(atlc.cli.build_controller_config(scenario))",
+        "print(probe.counts.get('model.rhs_evals.trigger', 0), len(calls))",
+    ])
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    counted, calls = map(int, proc.stdout.split())
+    assert counted > 0 and counted == calls

@@ -170,6 +170,7 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     "n_tau=2.9", "n_tau=true", 'n_tau="3"', "n_tau=NaN", 'tlc_robust="false"',
     "tlc_robust=0", "T=true", "cd=true", "box_under=true", "box_over=[0.5, false]",
     'z0="90"', "tau_min=true", 'T_look="1"', "objective=acc_effort",
+    "tau_min=2.0", "tau_max=0.05",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)

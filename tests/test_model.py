@@ -170,14 +170,15 @@ def test_system_model_invariants(params):
 @pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])
 def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
     """Every evaluator on an (S, K, n) batch, and rhs with (S, K, q) inputs,
-    equals its per-state calls bit for bit, also at v = 0, v = -0, v < 0
-    and a NaN speed."""
+    equals its per-state calls bit for bit, also at v = 0, v = -0, v < 0,
+    a NaN speed, subnormal speeds and huge finite ones."""
     m = sign_gain_model if name == "sign_gain" else acc_model(params, name)
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(10, 150, 64), rng.uniform(1, 35, 64)])
-    special = [[40.0, 0.0], [40.0, -1.5], [40.0, -0.0], [40.0, np.nan]]
-    states = np.vstack([pts, special]).reshape(4, 17, 2)
-    inputs = rng.uniform(params.u_min, params.u_max, (4, 17, 1))
+    special = [[40.0, 0.0], [40.0, -1.5], [40.0, -0.0], [40.0, np.nan],
+               [40.0, 5e-324], [40.0, -5e-324], [40.0, 1e100], [40.0, -1e100]]
+    states = np.vstack([pts, special]).reshape(6, 12, 2)
+    inputs = rng.uniform(params.u_min, params.u_max, (6, 12, 1))
     V, lfV, lgV = m.clf_terms(states)
     batches = {"lie_stack": m.lie_stack(states), "phi": m.phi(states),
                "rhs": m.rhs(states, inputs), "V": V, "L_f V": lfV, "L_g V": lgV}
@@ -192,5 +193,7 @@ def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
             assert found.tobytes() == np.asarray(value).tobytes(), key
     # the lattice bounds take stack @ weights, whose rounding follows the layout
     assert batches["lie_stack"].flags.c_contiguous
-    assert m.rhs(states[0, 0], float(inputs[0, 0, 0])).tobytes() == \
-        m.rhs(states[0, 0], inputs[0, 0]).tobytes()
+    # one state: a Python float, a 0-d and a (1,) input give the same bytes
+    for x, u in zip(states.reshape(-1, 2), inputs.reshape(-1).tolist()):
+        rates = {m.rhs(x, v).tobytes() for v in (u, np.array(u), np.array([u]))}
+        assert len(rates) == 1

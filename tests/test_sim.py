@@ -155,16 +155,20 @@ def _oscillator_cases(model, params):
         params, lambda rng: rng.uniform(-2.0, 2.0, size=2), 64)
 
 
+@pytest.mark.parametrize("max_step", [0.003, 0.01, 0.05])
 @pytest.mark.parametrize(
     "system", [_case_study_cases, _oscillator_cases], ids=["case_study", "oscillator"]
 )
-def test_segments_match_solve_ivp_bit_for_bit(system, model, params):
+def test_segments_match_solve_ivp_bit_for_bit(system, max_step, model, params):
+    """Also with steps longer and shorter than the log spacing, so that a
+    step holds several dense samples or none."""
     model, cases = system(model, params)
+    cfg = dataclasses.replace(CFG, max_step=max_step)
     reasons = set()
     for x0, u, box, t0, t1 in cases:
         counted, calls = counting(model)
-        seg = integrate_until_trigger(x0, u, box, t0, t1, counted, CFG)
-        ref, nfev = solve_ivp_segment(x0, u, box, t0, t1, model, CFG)
+        seg = integrate_until_trigger(x0, u, box, t0, t1, counted, cfg)
+        ref, nfev = solve_ivp_segment(x0, u, box, t0, t1, model, cfg)
         for field in dataclasses.fields(Segment):
             got, want = getattr(seg, field.name), getattr(ref, field.name)
             assert np.array_equal(got, want), (field.name, got, want)

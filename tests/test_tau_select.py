@@ -75,6 +75,8 @@ def test_config_validation():
         TauSelectConfig(tau_min=0.0)
     with pytest.raises(ValueError):
         TauSelectConfig(tau_min=2.0, tau_max=1.0)
+    with pytest.raises(ValueError):  # 40 equal candidates
+        TauSelectConfig(tau_min=0.5, tau_max=0.5)
     for bad in (0, -3, True, 2.0, 2.5, math.nan, "3", None):
         with pytest.raises(ValueError):
             TauSelectConfig(n_candidates=bad)
