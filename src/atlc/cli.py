@@ -1,11 +1,11 @@
 """Scenario runner and comparison harness.
 
-Scenarios are flat JSON files; missing keys fall back to the case-study
-defaults and unknown keys are rejected.  All outputs are UTF-8 CSV with LF
-line endings and floats printed to 9 significant digits, so identical
-configs reproduce byte-identical files.  Summary statistics are computed
-from the rounded values as they appear in the trajectory CSV, which makes
-the summary exactly reproducible by re-parsing the CSV.
+Scenarios are flat JSON files; a missing key keeps the default of the
+config field it sets, and an unknown key is rejected.  All outputs are
+UTF-8 CSV with LF line endings and floats printed to 9 significant digits,
+so identical configs reproduce byte-identical files.  Summary statistics
+are computed from the rounded values as they appear in the trajectory CSV,
+which makes the summary exactly reproducible by re-parsing the CSV.
 
 Exit codes: 0 clean run, 1 bad config, 2 safety violated (min h < 0),
 3 aborted (Zeno diagnostic or integrator failure).
@@ -44,19 +44,11 @@ EVENT_COLUMNS = [
     "margin", "dt_inter_event",
 ]
 
-DEFAULTS = {
-    "vp": 13.89, "vd": 24.0, "M": 1650.0, "f0": 0.1, "f1": 5.0, "f2": 0.25,
-    "lp": 10.0, "c3": 2.0, "w": 1.0e5, "ca": 0.4, "cd": 0.4,
-    "tau_min": 0.05, "tau_max": 2.0, "n_tau": 40, "T_look": 1.0,
-    "box_under": 0.5, "box_over": 0.5, "T": 30.0, "kind": "atlc",
-    "tau_fixed": 0.5, "tlc_robust": True, "clf_form": "quadratic",
-    "z0": 90.0, "v0": 15.0,
-}
 PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
 FLOAT_KEYS = PARAM_KEYS + (
     "tau_min", "tau_max", "T_look", "T", "z0", "v0", "tau_fixed", "p1", "p2")
-OPTIONAL_KEYS = {"id", "p1", "p2"}
-KNOWN_KEYS = set(DEFAULTS) | OPTIONAL_KEYS
+KNOWN_KEYS = set(FLOAT_KEYS) | {
+    "n_tau", "box_under", "box_over", "kind", "tlc_robust", "id"}
 
 
 class ConfigError(ValueError):
@@ -93,8 +85,7 @@ def load_scenario(path: Path, overrides: dict | None = None) -> dict:
     unknown = sorted(set(raw) - KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    merged = dict(DEFAULTS)
-    merged.update(raw)
+    merged = dict(raw)
     if overrides:
         bad = sorted(set(overrides) - KNOWN_KEYS)
         if bad:
@@ -126,37 +117,50 @@ def _radii(key: str, value) -> np.ndarray:
     return arr
 
 
-def build_controller_config(scenario: dict) -> ControllerConfig:
+def _kind(scenario: dict, num: dict) -> dict:
+    """The kind argument of ControllerConfig, empty when the scenario names
+    no kind; tlc_robust is checked whatever the kind."""
+    fixed = {}
+    if "tlc_robust" in scenario:
+        robust = scenario["tlc_robust"]
+        if not isinstance(robust, bool):
+            raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
+        fixed["robust"] = robust
+    if "tau_fixed" in num:
+        fixed["tau"] = num["tau_fixed"]
+    if "kind" not in scenario:
+        return {}
     kind_name = scenario["kind"]
-    robust = scenario["tlc_robust"]
-    if not isinstance(robust, bool):
-        raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
+    if kind_name == "tlc_fixed":
+        return {"kind": ControllerKind.tlc_fixed(**fixed)}
+    if kind_name == "hocbf":
+        if "p1" not in num or "p2" not in num:
+            raise ConfigError("kind 'hocbf' requires keys p1 and p2")
+        return {"kind": ControllerKind.hocbf(num["p1"], num["p2"])}
+    if kind_name == "atlc":
+        return {"kind": ControllerKind.atlc()}
+    raise ConfigError(f"unknown kind {kind_name!r}")
+
+
+def build_controller_config(scenario: dict) -> ControllerConfig:
+    """The config a scenario describes: each key it gives sets one field,
+    and each key it leaves out keeps that field's default."""
     try:
         num = {key: _number(key, scenario[key])
                for key in FLOAT_KEYS if key in scenario}
-        n_tau = _number("n_tau", scenario["n_tau"])
-        if not n_tau.is_integer():
-            raise ConfigError(f"n_tau must be an integer, got {scenario['n_tau']!r}")
-        if kind_name in ("tlc", "tlc_fixed"):
-            kind = ControllerKind.tlc_fixed(num["tau_fixed"], robust=robust)
-        elif kind_name == "hocbf":
-            if "p1" not in scenario or "p2" not in scenario:
-                raise ConfigError("kind 'hocbf' requires keys p1 and p2")
-            kind = ControllerKind.hocbf(num["p1"], num["p2"])
-        elif kind_name == "atlc":
-            kind = ControllerKind.atlc()
-        else:
-            raise ConfigError(f"unknown kind {kind_name!r}")
-        params = AccParams(**{key: num[key] for key in PARAM_KEYS})
-        tau_cfg = TauSelectConfig(
-            tau_min=num["tau_min"], tau_max=num["tau_max"],
-            n_candidates=int(n_tau), T_look=num["T_look"],
-        )
+        fields = _kind(scenario, num)
+        tau = {key: num[key] for key in ("tau_min", "tau_max", "T_look") if key in num}
+        if "n_tau" in scenario:
+            n_tau = _number("n_tau", scenario["n_tau"])
+            if not n_tau.is_integer():
+                raise ConfigError(f"n_tau must be an integer, got {scenario['n_tau']!r}")
+            tau["n_candidates"] = int(n_tau)
+        fields.update((key, _radii(key, scenario[key]))
+                      for key in ("box_under", "box_over") if key in scenario)
+        fields.update((key, num[key]) for key in ("T", "z0", "v0") if key in num)
         return ControllerConfig(
-            kind=kind, params=params, tau_cfg=tau_cfg, T=num["T"],
-            box_under=_radii("box_under", scenario["box_under"]),
-            box_over=_radii("box_over", scenario["box_over"]),
-            z0=num["z0"], v0=num["v0"], clf_form=str(scenario["clf_form"]),
+            params=AccParams(**{key: num[key] for key in PARAM_KEYS if key in num}),
+            tau_cfg=TauSelectConfig(**tau), **fields,
         )
     except ConfigError:
         raise
@@ -387,22 +391,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_margin_map(args) -> int:
+    grid_flags = {"tau_min": args.tau_min, "tau_max": args.tau_max,
+                  "n_tau": args.n_tau}
     try:
-        scenario = load_scenario(Path(args.config))
+        scenario = load_scenario(Path(args.config), {
+            key: value for key, value in grid_flags.items() if value is not None})
         cfg = build_controller_config(scenario)
         x = make_state(args.z, args.v)
-        tc = cfg.tau_cfg
-        grid = candidate_taus(TauSelectConfig(
-            tau_min=tc.tau_min if args.tau_min is None else args.tau_min,
-            tau_max=tc.tau_max if args.tau_max is None else args.tau_max,
-            n_candidates=tc.n_candidates if args.n_tau is None else args.n_tau,
-        ))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a non-finite state
         print(f"error: {exc}", file=sys.stderr)
         return 1
     model = acc_model(cfg.params, cfg.clf_form)
     box = make_box(x, cfg.box_under, cfg.box_over)
-    result = tau_star_scan(box, grid, model, cfg.bound_cfg)
+    result = tau_star_scan(box, candidate_taus(cfg.tau_cfg), model, cfg.bound_cfg)
     rows = [
         [fmt(tau), fmt(value), fmt(value >= 0.0), fmt(result.tau_star)]
         for tau, value in zip(result.tau_grid, result.values)

@@ -89,32 +89,22 @@ def row_margin(row: tuple[Array, float], lower: Array, upper: Array) -> float:
     return float(_best_slack(a[:-1], -b, lower, upper))  # no slack column
 
 
-def build_tlc_row(x: Array, tau: float, model: SystemModel) -> tuple[Array, float]:
-    """Pointwise fixed-time-scale safety row for a relative-degree-2 output.
+def build_pointwise_row(
+    x: Array, c1: float, c0: float, model: SystemModel
+) -> tuple[Array, float]:
+    """Second-order barrier row at the state x for a relative-degree-2
+    output: phi(x) @ u >= -(L_f^2 h + c1 L_f h + c0 h).
 
-    phi(x) @ u >= -(L_f^2 h + (2/tau) L_f h + (2/tau^2) h), the exact
-    second-order Taylor condition normalized by tau^2/2.
+    The fixed-time-scale row takes (c1, c0) = (2/tau, 2/tau^2), the exact
+    second-order Taylor condition normalized by tau^2/2; the high-order
+    barrier row with rates p1, p2 takes (p1 + p2, p1 p2).
     """
-    if tau <= 0.0:
-        raise ValueError(f"time scale must be positive, got {tau}")
+    if not (c1 > 0.0 and c0 > 0.0):
+        raise ValueError(f"row coefficients must be positive, got {c1}, {c0}")
     if model.m != 2:
         raise ValueError("pointwise row is defined for relative degree 2")
     h, lfh, lf2h = model.lie_stack(x)
-    rhs = -(lf2h + (2.0 / tau) * lfh + (2.0 / tau**2) * h)
-    return np.concatenate([model.phi(x), [0.0]]), rhs
-
-
-def build_hocbf_row(
-    x: Array, p1: float, p2: float, model: SystemModel
-) -> tuple[Array, float]:
-    """Second-order barrier row phi(x) @ u >= -(L_f^2 h + (p1+p2) L_f h + p1 p2 h)."""
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise ValueError("barrier rates must be positive")
-    if model.m != 2:
-        raise ValueError("second-order barrier row needs relative degree 2")
-    h, lfh, lf2h = model.lie_stack(x)
-    rhs = -(lf2h + (p1 + p2) * lfh + p1 * p2 * h)
-    return np.concatenate([model.phi(x), [0.0]]), rhs
+    return np.concatenate([model.phi(x), [0.0]]), -(lf2h + c1 * lfh + c0 * h)
 
 
 def build_clf_row(x: Array, c3: float, model: SystemModel) -> tuple[Array, float]:

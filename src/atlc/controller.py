@@ -17,9 +17,8 @@ import numpy as np
 
 from .constraints import (
     build_clf_row,
-    build_hocbf_row,
+    build_pointwise_row,
     build_qp_instance,
-    build_tlc_row,
     row_margin,
 )
 from .margin import margin_from_stack
@@ -74,7 +73,7 @@ class ControllerKind:
         return ControllerKind(name="hocbf", p1=p1, p2=p2)
 
     @staticmethod
-    def tlc_fixed(tau: float, robust: bool = True) -> "ControllerKind":
+    def tlc_fixed(tau: float = 0.5, robust: bool = True) -> "ControllerKind":
         return ControllerKind(name="tlc_fixed", tau_fixed=tau, robust=robust)
 
     @staticmethod
@@ -203,9 +202,10 @@ def compute_control(
         return _decision(sol, kind.tau_fixed, margin, model)
 
     if kind.name == "tlc_fixed":
-        safety = build_tlc_row(x_k, kind.tau_fixed, model)
+        c1, c0 = 2.0 / kind.tau_fixed, 2.0 / kind.tau_fixed**2
     else:
-        safety = build_hocbf_row(x_k, kind.p1, kind.p2, model)
+        c1, c0 = kind.p1 + kind.p2, kind.p1 * kind.p2
+    safety = build_pointwise_row(x_k, c1, c0, model)
     inst = build_qp_instance([safety, clf], model, x_k, cfg.params.w)
     margin = row_margin(safety, model.u_min, model.u_max)
     # tau_fixed is None for hocbf, which has no time scale to log

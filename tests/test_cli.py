@@ -1,13 +1,23 @@
 """Scenario runner: exit codes, CSV schemas, determinism, round trips."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from atlc import AccParams
-from atlc.cli import TRAJECTORY_COLUMNS, main, summary_from_trajectory_csv
+from atlc import AccParams, ControllerConfig, ControllerKind
+from atlc.cli import (
+    KNOWN_KEYS,
+    TRAJECTORY_COLUMNS,
+    build_controller_config,
+    main,
+    summary_from_trajectory_csv,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path: Path, **kw) -> Path:
@@ -170,7 +180,7 @@ def test_compare_aborts_on_any_bad_config(tmp_path):
     "n_tau=2.9", "n_tau=true", 'n_tau="3"', "n_tau=NaN", 'tlc_robust="false"',
     "tlc_robust=0", "T=true", "cd=true", "box_under=true", "box_over=[0.5, false]",
     'z0="90"', "tau_min=true", 'T_look="1"', "objective=acc_effort",
-    "tau_min=2.0", "tau_max=0.05",
+    "tau_min=2.0", "tau_max=0.05", "kind=tlc", "clf_form=quadratic",
 ])
 def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "s.json", kind="atlc", T=1.0)
@@ -227,6 +237,61 @@ def test_run_rejects_non_finite_kind_setting(tmp_path, capsys, kind, override):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+def assert_same_config(found: ControllerConfig, expected: ControllerConfig):
+    for field in dataclasses.fields(ControllerConfig):
+        a, b = getattr(found, field.name), getattr(expected, field.name)
+        same = np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+        assert same, f"{field.name}: {a!r} != {b!r}"
+
+
+def test_scenario_of_only_an_id_builds_the_default_config():
+    assert_same_config(build_controller_config({"id": "s"}), ControllerConfig())
+
+
+def test_tlc_fixed_kind_alone_builds_the_default_fixed_kind():
+    cfg = build_controller_config({"id": "s", "kind": "tlc_fixed"})
+    assert cfg.kind == ControllerKind.tlc_fixed()
+
+
+def readme_key_table() -> dict[str, tuple[str, str]]:
+    """The README's scenario-key table: key -> (field it sets, default)."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | sets | default | meaning |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, field, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        table[key] = (field, default)
+    return table
+
+
+def test_readme_key_table_matches_the_config_types():
+    """Every accepted key is in the table, and each default the table gives,
+    set explicitly, builds the config that leaving the key out builds and
+    is the value of the field the table names."""
+    table = readme_key_table()
+    assert sorted(table) == sorted(KNOWN_KEYS)
+    described = sorted(key for key, (_, cell) in table.items() if cell.startswith("("))
+    assert described == ["id", "p1", "p2"]
+    for key, (field, cell) in table.items():
+        if key in described:
+            continue
+        try:
+            default = json.loads(cell)
+        except json.JSONDecodeError:
+            default = cell
+        base = {"id": "s"}
+        if key in ("tau_fixed", "tlc_robust"):
+            base["kind"] = "tlc_fixed"
+        given = build_controller_config({**base, key: default})
+        assert_same_config(given, build_controller_config(base))
+        value = given
+        for name in field.split("."):
+            value = getattr(value, name)
+        assert np.all(np.asarray(value) == default), key
 
 
 def test_compare_rejects_bad_box_before_any_run(tmp_path, capsys):

@@ -14,9 +14,8 @@ from atlc import (
 from atlc.constraints import (
     atlc_rows,
     build_clf_row,
-    build_hocbf_row,
+    build_pointwise_row,
     build_qp_instance,
-    build_tlc_row,
     row_margin,
 )
 from atlc.model import resistance_force
@@ -26,6 +25,16 @@ from atlc.tau_select import candidate_taus
 from references import g_ratlc_from_stack, h_ratlc_from_stack
 
 CFG = BoundConfig()
+
+
+def tlc_row(x, tau, model):
+    """The fixed-time-scale row, with the controller's coefficients."""
+    return build_pointwise_row(x, 2.0 / tau, 2.0 / tau**2, model)
+
+
+def hocbf_row(x, p1, p2, model):
+    """The high-order barrier row, with the controller's coefficients."""
+    return build_pointwise_row(x, p1 + p2, p1 * p2, model)
 
 
 def robust_row(box, tau, model):
@@ -97,36 +106,37 @@ def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
 
 
 def test_tlc_row_values(model):
-    a, b = build_tlc_row(make_state(90.0, 15.0), 0.5, model)
+    a, b = tlc_row(make_state(90.0, 15.0), 0.5, model)
     assert a == pytest.approx([-6.060606060606061e-4, 0.0])
     assert b == pytest.approx(-635.6396060606061, abs=1e-10)
 
-    _, b = build_tlc_row(make_state(11.0, 15.0), 0.5, model)
+    _, b = tlc_row(make_state(11.0, 15.0), 0.5, model)
     assert b == pytest.approx(-3.6396060606060607, abs=1e-12)
 
     # boundary state with zero drift: condition degenerates to the bare
     # second-derivative row
-    _, b = build_tlc_row(make_state(10.0, 13.89), 0.5, model)
+    _, b = tlc_row(make_state(10.0, 13.89), 0.5, model)
     assert b == pytest.approx(-resistance_force(13.89, AccParams()) / 1650.0)
 
 
-def test_tlc_row_rejects(model):
-    with pytest.raises(ValueError):
-        build_tlc_row(make_state(90.0, 15.0), 0.0, model)
+def test_pointwise_row_rejects(model):
+    """Both coefficients must be positive: zero, negative and NaN fail."""
+    x = make_state(90.0, 15.0)
+    for bad in (0.0, -1.0, float("nan")):
+        for c1, c0 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError):
+                build_pointwise_row(x, c1, c0, model)
 
 
 def test_hocbf_row_values(model):
-    _, b = build_hocbf_row(make_state(90.0, 15.0), 1.0, 1.0, model)
+    _, b = hocbf_row(make_state(90.0, 15.0), 1.0, 1.0, model)
     assert b == pytest.approx(-77.85960606060606, abs=1e-10)
 
-    row = build_hocbf_row(make_state(11.0, 15.0), 1.0, 1.0, model)
+    row = hocbf_row(make_state(11.0, 15.0), 1.0, 1.0, model)
     assert row[1] == pytest.approx(1.1403939393939394, abs=1e-12)
     # positive rhs with a negative input coefficient forces braking
     lo, hi = feasible_interval(row, -1e6, 1e6)
     assert hi == pytest.approx(-1881.65, abs=0.01)
-
-    with pytest.raises(ValueError):
-        build_hocbf_row(make_state(90.0, 15.0), 0.0, 1.0, model)
 
 
 def test_hocbf_tlc_coefficient_non_identity(model):
@@ -134,8 +144,8 @@ def test_hocbf_tlc_coefficient_non_identity(model):
     fixed-time-scale row but not the position weight (16 vs 8)."""
     x = make_state(90.0, 15.0)
     h, lfh, lf2h, _ = acc_lie_stack(x, AccParams())
-    _, tlc_b = build_tlc_row(x, 0.5, model)
-    _, hocbf_b = build_hocbf_row(x, 4.0, 4.0, model)
+    _, tlc_b = tlc_row(x, 0.5, model)
+    _, hocbf_b = hocbf_row(x, 4.0, 4.0, model)
     assert -tlc_b == pytest.approx(lf2h + 4.0 * lfh + 8.0 * h)
     assert -hocbf_b == pytest.approx(lf2h + 8.0 * lfh + 16.0 * h)
 
@@ -169,7 +179,7 @@ def test_degenerate_atlc_equals_scaled_tlc(model, params):
         tau = rng.uniform(0.05, 2.0)
         box = make_box(x, [0.0, 0.0], [0.0, 0.0])
         atlc = robust_row(box, tau, model)
-        tlc = build_tlc_row(x, tau, model)
+        tlc = tlc_row(x, tau, model)
         lo_a, hi_a = feasible_interval(atlc, params.u_min, params.u_max)
         lo_t, hi_t = feasible_interval(tlc, params.u_min, params.u_max)
         assert lo_a == pytest.approx(lo_t, rel=1e-12, abs=1e-9)
@@ -184,8 +194,8 @@ def test_safety_rows_brake_side(model):
     for _ in range(25):
         x = np.array([rng.uniform(10.5, 120.0), rng.uniform(1.0, 30.0)])
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
-        assert build_tlc_row(x, 0.5, model)[0][0] < 0
-        assert build_hocbf_row(x, 1.0, 2.0, model)[0][0] < 0
+        assert tlc_row(x, 0.5, model)[0][0] < 0
+        assert hocbf_row(x, 1.0, 2.0, model)[0][0] < 0
         assert robust_row(box, 0.5, model)[0][0] < 0
 
 
@@ -193,8 +203,8 @@ def test_rows_are_affine_with_slack_column(model):
     x = make_state(90.0, 15.0)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     for a, _ in (
-        build_tlc_row(x, 0.5, model),
-        build_hocbf_row(x, 1.0, 1.0, model),
+        tlc_row(x, 0.5, model),
+        hocbf_row(x, 1.0, 1.0, model),
         robust_row(box, 0.5, model),
     ):
         assert a.shape == (2,)

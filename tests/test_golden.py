@@ -43,10 +43,10 @@ REL_TOL = 1e-9
 INTEGER = re.compile(r"-?\d+")
 
 IDS = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+MAPS = {(z, v): f"margin_map_z{z:g}_v{v:g}.csv" for z, v in MAP_STATES}
 NAMES = sorted(
     [f"{sid}_events.csv" for sid in IDS] + [f"{sid}_summary.json" for sid in IDS]
-    + ["comparison.csv", "atlc_cd04_candidates.csv"]
-    + [f"margin_map_z{z:g}_v{v:g}.csv" for z, v in MAP_STATES]
+    + ["comparison.csv", "atlc_cd04_candidates.csv", *MAPS.values()]
 )
 
 
@@ -60,8 +60,7 @@ def write_outputs(work: Path) -> dict[str, Path]:
                  "--trace-candidates", *NEAR_LIMIT]) == 2
     files = {name: compare / name for name in NAMES}
     files["atlc_cd04_candidates.csv"] = near / "atlc_cd04_candidates.csv"
-    for z, v in MAP_STATES:
-        name = f"margin_map_z{z:g}_v{v:g}.csv"
+    for (z, v), name in MAPS.items():
         files[name] = work / name
         assert main(["margin-map", "--config", str(CASE), "--z", str(z),
                      "--v", str(v), "--out", str(files[name])]) == 0
