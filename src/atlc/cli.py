@@ -49,6 +49,12 @@ FLOAT_KEYS = PARAM_KEYS + (
     "tau_min", "tau_max", "T_look", "T", "z0", "v0", "tau_fixed", "p1", "p2")
 KNOWN_KEYS = set(FLOAT_KEYS) | {
     "n_tau", "box_under", "box_over", "kind", "tlc_robust", "id"}
+# the keys only one controller kind reads; a scenario without a kind is "atlc"
+KIND_KEYS = {
+    "atlc": ("tau_min", "tau_max", "n_tau", "T_look"),
+    "tlc_fixed": ("tau_fixed", "tlc_robust"),
+    "hocbf": ("p1", "p2"),
+}
 
 
 class ConfigError(ValueError):
@@ -119,27 +125,31 @@ def _radii(key: str, value) -> np.ndarray:
 
 def _kind(scenario: dict, num: dict) -> dict:
     """The kind argument of ControllerConfig, empty when the scenario names
-    no kind; tlc_robust is checked whatever the kind."""
-    fixed = {}
-    if "tlc_robust" in scenario:
-        robust = scenario["tlc_robust"]
-        if not isinstance(robust, bool):
-            raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
-        fixed["robust"] = robust
-    if "tau_fixed" in num:
-        fixed["tau"] = num["tau_fixed"]
+    no kind; a key that only another kind reads is an error."""
+    kind_name = scenario.get("kind", "atlc")
+    if not isinstance(kind_name, str) or kind_name not in KIND_KEYS:
+        raise ConfigError(f"unknown kind {kind_name!r}")
+    foreign = sorted(key for name, keys in KIND_KEYS.items() if name != kind_name
+                     for key in keys if key in scenario)
+    if foreign:
+        raise ConfigError(f"keys {foreign} do not apply to kind {kind_name!r}")
     if "kind" not in scenario:
         return {}
-    kind_name = scenario["kind"]
     if kind_name == "tlc_fixed":
+        fixed = {}
+        if "tlc_robust" in scenario:
+            robust = scenario["tlc_robust"]
+            if not isinstance(robust, bool):
+                raise ConfigError(f"tlc_robust must be true or false, got {robust!r}")
+            fixed["robust"] = robust
+        if "tau_fixed" in num:
+            fixed["tau"] = num["tau_fixed"]
         return {"kind": ControllerKind.tlc_fixed(**fixed)}
     if kind_name == "hocbf":
         if "p1" not in num or "p2" not in num:
             raise ConfigError("kind 'hocbf' requires keys p1 and p2")
         return {"kind": ControllerKind.hocbf(num["p1"], num["p2"])}
-    if kind_name == "atlc":
-        return {"kind": ControllerKind.atlc()}
-    raise ConfigError(f"unknown kind {kind_name!r}")
+    return {"kind": ControllerKind.atlc()}
 
 
 def build_controller_config(scenario: dict) -> ControllerConfig:
@@ -397,6 +407,9 @@ def cmd_margin_map(args) -> int:
         scenario = load_scenario(Path(args.config), {
             key: value for key, value in grid_flags.items() if value is not None})
         cfg = build_controller_config(scenario)
+        if cfg.kind.name != "atlc":
+            raise ConfigError("margin-map maps the margin of kind 'atlc', "
+                              f"not of kind {cfg.kind.name!r}")
         x = make_state(args.z, args.v)
     except ValueError as exc:  # a ConfigError, or a non-finite state
         print(f"error: {exc}", file=sys.stderr)

@@ -52,12 +52,13 @@ def ascending_grid(tau_grid) -> Array:
 
 
 def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:
-    """sup over admissible inputs of the robust condition: the best margin
-    over the robust rows of :func:`~atlc.constraints.atlc_rows` at ``tau``.
+    """sup over admissible inputs of the robust condition: the margin of
+    the robust rows of :func:`~atlc.constraints.atlc_rows` at ``tau`` over
+    the model's input box.
 
     Admissible inputs exist iff the margin is nonnegative (closed condition).
     """
-    return float(atlc_rows(gs, [tau], model).margins().max())
+    return float(atlc_rows(gs, [tau]).margins(model.u_min, model.u_max)[0])
 
 
 def tau_star_scan(
@@ -72,7 +73,7 @@ def tau_star_scan(
     """
     grid = ascending_grid(tau_grid)
     gs = stack_on_grid(box, model, cfg)
-    values = atlc_rows(gs, grid, model).margins().max(axis=1)
+    values = atlc_rows(gs, grid).margins(model.u_min, model.u_max)
     feasible = np.flatnonzero(values >= 0.0)
     tau_star = float(grid[feasible[0]]) if feasible.size else None
     return MarginMap(tau_grid=grid, values=values, tau_star=tau_star)

@@ -2,10 +2,10 @@
 
 Between control updates the state is confined to a box around the last
 event state.  The safety condition is therefore tightened with the
-worst-case drift term (minimum of the joint Taylor sum over the box) and a
-per-component worst-case input gain whose sign branch depends on the sign
-of the corresponding input entry; :func:`~atlc.constraints.atlc_rows`
-builds both.  Extrema are taken over a tensor evaluation lattice that
+worst-case drift term (minimum of the joint Taylor sum over the box) and
+the box of input gains (the per-component extrema of the gain), whose
+vertices give the robust rows; :func:`~atlc.constraints.atlc_rows` builds
+both.  Extrema are taken over a tensor evaluation lattice that
 always contains the box vertices; the per-axis point counts are snapped to
 a dyadic cell count so refining the lattice only ever adds midpoints and
 the computed minimum never increases under refinement.

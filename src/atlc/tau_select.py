@@ -121,46 +121,31 @@ def _solve_rows(
     x_k: Array, rows: RobustRows, clf_row: tuple[Array, float], cfg: ControllerConfig,
     model: SystemModel,
 ) -> tuple[Array, Array, Array]:
-    """The QP of every row of the table, in one stacked solve: the CLF-row
-    QP with the row added and the input box cut to the row's part.  Per
-    time scale, returns the first feasible row's optimum with the least
-    objective, its objective and its feasibility flag."""
+    """The QP of every time scale of the table, in one stacked solve: the
+    CLF-row QP with that time scale's robust rows added.  Returns the
+    optima, objectives and feasibility flags."""
     base = build_qp_instance([clf_row], model, x_k, cfg.params.w)
     a_clf, b_clf = clf_row
-    n_tau, n_branch, q = rows.gains.shape
-    a = np.zeros((n_tau, n_branch, 2, q + 1))
-    a[..., 0, :q] = rows.gains
-    a[..., 1, :] = a_clf
-    b = np.empty((n_tau, n_branch, 2))
-    b[..., 0] = -rows.h_worst[:, None]
-    b[..., 1] = b_clf
-    lower, upper = (  # each row's part of the input box, and the slack's box
-        np.tile(np.column_stack([part, np.full(n_branch, end)]), (n_tau, 1))
-        for part, end in ((rows.lower, base.lower[q]), (rows.upper, base.upper[q])))
-    values, objective, optimal = solve_qp_stack(
-        base.quadratic_diag, base.linear_cost, a.reshape(-1, 2, q + 1),
-        b.reshape(-1, 2), lower, upper,
-    )
-    pick = np.arange(n_tau) * n_branch + objective.reshape(n_tau, n_branch).argmin(1)
-    return values[pick], objective[pick], optimal[pick]
+    n_tau, n_rows, q = rows.gains.shape
+    a = np.zeros((n_tau, n_rows + 1, q + 1))
+    a[:, :-1, :q] = rows.gains
+    a[:, -1] = a_clf
+    b = np.empty((n_tau, n_rows + 1))
+    b[:, :-1] = -rows.h_worst[:, None]
+    b[:, -1] = b_clf
+    return solve_qp_stack(
+        base.quadratic_diag, base.linear_cost, a, b, base.lower, base.upper)
 
 
 def solve_event_qp(
     x_k: Array, gs: GridStack, tau: float, clf_row, cfg: ControllerConfig,
     model: SystemModel,
 ) -> QpSolution:
-    """Robust safety QP at one time scale: one QP per row of
-    :func:`~atlc.constraints.atlc_rows`, each on its part of the input box,
-    and the first feasible solution with the least objective."""
-    rows = atlc_rows(gs, [tau], model)
-    solutions = [
-        solve_qp(build_qp_instance(
-            [rows.row(0, b), clf_row], model, x_k, cfg.params.w,
-            u_lower=lower, u_upper=upper,
-        ))
-        for b, (lower, upper) in enumerate(zip(rows.lower, rows.upper))
-    ]
-    return min(solutions, key=lambda sol: sol.objective)  # infeasible: +inf
+    """Robust safety QP at one time scale: the rows of
+    :func:`~atlc.constraints.atlc_rows` and the CLF row over the input box."""
+    rows = atlc_rows(gs, [tau])
+    robust = [(np.append(gain, 0.0), -rows.h_worst[0]) for gain in rows.gains[0]]
+    return solve_qp(build_qp_instance([*robust, clf_row], model, x_k, cfg.params.w))
 
 
 def select_tau(
@@ -171,9 +156,9 @@ def select_tau(
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
     taus = candidate_taus(cfg.tau_cfg).tolist()
-    rows = atlc_rows(gs, taus, model)
+    rows = atlc_rows(gs, taus)
     values, objective, optimal = _solve_rows(x_k, rows, clf_row, cfg, model)
-    margins = rows.margins().max(axis=1)
+    margins = rows.margins(model.u_min, model.u_max)
     table = np.recarray(len(taus), dtype=[
         ("tau", float), ("feasible", bool), ("min_h_pred", float),
         ("qp_objective", float), ("u", float, (model.q,)), ("delta", float)])

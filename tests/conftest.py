@@ -19,12 +19,40 @@ def model(params):
 @pytest.fixture(scope="session")
 def sign_gain_model(params):
     """The case-study model with an input gain proportional to 50 - z, which
-    changes sign across any event box that straddles z = 50: the robust
-    rows of the two input-sign orthants then differ."""
+    changes sign across any event box that straddles z = 50: the gain box
+    then has two vertices, and the robust condition two rows."""
     scale = 1.0 / (10.0 * params.M)
     return dataclasses.replace(
         acc_model(params),
         phi=lambda x: ((50.0 - x[..., 0]) * scale)[..., None],
+    )
+
+
+@pytest.fixture(scope="session")
+def two_input_model(params):
+    """A two-input toy on the case-study state whose input gain
+    ((50 - z), (v - 25)) / (10 M) changes sign in both entries across a box
+    around (50, 25), so its gain box has four vertices.  Its CLF and cost
+    put the second input at half the weight of the first; only the robust
+    rows and QPs read it, so it keeps the case study's one-input rhs."""
+    base = acc_model(params)
+    scale = 1.0 / (10.0 * params.M)
+
+    def clf_terms(x):
+        V, lfV, lgV = base.clf_terms(x)
+        return V, lfV, np.concatenate([lgV, 0.5 * lgV], axis=-1)
+
+    def cost(x):
+        diag, linear = base.cost(x)
+        return np.append(diag, 0.5 * diag), np.append(linear, 0.5 * linear)
+
+    return dataclasses.replace(
+        base, q=2,
+        phi=lambda x: np.stack([50.0 - x[..., 0], x[..., 1] - 25.0], axis=-1) * scale,
+        clf_terms=clf_terms, cost=cost,
+        u_min=np.array([params.u_min, -0.5 * params.u_max]),
+        u_max=np.array([params.u_max, 0.25 * params.u_max]),
+        fallback=np.array([params.u_min, 0.0]),
     )
 
 

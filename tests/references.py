@@ -1,16 +1,22 @@
 """Reference computations that the tests compare the package against.
 
 Each computes one quantity the simplest way: a brute-force grid search for
-the QP optimum, the normalized row slacks of a QP instance, and the lattice
+the QP optimum, the normalized row slacks of a QP instance, the lattice
 bounds of one time scale and one input-sign branch at a time, which
-``atlc.constraints.atlc_rows`` builds as one table.
+``atlc.constraints.atlc_rows`` builds as one table, and the robust QP and
+margin split over the input-sign orthants, which the vertex rows of the
+gain box replace.
 """
 
+import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 
-from atlc.qp import QpInstance, QpSolution
+from atlc.constraints import build_qp_instance, row_margin
+from atlc.model import SystemModel
+from atlc.qp import QpInstance, QpSolution, solve_qp
 from atlc.robust_bounds import GridStack, taylor_table
 
 
@@ -78,3 +84,39 @@ def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> np.ndarray:
     scale = taylor_table([tau], gs.m)[0][-1]
     worst = np.where(branch > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
     return scale * worst
+
+
+def orthant_rows(gs: GridStack, tau: float, model: SystemModel) -> list:
+    """The robust row of each non-empty input-sign orthant of the input box,
+    with the orthant's part of the box: (row, lower, upper).  Where an input
+    is nonnegative its least gain over the box is the worst case, where it
+    is nonpositive its greatest."""
+    parts = []
+    for branch in product((1.0, -1.0), repeat=gs.q):
+        sign = np.array(branch)
+        lower = np.where(sign > 0, np.maximum(model.u_min, 0.0), model.u_min)
+        upper = np.where(sign > 0, model.u_max, np.minimum(model.u_max, 0.0))
+        if (lower <= upper).all():
+            row = (np.append(g_ratlc_from_stack(gs, tau, branch), 0.0),
+                   -h_ratlc_from_stack(gs, tau))
+            parts.append((row, lower, upper))
+    return parts
+
+
+def orthant_margin(gs: GridStack, tau: float, model: SystemModel) -> float:
+    """The robust margin as the best orthant row's margin on its part."""
+    return max(row_margin(row, lower, upper)
+               for row, lower, upper in orthant_rows(gs, tau, model))
+
+
+def orthant_event_qp(x: np.ndarray, gs: GridStack, tau: float, clf_row, w: float,
+                     model: SystemModel) -> QpSolution:
+    """The robust QP as one QP per orthant, each with its row and the CLF
+    row on its part of the input box; the first least objective wins."""
+    solutions = []
+    for row, lower, upper in orthant_rows(gs, tau, model):
+        inst = build_qp_instance([row, clf_row], model, x, w)
+        solutions.append(solve_qp(dataclasses.replace(
+            inst, lower=np.append(lower, inst.lower[-1]),
+            upper=np.append(upper, inst.upper[-1]))))
+    return min(solutions, key=lambda sol: sol.objective)  # infeasible: +inf

@@ -10,6 +10,7 @@ import pytest
 
 from atlc import AccParams, ControllerConfig, ControllerKind
 from atlc.cli import (
+    KIND_KEYS,
     KNOWN_KEYS,
     TRAJECTORY_COLUMNS,
     build_controller_config,
@@ -18,6 +19,7 @@ from atlc.cli import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_config(path: Path, **kw) -> Path:
@@ -239,6 +241,54 @@ def test_run_rejects_non_finite_kind_setting(tmp_path, capsys, kind, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("atlc_cd04", ["tau_fixed=0.7", "p1=3", "tlc_robust=false"]),
+    ("atlc_cd04", ["tau_fixed=0.7"]),
+    ("atlc_cd04", ["p2=3"]),
+    ("atlc_cd04", ["tlc_robust=true"]),
+    ("tlc_cd04", ["n_tau=3", "T_look=9"]),
+    ("tlc_cd04", ["tau_min=0.1"]),
+    ("tlc_cd04", ["p1=3"]),
+    ("hocbf_aggressive", ["tau_max=1.5"]),
+    ("hocbf_aggressive", ["tau_fixed=0.5"]),
+    ("hocbf_aggressive", ["tlc_robust=false"]),
+])
+def test_run_rejects_keys_of_another_kind(tmp_path, capsys, name, overrides):
+    """The tau selection keys are read by kind atlc only, tau_fixed and
+    tlc_robust by tlc_fixed only, and p1 and p2 by hocbf only."""
+    out = tmp_path / "out"
+    args = ["run", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out),
+            "--set", "T=0.3"]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "kind" in err[0]
+    assert not out.exists()
+
+
+def test_scenario_without_a_kind_reads_only_adaptive_keys():
+    """A scenario that names no kind is of kind atlc: its tau selection keys
+    apply, and a tlc_fixed key is an error."""
+    cfg = build_controller_config({"id": "s", "n_tau": 3, "T_look": 2.0})
+    assert (cfg.kind.name, cfg.tau_cfg.n_candidates, cfg.tau_cfg.T_look) == (
+        "atlc", 3, 2.0)
+    with pytest.raises(ValueError, match="kind 'atlc'"):
+        build_controller_config({"id": "s", "tau_fixed": 0.5})
+
+
+def test_compare_rejects_a_key_of_another_kind_before_any_run(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    write_config(d / "a.json", id="a", kind="atlc", T=1.0)
+    write_config(d / "b.json", id="b", kind="hocbf", p1=0.3, p2=0.3, T=1.0, n_tau=3)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'hocbf'" in err[0]
+    assert not out.exists()
+
+
 def assert_same_config(found: ControllerConfig, expected: ControllerConfig):
     for field in dataclasses.fields(ControllerConfig):
         a, b = getattr(found, field.name), getattr(expected, field.name)
@@ -255,28 +305,33 @@ def test_tlc_fixed_kind_alone_builds_the_default_fixed_kind():
     assert cfg.kind == ControllerKind.tlc_fixed()
 
 
-def readme_key_table() -> dict[str, tuple[str, str]]:
-    """The README's scenario-key table: key -> (field it sets, default)."""
+def readme_key_table() -> dict[str, tuple[str, str, str]]:
+    """The README's scenario-key table: key -> (field it sets, default,
+    kind that reads it)."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| key | sets | default | meaning |")
+    start = lines.index("| key | sets | default | kind | meaning |")
     table = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        key, field, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
-        table[key] = (field, default)
+        key, field, default, kind = (
+            cell.strip().strip("`") for cell in line.split("|")[1:5])
+        table[key] = (field, default, kind)
     return table
 
 
 def test_readme_key_table_matches_the_config_types():
-    """Every accepted key is in the table, and each default the table gives,
-    set explicitly, builds the config that leaving the key out builds and
-    is the value of the field the table names."""
+    """Every accepted key is in the table with the kind that reads it, and
+    each default the table gives, set explicitly in a scenario of that
+    kind, builds the config that leaving the key out builds and is the
+    value of the field the table names."""
     table = readme_key_table()
     assert sorted(table) == sorted(KNOWN_KEYS)
-    described = sorted(key for key, (_, cell) in table.items() if cell.startswith("("))
+    assert {key: kind for key, (_, _, kind) in table.items() if kind != "any"} == {
+        key: kind for kind, keys in KIND_KEYS.items() for key in keys}
+    described = sorted(key for key, (_, cell, _) in table.items() if cell.startswith("("))
     assert described == ["id", "p1", "p2"]
-    for key, (field, cell) in table.items():
+    for key, (field, cell, kind) in table.items():
         if key in described:
             continue
         try:
@@ -284,8 +339,8 @@ def test_readme_key_table_matches_the_config_types():
         except json.JSONDecodeError:
             default = cell
         base = {"id": "s"}
-        if key in ("tau_fixed", "tlc_robust"):
-            base["kind"] = "tlc_fixed"
+        if kind != "any":
+            base["kind"] = kind
         given = build_controller_config({**base, key: default})
         assert_same_config(given, build_controller_config(base))
         value = given
@@ -349,6 +404,20 @@ def test_margin_map_single_point_and_infeasible(tmp_path):
         rows = list(csv.DictReader(fh))
     assert all(r["feasible"] == "0" for r in rows)
     assert all(r["tau_star"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("hocbf_aggressive", "hocbf"), ("tlc_cd04", "tlc_fixed")])
+def test_margin_map_refuses_a_scenario_of_another_kind(tmp_path, capsys, name, kind):
+    """The map is the adaptive controller's robust margin, so a baseline
+    scenario is a bad config, with or without grid flags."""
+    out = tmp_path / "map.csv"
+    for flags in ([], ["--n-tau", "3"]):
+        assert main(["margin-map", "--config", str(SCENARIOS / f"{name}.json"),
+                     "--z", "90", "--v", "15", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(kind) in err[0]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("grid_args", [

@@ -22,7 +22,7 @@ from atlc.model import resistance_force
 from atlc.robust_bounds import stack_on_grid
 from atlc.tau_select import candidate_taus
 
-from references import g_ratlc_from_stack, h_ratlc_from_stack
+from references import g_ratlc_from_stack, h_ratlc_from_stack, orthant_rows
 
 CFG = BoundConfig()
 
@@ -38,11 +38,11 @@ def hocbf_row(x, p1, p2, model):
 
 
 def robust_row(box, tau, model):
-    """The case study's one robust row: its input gain is constant, so the
-    sign branches coincide."""
-    rows = atlc_rows(stack_on_grid(box, model, CFG), [tau], model)
+    """The case study's one robust row over (u, delta): its input gain is
+    constant, so the gain box is one vertex."""
+    rows = atlc_rows(stack_on_grid(box, model, CFG), [tau])
     assert rows.gains.shape == (1, 1, 1)
-    return rows.row(0, 0)
+    return np.append(rows.gains[0, 0], 0.0), -rows.h_worst[0]
 
 
 def feasible_interval(row, u_min, u_max):
@@ -70,39 +70,40 @@ def test_atlc_row_degenerate_small_tau(model):
     assert b == pytest.approx(-79.94459950757575, abs=1e-12)
 
 
-def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model, params):
-    """A gain that changes sign over the box gives one row per input-sign
-    orthant, each over its half of the input box."""
+def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model):
+    """A gain that changes sign over the box gives one row per vertex of
+    the gain box, both over the whole input box: the least gain first, then
+    the greatest."""
     box = make_box(make_state(49.8, 15.0), [0.5, 0.5], [0.5, 0.5])
     gs = stack_on_grid(box, sign_gain_model, CFG)
-    rows = atlc_rows(gs, [0.5], sign_gain_model)
-    (up_lo, down_lo), (up_hi, down_hi) = rows.lower, rows.upper
-    (a_up, b_up), (a_down, b_down) = rows.row(0, 0), rows.row(0, 1)
-    np.testing.assert_array_equal([up_lo, up_hi], [[0.0], [params.u_max]])
-    np.testing.assert_array_equal([down_lo, down_hi], [[params.u_min], [0.0]])
-    assert b_up == b_down
-    # u >= 0 takes the least gain over the box, u <= 0 the greatest
-    assert a_up[0] < 0.0 < a_down[0]
+    rows = atlc_rows(gs, [0.5])
+    assert rows.gains.shape == (1, 2, 1)
+    (a_low,), (a_high,) = rows.gains[0]
+    scale = 0.5**2 / 2
+    assert [a_low, a_high] == [scale * gs.phi.min(), scale * gs.phi.max()]
+    assert rows.low.tolist() == [[a_low]] and rows.high.tolist() == [[a_high]]
+    assert a_low < 0.0 < a_high
 
 
 def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
     """One table over the 40 candidate time scales holds, bit for bit, each
     time scale's own lattice bound and worst-case gains, and its margins are
-    those of the single rows it holds."""
+    those of the single rows of the input-sign orthants."""
     taus = [float(tau) for tau in candidate_taus(TauSelectConfig())]
     for case_model, z, n_rows in ((model, 90.0, 1), (sign_gain_model, 49.8, 2)):
         box = make_box(make_state(z, 15.0), [0.5, 0.5], [0.5, 0.5])
         gs = stack_on_grid(box, case_model, CFG)
-        rows = atlc_rows(gs, taus, case_model)
+        rows = atlc_rows(gs, taus)
         assert rows.gains.shape == (40, n_rows, 1)
         assert rows.h_worst.tolist() == [h_ratlc_from_stack(gs, tau) for tau in taus]
-        margins = rows.margins()
+        margins = rows.margins(case_model.u_min, case_model.u_max)
         for k, tau in enumerate(taus):
             for b, branch in enumerate([[1.0], [-1.0]][:n_rows]):
                 np.testing.assert_array_equal(
                     rows.gains[k, b], g_ratlc_from_stack(gs, tau, branch))
-                assert margins[k, b] == row_margin(
-                    rows.row(k, b), rows.lower[b], rows.upper[b])
+            assert margins[k] == max(
+                row_margin(row, lower, upper)
+                for row, lower, upper in orthant_rows(gs, tau, case_model))
 
 
 def test_tlc_row_values(model):

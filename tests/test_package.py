@@ -43,3 +43,46 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that no module
+    of ``sources`` (file name -> source) reads, as a name or an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module} line {node.lineno}: {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read]
+    return sorted(dead)
+
+
+def test_dead_private_names_are_caught():
+    sources = {
+        "a.py": "_used = 1\n_dead = 2\n__all__ = []\ndef _helper():\n    return _used\n",
+        "b.py": "import a\n_TABLE: dict = {}\nclass _Unread:\n    pass\nx = a._helper()\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py line 2: _dead", "b.py line 2: _TABLE", "b.py line 3: _Unread"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    package = Path(atlc.__file__).resolve().parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -27,10 +27,15 @@ from atlc.constraints import build_clf_row, build_qp_instance
 from atlc.margin import margin_from_stack
 from atlc.robust_bounds import stack_on_grid
 from atlc.sim import _dense_times, integrate_fixed_horizon
-from atlc.tau_select import candidate_taus, with_predictions
+from atlc.tau_select import candidate_taus, solve_event_qp, with_predictions
 
 from conftest import rk4_flow
-from references import g_ratlc_from_stack, h_ratlc_from_stack
+from references import (
+    g_ratlc_from_stack,
+    h_ratlc_from_stack,
+    orthant_event_qp,
+    orthant_margin,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -51,7 +56,7 @@ def scripted_selection(x, box, cfg, model):
     table = []
     for tau in candidate_taus(cfg.tau_cfg):
         tau = float(tau)
-        # constant gain: both sign branches give this one row
+        # constant gain: the gain box is this one row's vertex
         gain = np.append(g_ratlc_from_stack(gs, tau, [1.0]), 0.0)
         row = gain, -h_ratlc_from_stack(gs, tau)
         inst = build_qp_instance([row, clf], model, x, cfg.params.w)
@@ -168,7 +173,7 @@ def test_all_infeasible_reported(model):
 
 @pytest.mark.parametrize("z, v", [(49.8, 15.0), (50.2, 20.0), (60.0, 15.0)])
 def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
-    """With one QP per input-sign orthant the decision is feasible, meets
+    """With the vertex rows of the gain box the decision is feasible, meets
     the robust condition, and logs the margin at its time scale."""
     model = sign_gain_model
     x = make_state(z, v)
@@ -181,6 +186,59 @@ def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
         (gs.phi[:, 0] * decision.u[0]).min()
     )
     assert worst >= -1e-9
+
+
+def straddling_cases(model, seed, v_range):
+    """Seeded event states and boxes that straddle z = 50, each with its
+    lattice stack and CLF row."""
+    rng = np.random.default_rng(seed)
+    cfg = config()
+    for _ in range(60):
+        x = make_state(rng.uniform(49.6, 50.4), rng.uniform(*v_range))
+        box = make_box(x, [0.5, 0.5], rng.uniform(0.5, 1.0, 2))
+        yield x, stack_on_grid(box, model, cfg.bound_cfg), build_clf_row(
+            x, cfg.params.c3, model)
+
+
+def test_event_qp_matches_the_orthant_split_bit_for_bit(sign_gain_model):
+    """Where the gain changes sign over the box, the one QP over the vertex
+    rows and its margin are, bit for bit, those of one QP per input-sign
+    orthant with the least objective winning, and of the best orthant's
+    margin; tau = 4 makes some events infeasible."""
+    model, cfg = sign_gain_model, config()
+    infeasible = 0
+    for x, gs, clf in straddling_cases(model, 31, (1.0, 30.0)):
+        assert gs.phi.min() < 0.0 < gs.phi.max()
+        for tau in (0.05, 0.5, 2.0, 4.0):
+            sol = solve_event_qp(x, gs, tau, clf, cfg, model)
+            ref = orthant_event_qp(x, gs, tau, clf, cfg.params.w, model)
+            assert (sol.status, sol.objective, sol.values.tobytes()) == (
+                ref.status, ref.objective, ref.values.tobytes())
+            assert margin_from_stack(gs, tau, model) == orthant_margin(gs, tau, model)
+            infeasible += sol.status != "optimal"
+    assert infeasible > 0
+
+
+def test_event_qp_matches_the_orthant_split_with_two_inputs(two_input_model):
+    """With a gain that changes sign in both entries (four vertex rows, four
+    orthants), the QP and the margin match the orthant split to 1e-12
+    relative, with the same feasibility."""
+    model, cfg = two_input_model, config()
+    infeasible = 0
+    for x, gs, clf in straddling_cases(model, 32, (24.6, 25.4)):
+        assert (gs.phi.min(axis=0) < 0.0).all() and (gs.phi.max(axis=0) > 0.0).all()
+        for tau in (0.05, 0.5, 2.0, 4.0):
+            sol = solve_event_qp(x, gs, tau, clf, cfg, model)
+            ref = orthant_event_qp(x, gs, tau, clf, cfg.params.w, model)
+            assert sol.status == ref.status
+            if sol.status == "optimal":
+                np.testing.assert_allclose(sol.values, ref.values, rtol=1e-12, atol=1e-9)
+                assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+            else:
+                infeasible += 1
+            assert margin_from_stack(gs, tau, model) == pytest.approx(
+                orthant_margin(gs, tau, model), rel=1e-12)
+    assert infeasible > 0
 
 
 def near_limit_states(n, seed=8):
