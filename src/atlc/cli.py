@@ -7,8 +7,8 @@ so identical configs reproduce byte-identical files.  Summary statistics
 are computed from the rounded values as they appear in the trajectory CSV,
 which makes the summary exactly reproducible by re-parsing the CSV.
 
-Exit codes: 0 clean run, 1 bad config, 2 safety violated (min h < 0),
-3 aborted (Zeno diagnostic or integrator failure).
+Exit codes: 0 clean run, 1 bad config or unwritable output path, 2 safety
+violated (min h < 0), 3 aborted (Zeno diagnostic or integrator failure).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .controller import (
     ControllerKind,
     SimulationError,
     TrajectoryLog,
-    ZenoError,
     simulate_closed_loop,
 )
 from .margin import tau_star_scan
@@ -178,6 +177,14 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create the output directory ``path``, or raise a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create output directory: {exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -191,19 +198,18 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
 
 
 def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
-    events_by_index = {e.index: e for e in log.events}
-    seen: set[int] = set()
+    # each event's input, slack and feasibility, formatted once
+    held = [(fmt(e.u), fmt(e.delta), fmt(e.feasible)) for e in log.events]
     rows = []
-    for t, z, v, u, h, V, delta, k, feasible in zip(
-            *map(_fmt_floats, (log.t, log.z, log.v, log.u, log.h, log.V, log.delta)),
-            log.event_index.tolist(), log.feasible.tolist()):
-        event = events_by_index[k]
-        is_event_row = k not in seen
-        seen.add(k)
+    ks = log.event_index.tolist()
+    for t, z, v, h, V, k, previous in zip(
+            *map(_fmt_floats, (log.t, log.z, log.v, log.h, log.V)), ks, [None, *ks]):
+        event = log.events[k]
+        u, delta, feasible = held[k]
+        is_event_row = k != previous
         rows.append([
             t, z, v, u, fmt(event.tau) if is_event_row else "", h, V, delta,
-            str(k), "1" if feasible else "0",
-            fmt(event.dt_inter_event) if is_event_row else "",
+            str(k), feasible, fmt(event.dt_inter_event) if is_event_row else "",
         ])
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
 
@@ -285,12 +291,12 @@ def run_scenario(scenario: dict, out_dir: Path, trace_candidates: bool = False):
     Returns (exit_code, summary dict or None).
     """
     cfg = build_controller_config(scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     sid = scenario["id"]
     status = "ok"
     try:
         log = simulate_closed_loop(cfg)
-    except (ZenoError, SimulationError) as exc:
+    except SimulationError as exc:
         log = exc.log
         status = f"aborted: {exc}"
     traj_path = out_dir / f"{sid}_trajectory.csv"
@@ -325,14 +331,10 @@ def _parse_overrides(pairs) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(Path(args.config), _parse_overrides(args.set))
-        code, summary = run_scenario(
-            scenario, Path(args.out), trace_candidates=args.trace_candidates
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = load_scenario(Path(args.config), _parse_overrides(args.set))
+    code, summary = run_scenario(
+        scenario, Path(args.out), trace_candidates=args.trace_candidates
+    )
     min_h = summary["min_h"]
     print(
         f"{summary['id']}: min_h={'n/a' if min_h is None else format(min_h, '.6g')} "
@@ -346,26 +348,21 @@ def cmd_compare(args) -> int:
     directory = Path(args.dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        print(f"error: no scenario files in {directory}", file=sys.stderr)
-        return 1
-    try:
-        scenarios = [load_scenario(p) for p in paths]
-        by_id: dict[str, Path] = {}
-        for scenario, path in zip(scenarios, paths):
-            sid = scenario["id"]
-            if sid in by_id:
-                raise ConfigError(
-                    f"duplicate scenario id {sid!r} in {by_id[sid]} and {path}")
-            by_id[sid] = path
-        # validate every config before the first run starts
-        for scenario in scenarios:
-            build_controller_config(scenario)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        raise ConfigError(f"no scenario files in {directory}")
+    scenarios = [load_scenario(p) for p in paths]
+    by_id: dict[str, Path] = {}
+    for scenario, path in zip(scenarios, paths):
+        sid = scenario["id"]
+        if sid in by_id:
+            raise ConfigError(
+                f"duplicate scenario id {sid!r} in {by_id[sid]} and {path}")
+        by_id[sid] = path
+    # validate every config and the output directory before the first run
+    for scenario in scenarios:
+        build_controller_config(scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
+
     results = []
     worst = 0
     for scenario in scenarios:
@@ -411,6 +408,10 @@ def cmd_margin_map(args) -> int:
             raise ConfigError("margin-map maps the margin of kind 'atlc', "
                               f"not of kind {cfg.kind.name!r}")
         x = make_state(args.z, args.v)
+        out = Path(args.out)
+        if out.is_dir():
+            raise ConfigError(f"{out}: is a directory, not a file to write")
+        _make_out_dir(out.parent)
     except ValueError as exc:  # a ConfigError, or a non-finite state
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -421,8 +422,6 @@ def cmd_margin_map(args) -> int:
         [fmt(tau), fmt(value), fmt(value >= 0.0), fmt(result.tau_star)]
         for tau, value in zip(result.tau_grid, result.values)
     ]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ["tau", "margin", "feasible", "tau_star"], rows)
     star = "none" if result.tau_star is None else f"{result.tau_star:.6g}"
     print(f"wrote {len(rows)} rows to {out}; tau_star={star}")
@@ -460,7 +459,11 @@ def main(argv=None) -> int:
     p_map.set_defaults(func=cmd_margin_map)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -127,39 +127,31 @@ class EventRecord:
 class TrajectoryLog:
     """Per-event decisions plus dense closed-loop samples on [0, T].
 
-    Dense columns are aligned arrays; event_index maps every dense sample
-    to the segment it belongs to.  The logged time scale is a design
-    parameter of the safety condition and is distinct from the inter-event
-    interval, which is recorded separately per event.
+    Dense columns are aligned per-sample arrays; event_index maps every
+    sample to the event whose input, slack and feasibility it ran under.
+    The logged time scale is a design parameter of the safety condition and
+    is distinct from the inter-event interval, recorded per event too.
     """
 
     events: list[EventRecord] = field(default_factory=list)
     t: Array = field(default_factory=lambda: np.empty(0))
     z: Array = field(default_factory=lambda: np.empty(0))
     v: Array = field(default_factory=lambda: np.empty(0))
-    u: Array = field(default_factory=lambda: np.empty(0))
     h: Array = field(default_factory=lambda: np.empty(0))
     V: Array = field(default_factory=lambda: np.empty(0))
-    delta: Array = field(default_factory=lambda: np.empty(0))
     event_index: Array = field(default_factory=lambda: np.empty(0, dtype=int))
-    feasible: Array = field(default_factory=lambda: np.empty(0, dtype=bool))
-
-
-class ZenoError(RuntimeError):
-    """Two consecutive events within the trigger tolerance; carries the
-    partial log."""
-
-    def __init__(self, message: str, log: TrajectoryLog):
-        super().__init__(message)
-        self.log = log
 
 
 class SimulationError(RuntimeError):
-    """Integration failure inside the closed loop; carries the partial log."""
+    """Failure inside the closed loop; carries the partial log."""
 
     def __init__(self, message: str, log: TrajectoryLog):
         super().__init__(message)
         self.log = log
+
+
+class ZenoError(SimulationError):
+    """Two consecutive events within the trigger tolerance."""
 
 
 def _decision(
@@ -185,17 +177,15 @@ def compute_control(
     x_k = np.asarray(x_k, dtype=float)
     if model is None:
         model = acc_model(cfg.params, cfg.clf_form)
+    if box is None:
+        box = make_box(x_k, cfg.box_under, cfg.box_over)
     kind = cfg.kind
 
     if kind.name == "atlc":
-        if box is None:
-            box = make_box(x_k, cfg.box_under, cfg.box_over)
         return select_tau(x_k, box, cfg, model)
 
     clf = build_clf_row(x_k, cfg.params.c3, model)
     if kind.name == "tlc_fixed" and kind.robust:
-        if box is None:
-            box = make_box(x_k, cfg.box_under, cfg.box_over)
         gs = stack_on_grid(box, model, cfg.bound_cfg)
         sol = solve_event_qp(x_k, gs, kind.tau_fixed, clf, cfg, model)
         margin = margin_from_stack(gs, kind.tau_fixed, model)
@@ -216,74 +206,63 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
     """Run the event-triggered loop from (z0, v0) until the final time.
 
     Raises :class:`ZenoError` when two consecutive triggers collapse within
-    the trigger tolerance and :class:`SimulationError` on integrator
-    failure, both carrying the partial log.
+    the trigger tolerance and :class:`SimulationError` on any other failure
+    inside the loop, both carrying the partial log.
     """
     model = acc_model(cfg.params, cfg.clf_form)
     x = make_state(cfg.z0, cfg.v0)
     t = 0.0
     log = TrajectoryLog()
-    dense: dict[str, list] = {}  # per dense column, one array per segment
+    segments: list[tuple[Array, Array]] = []  # (times, states) of each event
 
-    k = 0
-    while t < cfg.T:
-        box = make_box(x, cfg.box_under, cfg.box_over)
-        try:
+    try:
+        while t < cfg.T:
+            box = make_box(x, cfg.box_under, cfg.box_over)
             decision = compute_control(x, cfg, model, box)
-        except Exception as exc:  # noqa: BLE001 - attach partial log
-            _finalize(log, dense)
-            raise SimulationError(str(exc), log) from exc
-        feasible = decision.status == "optimal"
-        u_apply = float((decision.u if feasible else model.fallback)[0])
+            feasible = decision.status == "optimal"
+            u_apply = float((decision.u if feasible else model.fallback)[0])
 
-        record = EventRecord(
-            index=k, t=t, x=x.copy(), tau=decision.tau, u=u_apply,
-            feasible=feasible, delta=decision.delta, margin=decision.margin,
-            table=decision.table,
-        )
-        log.events.append(record)
+            record = EventRecord(
+                index=len(log.events), t=t, x=x.copy(), tau=decision.tau,
+                u=u_apply, feasible=feasible, delta=decision.delta,
+                margin=decision.margin, table=decision.table,
+            )
+            log.events.append(record)
 
-        try:
             seg = integrate_until_trigger(
                 x, u_apply, box, t, cfg.T, model, cfg.integrator_cfg
             )
-        except Exception as exc:  # noqa: BLE001 - attach partial log
-            _finalize(log, dense)
-            raise SimulationError(str(exc), log) from exc
+            # dense rows: segment start plus interior samples; the segment end
+            # state reappears as the next event's start row, except after a
+            # one-sample segment, which is then the only row of its event
+            n = seg.times.size
+            if n > 1 and seg.t_end < cfg.T:
+                n -= 1
+            segments.append((seg.times[:n], seg.states[:n]))
 
-        # dense rows: segment start plus interior samples; the segment end
-        # state reappears as the next event's start row, except after a
-        # one-sample segment, which is then the only row of its event
-        n = seg.times.size
-        if n > 1 and seg.t_end < cfg.T:
-            n -= 1
-        states = seg.states[:n]
-        columns = {
-            "t": seg.times[:n], "z": states[:, 0], "v": states[:, 1], "u": u_apply,
-            "h": model.lie_stack(states)[:, 0], "V": model.clf_terms(states)[0],
-            "delta": math.nan if decision.delta is None else decision.delta,
-            "event_index": k, "feasible": feasible,
-        }
-        for key, value in columns.items():
-            dense.setdefault(key, []).append(np.broadcast_to(value, n))
-
-        if seg.exit_reason == "trigger":
-            dt = seg.t_end - t
-            record.dt_inter_event = dt
-            if dt <= cfg.integrator_cfg.trigger_bisection_tol:
-                _finalize(log, dense)
-                raise ZenoError(
-                    f"inter-event time {dt:.3e} s at t={t:.6f} is within the "
-                    "trigger tolerance", log,
-                )
-        x = seg.states[-1].copy()
-        t = seg.t_end
-        k += 1
-
-    _finalize(log, dense)
+            if seg.exit_reason == "trigger":
+                dt = seg.t_end - t
+                record.dt_inter_event = dt
+                if dt <= cfg.integrator_cfg.trigger_bisection_tol:
+                    raise ZenoError(
+                        f"inter-event time {dt:.3e} s at t={t:.6f} is within "
+                        "the trigger tolerance", log,
+                    )
+            x = seg.states[-1].copy()
+            t = seg.t_end
+    except SimulationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - attach partial log
+        raise SimulationError(str(exc), log) from exc
+    finally:
+        if len(segments) < len(log.events):  # its segment failed: one row at (t, x)
+            segments.append((np.array([t]), x[np.newaxis]))
+        if segments:  # no event: the log keeps its empty columns
+            times, states = zip(*segments)
+            states = np.concatenate(states)
+            log.t = np.concatenate(times)
+            log.z, log.v = states.T
+            log.h = model.lie_stack(states)[:, 0]
+            log.V = model.clf_terms(states)[0]
+            log.event_index = np.repeat(np.arange(len(times)), list(map(len, times)))
     return log
-
-
-def _finalize(log: TrajectoryLog, dense: dict[str, list]) -> None:
-    for key, values in dense.items():  # no segment: the log keeps its empty columns
-        setattr(log, key, np.concatenate(values))

@@ -8,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlc import AccParams, ControllerConfig, ControllerKind
+from atlc import (
+    AccParams,
+    ControllerConfig,
+    ControllerKind,
+    IntegrationError,
+    SimulationError,
+    controller,
+    simulate_closed_loop,
+)
 from atlc.cli import (
+    EVENT_COLUMNS,
     KIND_KEYS,
     KNOWN_KEYS,
     TRAJECTORY_COLUMNS,
@@ -61,6 +70,38 @@ def test_run_zeno_exit(tmp_path):
     events = (tmp_path / "out" / "z_events.csv").read_text().splitlines()[1:]
     assert summary["event_count"] == len(events) >= 1
     assert summary["min_h"] is not None
+
+
+def test_abort_in_trigger_integration_keeps_the_event_row(tmp_path, monkeypatch):
+    """An event whose integration fails keeps its start sample as its one
+    dense row, so the summary counts every event of the events CSV."""
+    integrate = controller.integrate_until_trigger
+    calls = []
+
+    def failing_integration(x, *args):
+        calls.append(x)
+        if len(calls) == 3:
+            raise IntegrationError("step failed", args[2], x)
+        return integrate(x, *args)
+
+    monkeypatch.setattr(controller, "integrate_until_trigger", failing_integration)
+    cfg = ControllerConfig(kind=ControllerKind.hocbf(0.3, 0.3), T=1.0)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_closed_loop(cfg)
+    log = excinfo.value.log
+    assert len(log.events) == 3
+    assert np.unique(log.event_index).tolist() == list(range(len(log.events)))
+    last = log.events[-1]
+    assert (log.event_index == 2).sum() == 1
+    assert (log.t[-1], log.z[-1], log.v[-1]) == (last.t, *last.x)
+
+    calls.clear()
+    config = write_config(tmp_path / "s.json", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    summary = json.loads((tmp_path / "out" / "s_summary.json").read_text())
+    events = read_rows(tmp_path / "out" / "s_events.csv")
+    assert summary["event_count"] == len(events) == 3
+    assert summary["infeasible_events"] == sum(r["feasible"] == "0" for r in events)
 
 
 def test_run_missing_config(tmp_path):
@@ -305,19 +346,43 @@ def test_tlc_fixed_kind_alone_builds_the_default_fixed_kind():
     assert cfg.kind == ControllerKind.tlc_fixed()
 
 
+def readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, one list of
+    cells each, stripped of spaces and backticks."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.split("|")[1:-1]])
+    return rows
+
+
 def readme_key_table() -> dict[str, tuple[str, str, str]]:
     """The README's scenario-key table: key -> (field it sets, default,
     kind that reads it)."""
-    lines = README.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| key | sets | default | kind | meaning |")
-    table = {}
-    for line in lines[start + 2:]:
-        if not line.startswith("|"):
-            break
-        key, field, default, kind = (
-            cell.strip().strip("`") for cell in line.split("|")[1:5])
-        table[key] = (field, default, kind)
-    return table
+    return {key: (field, default, kind) for key, field, default, kind, *_
+            in readme_table("| key | sets | default | kind | meaning |")}
+
+
+def readme_columns(label: str) -> list[str]:
+    """The comma-separated column list in the first code span after the
+    README line that starts with ``label``."""
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(f"\n{label}"):]
+    return after.split("`")[1].split(",")
+
+
+def test_readme_output_schemas_match_the_writers(tmp_path):
+    """The README documents the trajectory and events columns the writers
+    use and the keys of a real summary.json."""
+    assert readme_columns("Trajectory CSV columns") == TRAJECTORY_COLUMNS
+    assert readme_columns("Events CSV columns") == EVENT_COLUMNS
+    config = write_config(tmp_path / "s.json", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "s_summary.json").read_text())
+    keys = [row[0] for row in readme_table("| summary key | value |")]
+    assert sorted(keys) == sorted(summary)
 
 
 def test_readme_key_table_matches_the_config_types():
@@ -433,6 +498,29 @@ def test_margin_map_rejects_bad_grid(tmp_path, capsys, grid_args):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):
+    """An --out path under or at an existing file is reported like a bad
+    config, before anything runs or is written."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept", encoding="utf-8")
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    config = write_config(suite / "s.json", kind="atlc", T=1.0)
+    for argv in (
+        ["run", "--config", str(config), "--out", str(blocker)],
+        ["compare", "--dir", str(suite), "--out", str(blocker / "out")],
+        ["margin-map", "--config", str(config), "--z", "90", "--v", "15",
+         "--out", str(blocker / "map.csv")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), argv[0]
+        assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "suite"]
 
 
 def read_rows(path: Path) -> list[dict]:

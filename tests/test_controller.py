@@ -1,5 +1,6 @@
 """Event-triggered loop: decisions, fallback, logging, Zeno diagnostics."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,13 +10,16 @@ from atlc import (
     AccParams,
     ControllerConfig,
     ControllerKind,
+    SimulationError,
     ZenoError,
     acc_model,
     compute_control,
+    controller,
     make_box,
     make_state,
     simulate_closed_loop,
 )
+from atlc.cli import fmt, write_trajectory_csv
 from atlc.constraints import DELTA_CAP
 from atlc.margin import margin_from_stack
 from atlc.robust_bounds import stack_on_grid
@@ -114,18 +118,21 @@ def test_trigger_disabled_gives_single_event():
     )
     log = simulate_closed_loop(cfg)
     assert len(log.events) == 1
-    assert np.unique(log.u).size == 1
+    assert np.all(log.event_index == 0)
     assert log.t[0] == 0.0 and log.t[-1] == 2.0
 
 
-def test_zero_order_hold_and_breakpoints():
+def test_zero_order_hold_and_breakpoints(tmp_path):
+    """Every trajectory row of event k holds that event's input."""
     cfg = ControllerConfig(T=3.0)
     log = simulate_closed_loop(cfg)
-    events = {e.index: e for e in log.events}
-    for k in np.unique(log.event_index):
-        segment_u = log.u[log.event_index == k]
-        assert np.all(segment_u == segment_u[0])
-        assert segment_u[0] == events[int(k)].u
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, log)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == log.t.size
+    for row in rows:
+        assert row["u"] == fmt(log.events[int(row["event_index"])].u)
     # event times strictly increasing, dense cover of [0, T]
     times = [e.t for e in log.events]
     assert np.all(np.diff(times) > 0)
@@ -153,10 +160,8 @@ def test_log_consistency(params):
     log = simulate_closed_loop(cfg)
     np.testing.assert_array_equal(log.h, log.z - params.lp)
     np.testing.assert_array_equal(log.V, (log.v - params.vd) ** 2)
-    # the CLI's summary reads the event count and feasibility off these columns
-    assert log.event_index.max() + 1 == len(log.events)
-    np.testing.assert_array_equal(
-        log.feasible, [log.events[k].feasible for k in log.event_index])
+    # the CLI's summary counts the events off this column
+    assert np.unique(log.event_index).tolist() == list(range(len(log.events)))
 
 
 def test_delta_cap_never_active():
@@ -214,15 +219,40 @@ def test_zeno_abort_on_degenerate_box():
     cfg = ControllerConfig(
         box_under=np.zeros(2), box_over=np.zeros(2), T=1.0,
     )
+    assert issubclass(ZenoError, SimulationError)
     with pytest.raises(ZenoError) as excinfo:
         simulate_closed_loop(cfg)
     log = excinfo.value.log
     assert len(log.events) >= 1
-    # finalising the partial log joins each dense column into one array
-    columns = [log.t, log.z, log.v, log.u, log.h, log.V, log.delta,
-               log.event_index, log.feasible]
+    # the partial log joins each dense column into one array
+    columns = [log.t, log.z, log.v, log.h, log.V, log.event_index]
     assert {np.shape(c) for c in columns} == {(log.t.size,)} and log.t.size >= 1
     assert np.unique(log.event_index).tolist() == list(range(len(log.events)))
+
+
+def test_any_failure_in_the_loop_carries_the_partial_log(monkeypatch):
+    """A failure outside the decision and the integration, here the third
+    event's box, is a SimulationError too, with the two events before it
+    and their dense rows."""
+    calls = []
+
+    def failing_box(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("box failed")
+        return make_box(*args)
+
+    monkeypatch.setattr(controller, "make_box", failing_box)
+    cfg = ControllerConfig(kind=ControllerKind.hocbf(0.5, 0.5), T=3.0)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_closed_loop(cfg)
+    assert not isinstance(excinfo.value, ZenoError)
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    log = excinfo.value.log
+    assert len(log.events) == 2
+    assert np.unique(log.event_index).tolist() == [0, 1]
+    assert {np.shape(c) for c in (log.t, log.z, log.v, log.h, log.V)} == {
+        (log.event_index.size,)}
 
 
 def test_margin_sign_matches_feasibility():
