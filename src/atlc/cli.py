@@ -30,8 +30,8 @@ from .controller import (
     simulate_closed_loop,
 )
 from .margin import tau_star_scan
-from .model import AccParams, acc_model, effort_integrand, make_state
-from .robust_bounds import make_box
+from .model import AccParams, effort_integrand, make_state
+from .robust_bounds import make_box, taylor_table
 from .tau_select import TauSelectConfig, candidate_taus, with_predictions
 
 TRAJECTORY_COLUMNS = [
@@ -145,9 +145,7 @@ def _kind(scenario: dict, num: dict) -> dict:
             fixed["tau"] = num["tau_fixed"]
         return {"kind": ControllerKind.tlc_fixed(**fixed)}
     if kind_name == "hocbf":
-        if "p1" not in num or "p2" not in num:
-            raise ConfigError("kind 'hocbf' requires keys p1 and p2")
-        return {"kind": ControllerKind.hocbf(num["p1"], num["p2"])}
+        return {"kind": ControllerKind.hocbf(num.get("p1"), num.get("p2"))}
     return {"kind": ControllerKind.atlc()}
 
 
@@ -167,10 +165,16 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
         fields.update((key, _radii(key, scenario[key]))
                       for key in ("box_under", "box_over") if key in scenario)
         fields.update((key, num[key]) for key in ("T", "z0", "v0") if key in num)
-        return ControllerConfig(
+        cfg = ControllerConfig(
             params=AccParams(**{key: num[key] for key in PARAM_KEYS if key in num}),
             tau_cfg=TauSelectConfig(**tau), **fields,
         )
+        # the Taylor weights of every time scale the controller uses are finite
+        kind = cfg.kind
+        if kind.name != "hocbf":
+            taus = candidate_taus(cfg.tau_cfg) if kind.name == "atlc" else [kind.tau_fixed]
+            taylor_table(taus, cfg.model.m)
+        return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -227,12 +231,11 @@ def write_events_csv(path: Path, log: TrajectoryLog) -> None:
 def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) -> None:
     """Candidate table of every adaptive event, with the predictions that
     one-input decisions leave uncomputed computed here."""
-    model = acc_model(cfg.params, cfg.clf_form)
     rows = []
     for e in log.events:
         if e.table is None:
             continue
-        table = with_predictions(e.table, e.x, cfg.tau_cfg.T_look, model)
+        table = with_predictions(e.table, e.x, cfg.tau_cfg.T_look, cfg.model)
         for tau, feasible, pred, objective in zip(
                 table.tau.tolist(), table.feasible.tolist(),
                 table.min_h_pred.tolist(), table.qp_objective.tolist()):
@@ -415,9 +418,8 @@ def cmd_margin_map(args) -> int:
     except ValueError as exc:  # a ConfigError, or a non-finite state
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    model = acc_model(cfg.params, cfg.clf_form)
     box = make_box(x, cfg.box_under, cfg.box_over)
-    result = tau_star_scan(box, candidate_taus(cfg.tau_cfg), model, cfg.bound_cfg)
+    result = tau_star_scan(box, candidate_taus(cfg.tau_cfg), cfg.model, cfg.bound_cfg)
     rows = [
         [fmt(tau), fmt(value), fmt(value >= 0.0), fmt(result.tau_star)]
         for tau, value in zip(result.tau_grid, result.values)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .constraints import (
 )
 from .margin import margin_from_stack
 from .model import CLF_FORMS, AccParams, SystemModel, acc_model, make_state
-from .qp import QpSolution, solve_qp
+from .qp import solve_qp
 from .robust_bounds import BoundConfig, Box, make_box, stack_on_grid
 from .sim import IntegratorConfig, integrate_until_trigger
 from .tau_select import (
@@ -108,6 +109,11 @@ class ControllerConfig:
             raise ValueError(
                 f"clf_form must be one of {CLF_FORMS}, got {self.clf_form!r}")
 
+    @cached_property
+    def model(self) -> SystemModel:
+        """The car-following model of these parameters: derived, not settable."""
+        return acc_model(self.params, self.clf_form)
+
 
 @dataclass
 class EventRecord:
@@ -154,19 +160,6 @@ class ZenoError(SimulationError):
     """Two consecutive events within the trigger tolerance."""
 
 
-def _decision(
-    sol: QpSolution, tau: float | None, margin: float, model: SystemModel
-) -> ControlDecision:
-    if sol.status != "optimal":
-        return ControlDecision(
-            u=None, tau=tau, status="infeasible", delta=None, margin=margin,
-        )
-    return ControlDecision(
-        u=sol.values[: model.q], tau=tau, status="optimal",
-        delta=float(sol.values[-1]), margin=margin,
-    )
-
-
 def compute_control(
     x_k: Array,
     cfg: ControllerConfig,
@@ -176,7 +169,7 @@ def compute_control(
     """Solve the variant's control problem at one event state."""
     x_k = np.asarray(x_k, dtype=float)
     if model is None:
-        model = acc_model(cfg.params, cfg.clf_form)
+        model = cfg.model
     if box is None:
         box = make_box(x_k, cfg.box_under, cfg.box_over)
     kind = cfg.kind
@@ -189,17 +182,19 @@ def compute_control(
         gs = stack_on_grid(box, model, cfg.bound_cfg)
         sol = solve_event_qp(x_k, gs, kind.tau_fixed, clf, cfg, model)
         margin = margin_from_stack(gs, kind.tau_fixed, model)
-        return _decision(sol, kind.tau_fixed, margin, model)
-
-    if kind.name == "tlc_fixed":
-        c1, c0 = 2.0 / kind.tau_fixed, 2.0 / kind.tau_fixed**2
     else:
-        c1, c0 = kind.p1 + kind.p2, kind.p1 * kind.p2
-    safety = build_pointwise_row(x_k, c1, c0, model)
-    inst = build_qp_instance([safety, clf], model, x_k, cfg.params.w)
-    margin = row_margin(safety, model.u_min, model.u_max)
+        if kind.name == "tlc_fixed":
+            c1, c0 = 2.0 / kind.tau_fixed, 2.0 / kind.tau_fixed**2
+        else:
+            c1, c0 = kind.p1 + kind.p2, kind.p1 * kind.p2
+        safety = build_pointwise_row(x_k, c1, c0, model)
+        sol = solve_qp(build_qp_instance([safety, clf], model, x_k, cfg.params.w))
+        margin = row_margin(safety, model.u_min, model.u_max)
     # tau_fixed is None for hocbf, which has no time scale to log
-    return _decision(solve_qp(inst), kind.tau_fixed, margin, model)
+    if sol.status != "optimal":
+        return ControlDecision(u=None, tau=kind.tau_fixed, delta=None, margin=margin)
+    return ControlDecision(u=sol.values[: model.q], tau=kind.tau_fixed,
+                           delta=float(sol.values[-1]), margin=margin)
 
 
 def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
@@ -209,7 +204,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
     the trigger tolerance and :class:`SimulationError` on any other failure
     inside the loop, both carrying the partial log.
     """
-    model = acc_model(cfg.params, cfg.clf_form)
+    model = cfg.model
     x = make_state(cfg.z0, cfg.v0)
     t = 0.0
     log = TrajectoryLog()
@@ -219,12 +214,12 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
         while t < cfg.T:
             box = make_box(x, cfg.box_under, cfg.box_over)
             decision = compute_control(x, cfg, model, box)
-            feasible = decision.status == "optimal"
-            u_apply = float((decision.u if feasible else model.fallback)[0])
+            feasible = decision.u is not None
+            u_apply = decision.u if feasible else model.fallback
 
             record = EventRecord(
                 index=len(log.events), t=t, x=x.copy(), tau=decision.tau,
-                u=u_apply, feasible=feasible, delta=decision.delta,
+                u=u_apply.item(), feasible=feasible, delta=decision.delta,
                 margin=decision.margin, table=decision.table,
             )
             log.events.append(record)

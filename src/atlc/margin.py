@@ -22,7 +22,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class MarginMap:
-    """Margin values over an ascending time-scale grid.
+    """Margin values over an ascending time-scale grid, from :func:`tau_star_scan`.
 
     tau_star is the first grid point with nonnegative margin (an upper
     approximation of the true minimal feasible time scale), or None when
@@ -32,14 +32,6 @@ class MarginMap:
     tau_grid: Array
     values: Array
     tau_star: float | None
-
-    def __post_init__(self) -> None:
-        grid = ascending_grid(self.tau_grid)
-        vals = np.asarray(self.values, dtype=float)
-        if grid.shape != vals.shape:
-            raise ValueError("grid and values must be matching vectors")
-        object.__setattr__(self, "tau_grid", grid)
-        object.__setattr__(self, "values", vals)
 
 
 def ascending_grid(tau_grid) -> Array:

@@ -114,9 +114,13 @@ def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
 
 def taylor_table(taus, m: int) -> Array:
     """Coefficients tau^i / i! for i = 0..m, one row per time scale of
-    ``taus``, each from Python arithmetic on the time scale as given."""
+    ``taus``, each from Python arithmetic on the time scale as a float; a
+    ValueError for a time scale that is not positive or whose weights overflow."""
     factorials = [math.factorial(i) for i in range(m + 1)]
-    for tau in taus:
-        if tau <= 0.0:
-            raise ValueError(f"time scale must be positive, got {tau}")
-    return np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
+    taus = [float(tau) for tau in taus]
+    if taus and min(taus) <= 0.0:
+        raise ValueError(f"time scale must be positive, got {min(taus)}")
+    try:
+        return np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
+    except OverflowError:
+        raise ValueError(f"the Taylor weights of time scale {max(taus)} overflow") from None

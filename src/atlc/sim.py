@@ -138,14 +138,21 @@ def _rms(x: Array) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(rhs, u, y0: Array, f0: Array, span: float, cfg: IntegratorConfig):
-    """The first step size over an interval of length span (Hairer, Norsett
-    & Wanner, Sec. II.4), computed as scipy's ``select_initial_step``."""
+def _initial_step(rhs, u, t: float, y0: Array, f0: Array, span: float,
+                  cfg: IntegratorConfig):
+    """The first step size from (t, y0) over an interval of length span
+    (Hairer, Norsett & Wanner, Sec. II.4), computed as scipy's
+    ``select_initial_step``; an IntegrationError at (t, y0) when the
+    derivative f0 is not finite or the step size is not positive."""
+    if not np.isfinite(f0).all():
+        raise IntegrationError(f"derivative {f0} at t={t} is not finite", t, y0)
     scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:  # the scaled derivative overflowed
+        raise IntegrationError(f"first step size {h0} at t={t} is not positive", t, y0)
     d2 = _rms((rhs(y0 + h0 * f0, u) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -197,7 +204,7 @@ def integrate_until_trigger(
     t, t_bound = float(t_start), float(t_horizon)
     y = x_k
     f = rhs(y, u)
-    h_abs = _initial_step(rhs, u, y, f, t_bound - t, cfg)
+    h_abs = _initial_step(rhs, u, t, y, f, t_bound - t, cfg)
     K = np.empty((_N_STAGES + 1, y.size))  # the stages of the last step
     KT = [K[:s].T for s in range(_N_STAGES + 2)]  # the first s stages, as columns
     # faces upper_0, lower_0, upper_1, ...: a face fires when its outward

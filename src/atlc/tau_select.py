@@ -59,7 +59,8 @@ class TauSelectConfig:
 
 @dataclass(frozen=True)
 class ControlDecision:
-    """The input chosen at one event, or u = None when the QP is infeasible.
+    """The input chosen at one event; u = None (and delta = None) marks
+    the infeasible decision, whose QP has no solution.
 
     ``margin`` is the robust feasibility margin at the chosen time scale;
     when every candidate of the adaptive variant is infeasible it is the
@@ -71,7 +72,6 @@ class ControlDecision:
 
     u: Array | None
     tau: float | None
-    status: str  # "optimal" | "infeasible"
     delta: float | None
     margin: float
     table: np.recarray | None = None
@@ -167,14 +167,12 @@ def select_tau(
     feasible = np.flatnonzero(optimal)
     if not feasible.size:
         return ControlDecision(
-            u=None, tau=None, status="infeasible", delta=None,
-            margin=float(margins.max()), table=table,
-        )
+            u=None, tau=None, delta=None, margin=float(margins.max()), table=table)
     best = feasible[0]  # with one distinct input, the smallest feasible tau
     if len({u.tobytes() for u in table.u[feasible]}) > 1:
         table = with_predictions(table, x_k, cfg.tau_cfg.T_look, model)
         best = feasible[np.argmax(table.min_h_pred[feasible])]  # first maximum
     return ControlDecision(
-        u=values[best, :-1], tau=taus[best], status="optimal",
+        u=values[best, :-1], tau=taus[best],
         delta=float(values[best, -1]), margin=float(margins[best]), table=table,
     )

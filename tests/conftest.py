@@ -1,9 +1,64 @@
 import dataclasses
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from atlc import AccParams, acc_model
+from atlc import AccParams, SimulationError, TrajectoryLog, acc_model, cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@dataclasses.dataclass
+class ScenarioRun:
+    """One scenario's run inside ``atlc compare``: its exit code, its
+    closed-loop log and the wall time of that loop."""
+
+    code: int
+    log: TrajectoryLog
+    wall_s: float
+
+
+@dataclasses.dataclass
+class CaseStudy:
+    """``atlc compare --dir scenarios/``: its exit code, the directory it
+    wrote and each scenario's run, by scenario id."""
+
+    code: int
+    out: Path
+    runs: dict[str, ScenarioRun]
+
+
+@pytest.fixture(scope="session")
+def case_study(tmp_path_factory):
+    """The nine case-study loops, run once per session through the command
+    line; the golden, fingerprint and acceptance tests read this one run."""
+    out = tmp_path_factory.mktemp("case_study")
+    run_scenario, simulate = cli.run_scenario, cli.simulate_closed_loop
+    loops, runs = [], {}
+
+    def timed_simulate(cfg):
+        start = time.perf_counter()
+        try:
+            log = simulate(cfg)
+        except SimulationError as exc:
+            log = exc.log
+            raise
+        finally:
+            loops.append((log, time.perf_counter() - start))
+        return log
+
+    def recorded_run(scenario, out_dir, **kwargs):
+        code, summary = run_scenario(scenario, out_dir, **kwargs)
+        runs[scenario["id"]] = ScenarioRun(code, *loops.pop())
+        return code, summary
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "simulate_closed_loop", timed_simulate)
+        patch.setattr(cli, "run_scenario", recorded_run)
+        code = cli.main(["compare", "--dir", str(SCENARIOS), "--out", str(out)])
+    return CaseStudy(code, out, runs)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Runs the full case-study scenario set once (module-scoped) and checks the
-qualitative-reproduction criteria against those logs, then the
-property-based criteria on randomized samples.  One PASS/FAIL line is
-printed per criterion (run with -s to see them live).
+Checks the qualitative-reproduction criteria against the logs of the
+case-study scenario set, from the session's one ``atlc compare`` run
+(``case_study`` in ``conftest.py``), then the property-based criteria on
+randomized samples.  One PASS/FAIL line is printed per criterion (run with
+-s to see them live).
 """
 
+import dataclasses
 import math
 import time
 
@@ -18,13 +20,14 @@ from atlc import (
     ControllerConfig,
     ControllerKind,
     make_box,
-    simulate_closed_loop,
     solve_qp,
 )
+from atlc.cli import build_controller_config, load_scenario
 from atlc.robust_bounds import stack_on_grid, taylor_table
 from atlc.margin import tau_star_scan
 from atlc.sim import integrate_fixed_horizon
 
+from conftest import SCENARIOS
 from references import (
     g_ratlc_from_stack, h_ratlc_from_stack, oracle_grid_solve, row_slacks,
 )
@@ -45,23 +48,39 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def run_scenario(kind, cd):
-    cfg = ControllerConfig(kind=kind, params=AccParams(cd=cd))
-    t0 = time.perf_counter()
-    log = simulate_closed_loop(cfg)
-    return log, time.perf_counter() - t0
+# each criterion run: its controller kind and braking coefficient, and the
+# scenario file of the same config
+CASES = {
+    "atlc_1.2": (ControllerKind.atlc(), 1.2, "atlc_cd12"),
+    "atlc_0.7": (ControllerKind.atlc(), 0.7, "atlc_cd07"),
+    "atlc_0.4": (ControllerKind.atlc(), 0.4, "atlc_cd04"),
+    "atlc_0.3": (ControllerKind.atlc(), 0.3, "atlc_cd03"),
+    "tlc_1.2": (ControllerKind.tlc_fixed(0.5), 1.2, "tlc_cd12"),
+    "tlc_0.7": (ControllerKind.tlc_fixed(0.5), 0.7, "tlc_cd07"),
+    "tlc_0.4": (ControllerKind.tlc_fixed(0.5), 0.4, "tlc_cd04"),
+    "hocbf_aggressive": (ControllerKind.hocbf(5.0, 5.0), 0.4, "hocbf_aggressive"),
+    "hocbf_conservative": (ControllerKind.hocbf(0.3, 0.3), 0.4, "hocbf_conservative"),
+}
 
 
 @pytest.fixture(scope="module")
-def suite():
-    runs = {}
-    for cd in (1.2, 0.7, 0.4, 0.3):
-        runs[f"atlc_{cd}"] = run_scenario(ControllerKind.atlc(), cd)
-    for cd in (1.2, 0.7, 0.4):
-        runs[f"tlc_{cd}"] = run_scenario(ControllerKind.tlc_fixed(0.5), cd)
-    runs["hocbf_aggressive"] = run_scenario(ControllerKind.hocbf(5.0, 5.0), 0.4)
-    runs["hocbf_conservative"] = run_scenario(ControllerKind.hocbf(0.3, 0.3), 0.4)
-    return runs
+def suite(case_study):
+    """Each criterion run's log and the wall time of its loop."""
+    return {key: (case_study.runs[sid].log, case_study.runs[sid].wall_s)
+            for key, (_, _, sid) in CASES.items()}
+
+
+def test_criterion_runs_are_the_scenario_files():
+    """The criteria read the logs of the scenario files: each file builds,
+    field by field, the config its criterion names."""
+    for key, (kind, cd, sid) in CASES.items():
+        named = ControllerConfig(kind=kind, params=AccParams(cd=cd))
+        built = build_controller_config(load_scenario(SCENARIOS / f"{sid}.json"))
+        for field in dataclasses.fields(ControllerConfig):
+            want, got = getattr(named, field.name), getattr(built, field.name)
+            same = (np.array_equal(want, got) if isinstance(want, np.ndarray)
+                    else want == got)
+            assert same, (key, field.name)
 
 
 def infeasible_events(log):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,15 @@ def test_run_reports_json_position(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_hocbf_requires_rates(tmp_path):
-    cfg = write_config(tmp_path / "h.json", kind="hocbf", T=1.0)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+def test_hocbf_requires_rates(tmp_path, capsys):
+    """A missing rate is the kind's own error, reported once."""
+    for rates in ({}, {"p1": 0.3}, {"p2": 0.3}):
+        cfg = write_config(tmp_path / "h.json", kind="hocbf", T=1.0, **rates)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid scenario value: hocbf needs positive finite rates p1 and p2"]
+        assert not out.exists()
 
 
 def test_set_override_changes_run(tmp_path):
@@ -306,6 +313,67 @@ def test_run_rejects_keys_of_another_kind(tmp_path, capsys, name, overrides):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "kind" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("atlc_cd04", ["tau_max=1e200"]),
+    ("tlc_cd04", ["tau_fixed=1e200"]),
+    ("tlc_cd04", ["tau_fixed=1e200", "tlc_robust=false"]),
+])
+def test_run_rejects_a_time_scale_whose_weights_overflow(tmp_path, capsys, name,
+                                                         overrides):
+    """A time scale whose Taylor weights overflow is a config error, for
+    the candidate grid and for the fixed scale, robust or pointwise."""
+    out = tmp_path / "out"
+    args = ["run", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out),
+            "--set", "T=0.3"]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid scenario value: the Taylor weights of time "
+                   "scale 1e+200 overflow"]
+    assert not out.exists()
+
+
+def test_compare_and_margin_map_reject_a_time_scale_whose_weights_overflow(
+        tmp_path, capsys):
+    """compare checks every grid before its first run; margin-map writes
+    no map whose margins would be NaN."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    write_config(suite / "a.json", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(suite / "b.json", kind="atlc", tau_max=1e200, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(suite), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "overflow" in err[0]
+    assert not out.exists()
+
+    out = tmp_path / "m.csv"
+    assert main(["margin-map", "--config", str(SCENARIOS / "atlc_cd04.json"),
+                 "--z", "90", "--v", "15", "--tau-max", "1.5e154", "--n-tau", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid scenario value: the Taylor weights of time "
+                   "scale 1.5e+154 overflow"]
+    assert not out.exists()
+
+
+def test_overflowing_dynamics_abort_with_an_integration_error(tmp_path):
+    """A lead speed of 1e308 overflows the integrator's scaled derivative:
+    the run aborts (exit 3) with the integrator's own error, not a division
+    by zero.  The overflow warns first, in the QP and in the step-size
+    scaling, so the warnings that the suite turns into errors are ignored
+    here."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["run", "--config", str(SCENARIOS / "tlc_cd04.json"),
+                     "--set", "vp=1e308", "--set", "T=1", "--out", str(out)])
+    assert code == 3
+    summary = json.loads((out / "tlc_cd04_summary.json").read_text())
+    assert summary["status"] == "aborted: first step size 0.0 at t=0.0 is not positive"
 
 
 def test_scenario_without_a_kind_reads_only_adaptive_keys():

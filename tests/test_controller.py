@@ -1,6 +1,7 @@
 """Event-triggered loop: decisions, fallback, logging, Zeno diagnostics."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from atlc import (
     AccParams,
+    ControlDecision,
     ControllerConfig,
     ControllerKind,
     SimulationError,
@@ -36,7 +38,7 @@ def test_fallback_values():
 def test_atlc_decision_accelerates_from_start(model):
     cfg = ControllerConfig()
     decision = compute_control(make_state(90.0, 15.0), cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     assert decision.u[0] == pytest.approx(cfg.params.u_max)  # speed-tracking phase
     assert cfg.tau_cfg.tau_min <= decision.tau <= cfg.tau_cfg.tau_max
     assert decision.margin > 0
@@ -54,12 +56,12 @@ def test_atlc_decision_margin(model):
 
     x = make_state(90.0, 15.0)
     decision = compute_control(x, cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     assert decision.margin == margin_from_stack(lattice(x), decision.tau, model)
 
     x = make_state(10.2, 24.0)
     decision = compute_control(x, cfg, model)
-    assert decision.status == "infeasible"
+    assert decision.u is None
     gs = lattice(x)
     margins = [margin_from_stack(gs, float(tau), model)
                for tau in candidate_taus(cfg.tau_cfg)]
@@ -72,21 +74,20 @@ def test_pointwise_tlc_infeasible_at_engineered_state(model):
     speed (cap ~ -40 kN against a -6.47 kN bound)."""
     cfg = ControllerConfig(kind=ControllerKind.tlc_fixed(0.5, robust=False))
     decision = compute_control(make_state(12.0, 24.0), cfg, model)
-    assert decision.status == "infeasible"
-    assert decision.u is None
+    assert decision.u is None and decision.delta is None
     assert decision.margin < 0
 
 
 def test_robust_tlc_infeasible_at_engineered_state(model):
     cfg = ControllerConfig(kind=ControllerKind.tlc_fixed(0.5))
     decision = compute_control(make_state(12.0, 24.0), cfg, model)
-    assert decision.status == "infeasible"
+    assert decision.u is None
 
 
 def test_hocbf_feasible_far_from_boundary(model):
     cfg = ControllerConfig(kind=ControllerKind.hocbf(0.5, 0.5))
     decision = compute_control(make_state(90.0, 15.0), cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     assert decision.delta is not None and decision.delta > 0
 
 
@@ -266,3 +267,62 @@ def test_margin_sign_matches_feasibility():
     assert sum(not e.feasible for e in log.events) > 0
     for event in log.events:
         assert event.feasible == (event.margin >= -1e-12)
+
+
+def test_config_owns_the_model(monkeypatch):
+    """The loop builds its model once, through the config, and the config
+    keeps it: derived from the parameters, so it cannot be assigned."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return acc_model(*args)
+
+    monkeypatch.setattr(controller, "acc_model", counting)
+    cfg = ControllerConfig(kind=ControllerKind.hocbf(0.5, 0.5), T=1.0)
+    log = simulate_closed_loop(cfg)
+    assert len(log.events) > 1 and built == [(cfg.params, cfg.clf_form)]
+    assert cfg.model is cfg.model
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.model = acc_model(cfg.params)
+
+
+def test_loop_applies_the_input_vector(monkeypatch):
+    """The held input reaches the integrator as the model's q-vector, the
+    decision's own or the fallback, and each event logs it as one float."""
+    applied = []
+    integrate = controller.integrate_until_trigger
+
+    def recording(x, u, *args):
+        applied.append(u)
+        return integrate(x, u, *args)
+
+    monkeypatch.setattr(controller, "integrate_until_trigger", recording)
+    cfg = ControllerConfig(
+        kind=ControllerKind.tlc_fixed(0.5), params=AccParams(cd=0.4),
+        z0=20.0, v0=24.0, T=4.0,
+    )
+    log = simulate_closed_loop(cfg)
+    assert {e.feasible for e in log.events} == {True, False}
+    assert len(applied) == len(log.events)
+    for event, u in zip(log.events, applied):
+        assert isinstance(u, np.ndarray) and u.shape == (cfg.model.q,)
+        assert type(event.u) is float and event.u == u[0]
+    assert all(u is cfg.model.fallback for u, e in zip(applied, log.events)
+               if not e.feasible)
+
+
+def test_loop_rejects_an_input_it_cannot_log(monkeypatch, two_input_model):
+    """The event record logs one float: a two-input decision is a
+    SimulationError before the first event, not its first input alone."""
+    monkeypatch.setattr(controller, "acc_model", lambda *args: two_input_model)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_closed_loop(ControllerConfig(T=1.0))
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert excinfo.value.log.events == []
+
+
+def test_decision_feasibility_is_its_input():
+    """A decision carries no status of its own: u is None marks the
+    infeasible one."""
+    assert "status" not in {f.name for f in dataclasses.fields(ControlDecision)}

@@ -50,11 +50,9 @@ NAMES = sorted(
 )
 
 
-def write_outputs(work: Path) -> dict[str, Path]:
-    """Run the commands into ``work``; return each golden name's new file."""
-    compare = work / "compare"
-    # compare exits 0 although two baselines end unsafe; 3 would be an abort
-    assert main(["compare", "--dir", str(SCENARIOS), "--out", str(compare)]) == 0
+def write_outputs(work: Path, compare: Path) -> dict[str, Path]:
+    """Run the commands other than compare into ``work``; return each golden
+    name's new file, those of compare from its output directory ``compare``."""
     near = work / "near"
     assert main(["run", "--config", str(CASE), "--out", str(near),
                  "--trace-candidates", *NEAR_LIMIT]) == 2
@@ -112,8 +110,10 @@ def json_mismatches(name: str, expected: Path, found: Path) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return write_outputs(tmp_path_factory.mktemp("golden"))
+def outputs(case_study, tmp_path_factory):
+    # compare exits 0 although two baselines end unsafe; 3 would be an abort
+    assert case_study.code == 0
+    return write_outputs(tmp_path_factory.mktemp("golden"), case_study.out)
 
 
 def test_golden_directory_holds_every_pinned_output():
@@ -145,6 +145,8 @@ def test_comparison_catches_a_moved_cell(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
+        compare = Path(work) / "compare"
+        assert main(["compare", "--dir", str(SCENARIOS), "--out", str(compare)]) == 0
         GOLDEN.mkdir(exist_ok=True)
-        for name, path in write_outputs(Path(work)).items():
+        for name, path in write_outputs(Path(work), compare).items():
             shutil.copyfile(path, GOLDEN / name)

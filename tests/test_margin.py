@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atlc import BoundConfig, make_box, make_state, tau_star_scan
-from atlc.margin import MarginMap, margin_from_stack
+from atlc.margin import margin_from_stack
 from atlc.robust_bounds import GridStack, stack_on_grid
 
 from references import h_ratlc_from_stack
@@ -110,11 +110,12 @@ def test_tau_star_scan_cases(model):
     assert single.tau_star == 0.3
 
 
-def test_margin_map_validation():
-    with pytest.raises(ValueError):
-        MarginMap(tau_grid=np.array([0.2, 0.1]), values=np.zeros(2), tau_star=None)
-    with pytest.raises(ValueError):
-        MarginMap(tau_grid=np.array([0.1, 0.2]), values=np.zeros(3), tau_star=None)
+def test_tau_star_scan_rejects_a_grid_that_is_not_increasing(model):
+    """The scan, the one maker of a MarginMap, checks its grid."""
+    box = make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5])
+    for grid in ([0.2, 0.1], [0.2, 0.2], []):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tau_star_scan(box, np.array(grid), model, CFG)
 
 
 def sample_envelope(rng, n):

@@ -7,6 +7,8 @@ and the barrier baselines.  It also holds the margin rows of the 32 fixed
 states of the margin scan.  Running them here, with the benchmark's own
 check (tau exact, u and margins within 1e-9), makes a change that flips a
 decision or moves a margin fail in the tests and not only in the benchmark.
+The loops are those of the session's one ``atlc compare`` run
+(``case_study`` in ``conftest.py``), with the exit code each scenario gave.
 """
 
 import importlib.util
@@ -33,6 +35,7 @@ def benchmark_module(name):
     return module
 
 
+CHECKS = benchmark_module("checks")
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
 
@@ -54,36 +57,23 @@ def case_study_scan():
     return scan
 
 
-def check_loop(name, tmp_path, monkeypatch):
-    checks = benchmark_module("checks")
-    simulate = cli.simulate_closed_loop
-    logs = []
-
-    def capturing(cfg):
-        logs.append(simulate(cfg))
-        return logs[-1]
-
-    monkeypatch.setattr(cli, "simulate_closed_loop", capturing)
-    scenario = cli.load_scenario(ROOT / "scenarios" / f"{name}.json")
-    code, _ = cli.run_scenario(scenario, tmp_path)
-    found = checks.fingerprint(code, logs[0])
-    assert checks.check_fingerprint(found, REFERENCE["loops"][name]) == []
-
-
 @pytest.mark.parametrize("name", ADAPTIVE)
-def test_adaptive_loop_matches_reference(name, tmp_path, monkeypatch):
-    check_loop(name, tmp_path, monkeypatch)
+def test_adaptive_loop_matches_reference(name, case_study):
+    run = case_study.runs[name]
+    found = CHECKS.fingerprint(run.code, run.log)
+    assert CHECKS.check_fingerprint(found, REFERENCE["loops"][name]) == []
 
 
 @pytest.mark.parametrize("name", sorted(set(REFERENCE["loops"]) - set(ADAPTIVE)))
-def test_baseline_loop_matches_reference(name, tmp_path, monkeypatch):
-    check_loop(name, tmp_path, monkeypatch)
+def test_baseline_loop_matches_reference(name, case_study):
+    run = case_study.runs[name]
+    found = CHECKS.fingerprint(run.code, run.log)
+    assert CHECKS.check_fingerprint(found, REFERENCE["loops"][name]) == []
 
 
 def test_margin_scan_matches_reference():
-    checks = benchmark_module("checks")
     states = benchmark_module("workloads").reference_scan_states()
     assert len(states) == len(REFERENCE["scan"]) == 32
     scan = case_study_scan()
     for (z, v), ref in zip(states, REFERENCE["scan"]):
-        assert checks.check_scan(scan(z, v), ref) == [], (z, v)
+        assert CHECKS.check_scan(scan(z, v), ref) == [], (z, v)

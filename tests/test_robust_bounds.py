@@ -169,3 +169,16 @@ def test_degenerate_identity_machine_precision(model):
     for tau in (0.05, 0.5, 2.0):
         w = taylor_table([tau], model.m)[0]
         assert h_ratlc_from_stack(gs, tau) == float(stack @ w)
+
+
+def test_taylor_table_reads_each_time_scale_as_a_float():
+    """numpy and Python time scales give the same weights, and weights that
+    overflow are a ValueError naming the time scale, not an inf or a
+    warning."""
+    grid = np.linspace(0.05, 2.0, 40)
+    assert taylor_table(grid, 2).tobytes() == taylor_table(grid.tolist(), 2).tobytes()
+    for taus in (np.array([0.05, 1.5e154]), [0.05, 1e200]):
+        with pytest.raises(ValueError, match="overflow"):
+            taylor_table(taus, 2)
+    with pytest.raises(ValueError, match="positive"):
+        taylor_table([0.5, 0.0], 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,13 +353,41 @@ def test_integration_error_carries_state(model):
 
 
 def test_nan_rhs_raises_integration_error(model):
-    """A NaN derivative makes every error estimate NaN; the step is refused
-    at once instead of shrinking forever."""
+    """A NaN derivative is refused at the segment start instead of making
+    every error estimate NaN and the step shrink forever."""
     nan_model = dataclasses.replace(model, rhs=lambda x, u: np.array([np.nan, 1.0]))
     x0 = make_state(90.0, 15.0)
     box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(IntegrationError) as caught:
         integrate_until_trigger(x0, 0.0, box, 2.0, 3.0, nan_model, CFG)
+    assert caught.value.t_last == 2.0
+    assert np.array_equal(caught.value.x_last, x0)
+
+
+def test_infinite_start_derivative_raises_integration_error(model):
+    """An infinite derivative at the segment start is refused before any
+    arithmetic on it: an IntegrationError at the start, with no warning."""
+    inf_model = dataclasses.replace(model, rhs=lambda x, u: np.array([np.inf, 0.0]))
+    x0 = make_state(90.0, 15.0)
+    box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(IntegrationError, match="not finite") as caught:
+        integrate_until_trigger(x0, 0.0, box, 2.0, 3.0, inf_model, CFG)
+    assert caught.value.t_last == 2.0
+    assert np.array_equal(caught.value.x_last, x0)
+
+
+def test_overflowing_start_derivative_raises_integration_error(model):
+    """A finite derivative whose scaled norm overflows gives a first step
+    of zero: an IntegrationError at the start, not a ZeroDivisionError.
+    numpy warns of the overflow in the scaling first, so this test ignores
+    that warning, which the suite otherwise turns into an error."""
+    big_model = dataclasses.replace(model, rhs=lambda x, u: np.array([1e300, 0.0]))
+    x0 = make_state(90.0, 15.0)
+    box = make_box(x0, [0.5, 0.5], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="not positive") as caught:
+            integrate_until_trigger(x0, 0.0, box, 2.0, 3.0, big_model, CFG)
     assert caught.value.t_last == 2.0
     assert np.array_equal(caught.value.x_last, x0)
 

@@ -48,8 +48,9 @@ def config(**tau_cfg) -> ControllerConfig:
 def scripted_selection(x, box, cfg, model):
     """Independent re-implementation of the rollout selection loop built
     from the public row/QP/rollout operations: every feasible candidate is
-    solved and rolled out on its own.  Returns the chosen tau and input,
-    the status, the margin and the (tau, prediction) table."""
+    solved and rolled out on its own.  Returns the chosen tau and input
+    (both None when every candidate is infeasible), the margin and the
+    (tau, prediction) table."""
     gs = stack_on_grid(box, model, cfg.bound_cfg)
     clf = build_clf_row(x, cfg.params.c3, model)
     best_tau, best_u, best_pred = None, None, -math.inf
@@ -70,9 +71,9 @@ def scripted_selection(x, box, cfg, model):
             best_tau, best_u, best_pred = tau, sol.values[:1], pred
     if best_tau is None:
         margin = max(margin_from_stack(gs, tau, model) for tau, _ in table)
-        return None, None, "infeasible", margin, table
+        return None, None, margin, table
     margin = margin_from_stack(gs, best_tau, model)
-    return best_tau, best_u, "optimal", margin, table
+    return best_tau, best_u, margin, table
 
 
 def test_config_validation():
@@ -135,7 +136,7 @@ def test_single_candidate_returned(model):
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     cfg = config(tau_min=0.7, tau_max=0.7, n_candidates=1)
     decision = select_tau(x, box, cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     assert decision.tau == 0.7
     assert len(decision.table) == 1
 
@@ -151,7 +152,7 @@ def test_infeasible_candidate_loses(model):
     assert margin_from_stack(gs, 2.0, model) < 0.0
 
     decision = select_tau(x, box, cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     assert decision.tau == 0.1
     assert decision.table.feasible.tolist() == [True, False]
     assert math.isnan(decision.table.min_h_pred[1])  # no prediction
@@ -166,8 +167,8 @@ def test_all_infeasible_reported(model):
     assert all(margin_from_stack(gs, t, model) < 0.0 for t in taus)
 
     decision = select_tau(x, box, cfg, model)
-    assert decision.status == "infeasible"
-    assert decision.tau is None and decision.u is None
+    assert decision.u is None and decision.delta is None
+    assert decision.tau is None
     assert np.isnan(decision.table.min_h_pred).all()
 
 
@@ -179,7 +180,7 @@ def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
     x = make_state(z, v)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     decision = select_tau(x, box, config(), model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     gs = stack_on_grid(box, model, config().bound_cfg)
     assert decision.margin == margin_from_stack(gs, decision.tau, model)
     worst = h_ratlc_from_stack(gs, decision.tau) + decision.tau**2 / 2 * float(
@@ -272,7 +273,7 @@ def test_matches_scripted_reimplementation():
         decision = select_tau(x, box, cfg, case_model)
         table = with_predictions(decision.table, x, cfg.tau_cfg.T_look, case_model)
 
-        sc_tau, sc_u, _, _, sc_table = scripted_selection(x, box, cfg, case_model)
+        sc_tau, sc_u, _, sc_table = scripted_selection(x, box, cfg, case_model)
         assert decision.tau == sc_tau
         np.testing.assert_allclose(decision.u, sc_u, rtol=0, atol=1e-12)
         for entry, (tau, pred) in zip(table, sc_table):
@@ -333,7 +334,7 @@ def test_selection_optimality(model):
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
     cfg = config()
     decision = select_tau(x, box, cfg, model)
-    assert decision.status == "optimal"
+    assert decision.u is not None
     table = with_predictions(decision.table, x, cfg.tau_cfg.T_look, model)
     chosen = next(e for e in table if e.tau == decision.tau)
     for entry in table:
@@ -349,7 +350,7 @@ def test_recursive_feasibility_structural(model):
         box = make_box(x, [0.5, 0.5], [0.5, 0.5])
         decision = select_tau(x, box, config(n_candidates=10), model)
         any_feasible = any(e.feasible for e in decision.table)
-        assert (decision.status == "infeasible") == (not any_feasible)
+        assert (decision.u is None) == (not any_feasible)
         if any_feasible:
             assert decision.u is not None
 
@@ -364,7 +365,7 @@ def cd04_event_states(every=10):
 def test_decision_equals_full_rollout_selection():
     """Rolling out only when two or more distinct inputs are feasible does
     not change a decision: at the seeded near-limit states and at every
-    10th event state of atlc_cd04 the tau, the input bytes, the status and
+    10th event state of atlc_cd04 the tau, the input bytes, feasibility and
     the margin equal those of the scripted selection that rolls out every
     feasible candidate."""
     cd04_cfg, cd04_states = cd04_event_states()
@@ -375,8 +376,8 @@ def test_decision_equals_full_rollout_selection():
         case_model = acc_model(cfg.params, cfg.clf_form)
         box = make_box(x, cfg.box_under, cfg.box_over)
         decision = select_tau(x, box, cfg, case_model)
-        tau, u, status, margin, _ = scripted_selection(x, box, cfg, case_model)
-        assert (decision.tau, decision.status, decision.margin) == (tau, status, margin)
+        tau, u, margin, _ = scripted_selection(x, box, cfg, case_model)
+        assert (decision.tau, decision.u is None, decision.margin) == (tau, u is None, margin)
         assert decision.u.tobytes() == u.tobytes()
         skipped = np.isnan(decision.table.min_h_pred[decision.table.feasible])
         one_input += skipped.all()
