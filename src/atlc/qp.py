@@ -166,12 +166,8 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
         return np.empty((0, dim)), np.empty(0), np.empty(0, dtype=bool)
     a_all, b_all = _constraints_ge(a, b, lower, upper)
     n_con = a_all.shape[1]
-    norms = np.sqrt((a_all * a_all).sum(-1))
-    # a zero row becomes a zero unit row, so every subset holding it has a
-    # zero Gram determinant and is dropped
-    safe_norms = np.where(norms > 0.0, norms, 1.0)
-    a_unit = (a_all / safe_norms[..., None]).reshape(-1, dim)
-    b_unit = (b_all / safe_norms).reshape(-1)
+    a_unit, b_unit = _unit_rows(a_all, b_all)
+    a_unit, b_unit = a_unit.reshape(-1, dim), b_unit.reshape(-1)
     neg_c = -c
     two_diag = 2.0 * diag
     varying = _varying(diag, c, a_all, b_all).tobytes()
@@ -212,6 +208,28 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
     values = np.where(lacking[:, None], np.nan, cand[pick])
     return values, objective[pick], ~lacking
+
+
+def _unit_rows(a_all: Array, b_all: Array) -> tuple[Array, Array]:
+    """The constraint rows and right sides divided by the Euclidean norms of
+    the rows.  A row whose squares overflow is divided by its largest
+    magnitude before its norm is taken; every other norm keeps the bits of
+    the plain sum of squares.  A ValueError when a norm or a normalised
+    right side is not finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((a_all * a_all).sum(-1))
+        if norms.max() == math.inf:
+            huge = np.isinf(norms)
+            rows = a_all[huge]
+            peak = np.abs(rows).max(-1)
+            norms[huge] = peak * np.sqrt(((rows / peak[:, None]) ** 2).sum(-1))
+        # a zero row becomes a zero unit row, so every subset holding it has
+        # a zero Gram determinant and is dropped
+        safe_norms = np.where(norms > 0.0, norms, 1.0)
+        b_unit = b_all / safe_norms
+    if norms.max() == math.inf or not np.isfinite(b_unit).all():
+        raise ValueError("the QP rows cannot be normalised: a normalised value is not finite")
+    return a_all / safe_norms[..., None], b_unit
 
 
 def _varying(diag, c, a_all, b_all) -> Array:

@@ -8,13 +8,16 @@ vertices give the robust rows; :func:`~atlc.constraints.atlc_rows` builds
 both.  Extrema are taken over a tensor evaluation lattice that
 always contains the box vertices; the per-axis point counts are snapped to
 a dyadic cell count so refining the lattice only ever adds midpoints and
-the computed minimum never increases under refinement.
+the computed minimum never increases under refinement.  The lattice is
+built by broadcasting each axis into its column, and the Taylor weights of
+a time-scale grid are computed once per grid and shared read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,10 +85,14 @@ def _axis_points(lo: float, hi: float, cfg: BoundConfig) -> Array:
 
 
 def grid_points(box: Box, cfg: BoundConfig) -> Array:
-    """Tensor evaluation lattice over the box, shape (N, n)."""
+    """Tensor evaluation lattice over the box, shape (N, n), in ``ij`` order
+    (the last axis varies fastest): each axis is broadcast into its column."""
     axes = [_axis_points(lo, hi, cfg) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh])
+    n = len(axes)
+    points = np.empty([axis.size for axis in axes] + [n])
+    for j, axis in enumerate(axes):
+        points[..., j] = axis.reshape((-1,) + (1,) * (n - 1 - j))
+    return points.reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,24 @@ def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
 def taylor_table(taus, m: int) -> Array:
     """Coefficients tau^i / i! for i = 0..m, one row per time scale of
     ``taus``, each from Python arithmetic on the time scale as a float; a
-    ValueError for a time scale that is not positive or whose weights overflow."""
+    ValueError for a time scale that is not positive or whose weights overflow.
+
+    The table is computed once per grid and ``m`` and shared: equal time
+    scales given as a list, a tuple or an array return the same read-only
+    array."""
+    if isinstance(taus, np.ndarray):
+        taus = taus.tolist()
+    return _taylor_table(tuple(map(float, taus)), m)
+
+
+@lru_cache(maxsize=128)
+def _taylor_table(taus: tuple[float, ...], m: int) -> Array:
     factorials = [math.factorial(i) for i in range(m + 1)]
-    taus = [float(tau) for tau in taus]
     if taus and min(taus) <= 0.0:
         raise ValueError(f"time scale must be positive, got {min(taus)}")
     try:
-        return np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
+        table = np.array([[tau**i / f for i, f in enumerate(factorials)] for tau in taus])
     except OverflowError:
         raise ValueError(f"the Taylor weights of time scale {max(taus)} overflow") from None
+    table.setflags(write=False)
+    return table

@@ -147,8 +147,9 @@ def _initial_step(rhs, u, t: float, y0: Array, f0: Array, span: float,
     if not np.isfinite(f0).all():
         raise IntegrationError(f"derivative {f0} at t={t} is not finite", t, y0)
     scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    with np.errstate(over="ignore"):  # an overflow fails the step check below
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     if not h0 > 0.0:  # the scaled derivative overflowed

@@ -1,7 +1,9 @@
 """Reference computations that the tests compare the package against.
 
 Each computes one quantity the simplest way: a brute-force grid search for
-the QP optimum, the normalized row slacks of a QP instance, the lattice
+the QP optimum, the normalized row slacks of a QP instance, the box lattice
+from ``np.meshgrid`` and the Taylor weights of a grid without the memo,
+which ``atlc.robust_bounds`` builds by broadcasting and shares, the lattice
 bounds of one time scale and one input-sign branch at a time, which
 ``atlc.constraints.atlc_rows`` builds as one table, and the robust QP and
 margin split over the input-sign orthants, which the vertex rows of the
@@ -17,7 +19,7 @@ import numpy as np
 from atlc.constraints import build_qp_instance, row_margin
 from atlc.model import SystemModel
 from atlc.qp import QpInstance, QpSolution, solve_qp
-from atlc.robust_bounds import GridStack, taylor_table
+from atlc.robust_bounds import BoundConfig, Box, GridStack, _axis_points, taylor_table
 
 
 def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
@@ -57,6 +59,22 @@ def row_slacks(inst: QpInstance, points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(inst.a_ge, axis=1)
     keep = norms > 0.0
     return (points @ inst.a_ge[keep].T - inst.b_ge[keep]) / norms[keep]
+
+
+def meshgrid_points(box: Box, cfg: BoundConfig) -> np.ndarray:
+    """The tensor lattice of ``atlc.robust_bounds.grid_points`` from the same
+    axis points, through ``np.meshgrid`` and ``np.column_stack``."""
+    axes = [_axis_points(lo, hi, cfg) for lo, hi in zip(box.lower, box.upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.reshape(-1) for m in mesh])
+
+
+def taylor_weights(taus, m: int) -> np.ndarray:
+    """tau^i / i! for i = 0..m per time scale, from Python arithmetic on
+    each time scale as a float, computed afresh on every call."""
+    factorials = [math.factorial(i) for i in range(m + 1)]
+    return np.array([[float(tau)**i / f for i, f in enumerate(factorials)]
+                     for tau in taus])
 
 
 def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:

@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,19 +360,29 @@ def test_compare_and_margin_map_reject_a_time_scale_whose_weights_overflow(
 
 
 def test_overflowing_dynamics_abort_with_an_integration_error(tmp_path):
-    """A lead speed of 1e308 overflows the integrator's scaled derivative:
-    the run aborts (exit 3) with the integrator's own error, not a division
-    by zero.  The overflow warns first, in the QP and in the step-size
-    scaling, so the warnings that the suite turns into errors are ignored
-    here."""
+    """A lead speed of 1e308 overflows the normalised rows of the first
+    decision's QP: the run aborts (exit 3) with the QP's typed error and no
+    numpy warning, not with a division by zero."""
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["run", "--config", str(SCENARIOS / "tlc_cd04.json"),
-                     "--set", "vp=1e308", "--set", "T=1", "--out", str(out)])
+    code = main(["run", "--config", str(SCENARIOS / "tlc_cd04.json"),
+                 "--set", "vp=1e308", "--set", "T=1", "--out", str(out)])
     assert code == 3
     summary = json.loads((out / "tlc_cd04_summary.json").read_text())
-    assert summary["status"] == "aborted: first step size 0.0 at t=0.0 is not positive"
+    assert summary["status"] == ("aborted: the QP rows cannot be normalised: "
+                                 "a normalised value is not finite")
+
+
+def test_huge_time_scales_normalise_their_qp_rows(tmp_path):
+    """Taylor weights near 5e199 square to overflow in the QP's row norms;
+    the rows are rescaled instead, so the run completes, with no warning
+    (the suite turns warnings into errors) and no "found no optimum" abort."""
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(SCENARIOS / "atlc_cd04.json"),
+                 "--set", "tau_max=1e100", "--set", "T=0.3", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "atlc_cd04_summary.json").read_text())
+    assert (summary["status"], summary["event_count"]) == ("ok", 1)
+    assert summary["min_h"] == pytest.approx(79.6671686)
 
 
 def test_scenario_without_a_kind_reads_only_adaptive_keys():

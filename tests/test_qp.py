@@ -132,6 +132,24 @@ def test_oracle_trivial_cases():
         )
 
 
+def test_rows_whose_squares_overflow_solve_as_their_scaled_copies():
+    """A row whose sum of squares overflows is divided by its largest entry
+    before its norm is taken, so it solves as the same row scaled down; a
+    row whose norm or normalised right side is not finite is a ValueError."""
+    def instance(a_row, b):
+        return QpInstance(np.ones(2), np.array([-2.0, -2.0]), np.array([a_row]),
+                          np.array([b]), -np.ones(2), np.ones(2))
+
+    plain = solve_qp(instance([-1.0, -1.0], -1.0))
+    huge = solve_qp(instance([-1e200, -1e200], -1e200))
+    assert plain.status == huge.status == "optimal"
+    np.testing.assert_allclose(huge.values, plain.values, rtol=1e-12)
+    np.testing.assert_allclose(plain.values, [0.5, 0.5], rtol=1e-12)
+    for a_row, b in (([1.5e308, 1.5e308], 0.0), ([1e-100, 0.0], 1e300)):
+        with pytest.raises(ValueError, match="cannot be normalised"):
+            solve_qp(instance(a_row, b))
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         QpInstance(np.array([0.0]), np.zeros(1), np.empty((0, 1)), np.empty(0),

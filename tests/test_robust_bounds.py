@@ -8,7 +8,8 @@ import pytest
 from atlc import BoundConfig, Box, make_box, make_state
 from atlc.robust_bounds import grid_points, stack_on_grid, taylor_table
 
-from references import g_ratlc_from_stack, h_ratlc_from_stack
+from references import (g_ratlc_from_stack, h_ratlc_from_stack, meshgrid_points,
+                        taylor_weights)
 
 CFG = BoundConfig()
 
@@ -152,6 +153,25 @@ def test_lattice_nesting():
     assert coarse <= fine
 
 
+@pytest.mark.parametrize("per_axis", [2, 21])
+def test_grid_points_equal_the_meshgrid_lattice(per_axis):
+    """The broadcast lattice is the meshgrid lattice bit for bit, in the same
+    ij order, on seeded boxes of 1, 2 and 3 dimensions, one of them with a
+    zero-width axis."""
+    rng = np.random.default_rng(11)
+    cfg = BoundConfig(grid_points_per_axis=per_axis)
+    for n in (1, 2, 3):
+        for flat in (None, n - 1):
+            lower = rng.normal(0.0, 30.0, n)
+            width = rng.exponential(2.0, n)
+            if flat is not None:
+                width[flat] = 0.0
+            box = Box(lower, lower + width)
+            points, reference = grid_points(box, cfg), meshgrid_points(box, cfg)
+            assert points.shape == reference.shape
+            assert points.tobytes() == reference.tobytes()
+
+
 def test_scale_factoring(model):
     """g_ratlc_from_stack(tau) / tau^m does not depend on tau."""
     gs = stack_on_grid(make_box(make_state(50.0, 20.0), [0.5, 0.5], [0.5, 0.5]),
@@ -172,13 +192,21 @@ def test_degenerate_identity_machine_precision(model):
 
 
 def test_taylor_table_reads_each_time_scale_as_a_float():
-    """numpy and Python time scales give the same weights, and weights that
+    """Equal time scales given as a list, a tuple or a numpy grid share one
+    read-only table, equal to the weights computed afresh.  Weights that
     overflow are a ValueError naming the time scale, not an inf or a
-    warning."""
+    warning, and every error is raised again on the next call."""
     grid = np.linspace(0.05, 2.0, 40)
-    assert taylor_table(grid, 2).tobytes() == taylor_table(grid.tolist(), 2).tobytes()
-    for taus in (np.array([0.05, 1.5e154]), [0.05, 1e200]):
-        with pytest.raises(ValueError, match="overflow"):
-            taylor_table(taus, 2)
-    with pytest.raises(ValueError, match="positive"):
-        taylor_table([0.5, 0.0], 2)
+    for m in (2, 3):
+        table = taylor_table(grid, m)
+        for same in (grid.tolist(), tuple(grid.tolist()), grid.copy()):
+            assert taylor_table(same, m) is table
+        assert not table.flags.writeable
+        assert table.tobytes() == taylor_weights(grid, m).tobytes()
+    assert taylor_table(grid, 2) is not taylor_table(grid, 3)
+    for _ in range(2):
+        for taus in (np.array([0.05, 1.5e154]), [0.05, 1e200]):
+            with pytest.raises(ValueError, match="overflow"):
+                taylor_table(taus, 2)
+        with pytest.raises(ValueError, match="positive"):
+            taylor_table([0.5, 0.0], 2)
