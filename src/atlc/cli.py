@@ -7,6 +7,12 @@ so identical configs reproduce byte-identical files.  Summary statistics
 are computed from the rounded values as they appear in the trajectory CSV,
 which makes the summary exactly reproducible by re-parsing the CSV.
 
+The writers stream their rows to ``csv.writer``: the trajectory CSV is
+formatted ``BLOCK_ROWS`` samples at a time, and the events and candidates
+CSVs one event at a time.  The summary reads the trajectory CSV one block of
+rows at a time and keeps only its six columns as typed arrays, so a run's
+output memory is one block of rows plus those columns, whatever its length.
+
 Exit codes: 0 clean run, 1 bad config or unwritable output path, 2 safety
 violated (min h < 0), 3 aborted (Zeno diagnostic or integrator failure).
 """
@@ -17,7 +23,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from array import array
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,13 @@ EVENT_COLUMNS = [
     "event_index", "t", "z", "v", "tau", "u", "feasible", "delta",
     "margin", "dt_inter_event",
 ]
+# the trajectory columns the summary reads: name, array type code, parser
+SUMMARY_COLUMNS = (
+    ("t", "d", float), ("v", "d", float), ("u", "d", float), ("h", "d", float),
+    ("event_index", "q", int), ("feasible", "b", "1".__eq__),
+)
+# trajectory rows formatted or parsed at a time
+BLOCK_ROWS = 128
 
 PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
 FLOAT_KEYS = PARAM_KEYS + (
@@ -100,7 +116,7 @@ def load_scenario(path: Path, overrides: dict | None = None) -> dict:
     sid = merged["id"]
     # the id names the output files, so it may not leave the output directory
     if (not isinstance(sid, str) or sid in ("", ".", "..")
-            or "/" in sid or "\\" in sid):
+            or "/" in sid or "\\" in sid or "\0" in sid):
         raise ConfigError(f"{path}: id must be a plain file-name stem, got {sid!r}")
     return merged
 
@@ -189,6 +205,26 @@ def _make_out_dir(path: Path) -> None:
         raise ConfigError(f"{path}: cannot create output directory: {exc}") from exc
 
 
+def _check_output_names(out_dir: Path, ids) -> None:
+    """Raise a ConfigError when a scenario's longest output name,
+    ``<id>_candidates.csv``, cannot name a file in ``out_dir``: the limit is
+    that of ``out_dir``, or of its nearest existing parent before it is made."""
+    directory = next((p for p in (out_dir, *out_dir.parents) if p.is_dir()), out_dir)
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit
+        limit = 255
+    for sid in ids:
+        name = f"{sid}_candidates.csv"
+        try:
+            size = len(os.fsencode(name))
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"id {sid!r} cannot name a file: {exc}") from exc
+        if size > limit > 0:
+            raise ConfigError(f"id {sid!r} cannot name a file: the output name "
+                              f"is {size} bytes, over the limit of {limit} in {directory}")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -201,37 +237,40 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
     return ["" if x != x else f"{x:.9g}" for x in values.tolist()]
 
 
-def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
+def _trajectory_rows(log: TrajectoryLog):
+    """The trajectory CSV rows, formatted one block of samples at a time."""
     # each event's input, slack and feasibility, formatted once
     held = [(fmt(e.u), fmt(e.delta), fmt(e.feasible)) for e in log.events]
-    rows = []
-    ks = log.event_index.tolist()
-    for t, z, v, h, V, k, previous in zip(
-            *map(_fmt_floats, (log.t, log.z, log.v, log.h, log.V)), ks, [None, *ks]):
-        event = log.events[k]
-        u, delta, feasible = held[k]
-        is_event_row = k != previous
-        rows.append([
-            t, z, v, u, fmt(event.tau) if is_event_row else "", h, V, delta,
-            str(k), feasible, fmt(event.dt_inter_event) if is_event_row else "",
-        ])
-    _write_csv(path, TRAJECTORY_COLUMNS, rows)
+    previous = None
+    for start in range(0, len(log.t), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        columns = (_fmt_floats(c[block]) for c in (log.t, log.z, log.v, log.h, log.V))
+        for t, z, v, h, V, k in zip(*columns, log.event_index[block].tolist()):
+            event = log.events[k]
+            u, delta, feasible = held[k]
+            is_event_row = k != previous
+            previous = k
+            yield [
+                t, z, v, u, fmt(event.tau) if is_event_row else "", h, V, delta,
+                str(k), feasible, fmt(event.dt_inter_event) if is_event_row else "",
+            ]
+
+
+def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
+    _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(log))
 
 
 def write_events_csv(path: Path, log: TrajectoryLog) -> None:
-    rows = [
+    rows = (
         [str(e.index), fmt(e.t), fmt(e.x[0]), fmt(e.x[1]), fmt(e.tau),
          fmt(e.u), fmt(e.feasible), fmt(e.delta), fmt(e.margin),
          fmt(e.dt_inter_event)]
         for e in log.events
-    ]
+    )
     _write_csv(path, EVENT_COLUMNS, rows)
 
 
-def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) -> None:
-    """Candidate table of every adaptive event, with the predictions that
-    one-input decisions leave uncomputed computed here."""
-    rows = []
+def _candidate_rows(log: TrajectoryLog, cfg: ControllerConfig):
     for e in log.events:
         if e.table is None:
             continue
@@ -239,13 +278,30 @@ def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) 
         for tau, feasible, pred, objective in zip(
                 table.tau.tolist(), table.feasible.tolist(),
                 table.min_h_pred.tolist(), table.qp_objective.tolist()):
-            rows.append([str(e.index), fmt(e.t), fmt(tau), fmt(feasible), fmt(pred),
-                         fmt(objective if feasible else None)])
+            yield [str(e.index), fmt(e.t), fmt(tau), fmt(feasible), fmt(pred),
+                   fmt(objective if feasible else None)]
+
+
+def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) -> None:
+    """Candidate table of every adaptive event, with the predictions that
+    one-input decisions leave uncomputed computed here."""
     _write_csv(
         path,
         ["event_index", "t", "tau", "feasible", "min_h_pred", "qp_objective"],
-        rows,
+        _candidate_rows(log, cfg),
     )
+
+
+def _read_block(reader, header: list[str], columns: list[array]) -> bool:
+    """Append the summary's cells of the next ``BLOCK_ROWS`` rows to their
+    typed columns; False once no row is left.  The block's strings are
+    freed on return, so one block is held at a time."""
+    cells = dict(zip(header, zip(*islice(reader, BLOCK_ROWS))))
+    if not cells:
+        return False
+    for (key, _, parse), values in zip(SUMMARY_COLUMNS, columns):
+        values.extend(map(parse, cells[key]))
+    return True
 
 
 def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
@@ -253,25 +309,28 @@ def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
 
     Works entirely on the rounded values stored in the file; the CLI uses
     the same routine to produce summary.json, so re-parsing reproduces it
-    exactly.
+    exactly.  The file is read a block of rows at a time, and only the six
+    columns the summary uses are kept, as typed arrays.
     """
+    columns = [array(code) for _, code, _ in SUMMARY_COLUMNS]
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = list(reader)
-    if not rows:
+        while _read_block(reader, header, columns):
+            pass
+    if not columns[0]:
         return {
             "min_h": None, "event_count": 0, "infeasible_events": 0,
             "effort": 0.0, "mean_abs_du": 0.0,
         }
-    column = dict(zip(header, zip(*rows)))
-    t, v, u, h = (np.array(list(map(float, column[key]))) for key in "tvuh")
-    event_index = np.array(list(map(int, column["event_index"])))
-    feasible = np.array([value == "1" for value in column["feasible"]])
+    # numpy arrays over the columns' buffers, without a copy
+    t, v, u, h, event_index, feasible = (
+        np.frombuffer(values, dtype=values.typecode) for values in columns)
+    feasible = feasible.view(bool)
 
     effort = float(np.trapezoid(effort_integrand(u, v, params), t))
 
-    first_of_event = np.ones(len(rows), dtype=bool)
+    first_of_event = np.ones(len(t), dtype=bool)
     first_of_event[1:] = event_index[1:] != event_index[:-1]
     event_u = u[first_of_event]
     mean_abs_du = (
@@ -335,6 +394,7 @@ def _parse_overrides(pairs) -> dict:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(Path(args.config), _parse_overrides(args.set))
+    _check_output_names(Path(args.out), [scenario["id"]])
     code, summary = run_scenario(
         scenario, Path(args.out), trace_candidates=args.trace_candidates
     )
@@ -364,6 +424,7 @@ def cmd_compare(args) -> int:
     for scenario in scenarios:
         build_controller_config(scenario)
     out_dir = Path(args.out)
+    _check_output_names(out_dir, by_id)
     _make_out_dir(out_dir)
 
     results = []

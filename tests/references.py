@@ -5,9 +5,10 @@ the QP optimum, the normalized row slacks of a QP instance, the box lattice
 from ``np.meshgrid`` and the Taylor weights of a grid without the memo,
 which ``atlc.robust_bounds`` builds by broadcasting and shares, the lattice
 bounds of one time scale and one input-sign branch at a time, which
-``atlc.constraints.atlc_rows`` builds as one table, and the robust QP and
+``atlc.constraints.atlc_rows`` builds as one table, the robust QP and
 margin split over the input-sign orthants, which the vertex rows of the
-gain box replace.
+gain box replace, and the trajectory CSV built as one list of all its
+rows, which ``atlc.cli`` formats and writes one block at a time.
 """
 
 import dataclasses
@@ -16,7 +17,9 @@ from itertools import product
 
 import numpy as np
 
+from atlc.cli import TRAJECTORY_COLUMNS, _fmt_floats, _write_csv, fmt
 from atlc.constraints import build_qp_instance, row_margin
+from atlc.controller import TrajectoryLog
 from atlc.model import SystemModel
 from atlc.qp import QpInstance, QpSolution, solve_qp
 from atlc.robust_bounds import BoundConfig, Box, GridStack, _axis_points, taylor_table
@@ -138,3 +141,21 @@ def orthant_event_qp(x: np.ndarray, gs: GridStack, tau: float, clf_row, w: float
             inst, lower=np.append(lower, inst.lower[-1]),
             upper=np.append(upper, inst.upper[-1]))))
     return min(solutions, key=lambda sol: sol.objective)  # infeasible: +inf
+
+
+def list_trajectory_csv(path, log: TrajectoryLog) -> None:
+    """The trajectory CSV of ``atlc.cli.write_trajectory_csv``, with every
+    row formatted from whole-log columns into one list before it is written."""
+    held = [(fmt(e.u), fmt(e.delta), fmt(e.feasible)) for e in log.events]
+    rows = []
+    ks = log.event_index.tolist()
+    for t, z, v, h, V, k, previous in zip(
+            *map(_fmt_floats, (log.t, log.z, log.v, log.h, log.V)), ks, [None, *ks]):
+        event = log.events[k]
+        u, delta, feasible = held[k]
+        is_event_row = k != previous
+        rows.append([
+            t, z, v, u, fmt(event.tau) if is_event_row else "", h, V, delta,
+            str(k), feasible, fmt(event.dt_inter_event) if is_event_row else "",
+        ])
+    _write_csv(path, TRAJECTORY_COLUMNS, rows)

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +15,15 @@ from atlc import (
     AccParams,
     ControllerConfig,
     ControllerKind,
+    EventRecord,
     IntegrationError,
     SimulationError,
+    TrajectoryLog,
     controller,
     simulate_closed_loop,
 )
 from atlc.cli import (
+    BLOCK_ROWS,
     EVENT_COLUMNS,
     KIND_KEYS,
     KNOWN_KEYS,
@@ -25,7 +31,9 @@ from atlc.cli import (
     build_controller_config,
     main,
     summary_from_trajectory_csv,
+    write_trajectory_csv,
 )
+from references import list_trajectory_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -243,7 +251,8 @@ def test_run_rejects_bad_box_or_start(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     'id="../escaped"', "id=../escaped", 'id="a/b"', 'id="a\\\\b"', "id=.", "id=..",
-    'id=""', "id=", "id=7", "id=true", "id=null", 'id=["a"]',
+    'id=""', "id=", "id=7", "id=true", "id=null", 'id=["a"]', 'id="a\\u0000b"',
+    'id="\\ud800"',
 ])
 def test_run_rejects_id_that_is_not_a_file_stem(tmp_path, capsys, override):
     """The id names the output files: nothing is written, in the output
@@ -267,6 +276,43 @@ def test_compare_rejects_bad_id_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "b.json" in err[0]
     assert not out.exists() and not (tmp_path / "b_trajectory.csv").exists()
+
+
+def test_run_rejects_an_id_too_long_to_name_its_outputs(tmp_path, capsys, monkeypatch):
+    """The longest output name, ``<id>_candidates.csv``, must fit the output
+    directory's file-name limit; a longer one is one error line before the
+    simulation, and an id that just fits writes every file."""
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    longest = "x" * (limit - len("_candidates.csv"))
+    cfg = write_config(tmp_path / "s.json", kind="atlc", T=0.1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--trace-candidates",
+                 "--set", f"id={longest}"]) == 0
+    assert len((out / f"{longest}_candidates.csv").read_bytes()) > 0
+    capsys.readouterr()
+
+    def no_simulation(cfg):
+        raise AssertionError("the run should not start")
+
+    monkeypatch.setattr("atlc.cli.simulate_closed_loop", no_simulation)
+    other = tmp_path / "other"
+    assert main(["run", "--config", str(cfg), "--out", str(other),
+                 "--set", f"id={longest}x"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "cannot name a file" in err[0]
+    assert not other.exists()
+
+
+def test_compare_rejects_an_id_too_long_to_name_its_outputs(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    write_config(d / "a.json", id="a", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(d / "b.json", id="b" * 300, kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "cannot name a file" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, override", [
@@ -640,3 +686,83 @@ def test_trace_candidates(tmp_path):
         preds = {r["tau"]: float(r["min_h_pred"])
                  for r in by_event[e["event_index"]] if r["feasible"] == "1"}
         assert preds[e["tau"]] == max(preds.values())
+
+
+def synthetic_log(n_rows: int, starts: list[int]) -> TrajectoryLog:
+    """A log of ``n_rows`` seeded samples whose events begin at the rows
+    ``starts``.  Odd events have no time scale and are infeasible without a
+    slack; the last has no inter-event time; one ``V`` is NaN."""
+    rng = np.random.default_rng(n_rows)
+    ends = [*starts[1:], n_rows]
+    events = [
+        EventRecord(
+            index=k, t=0.01 * start, x=rng.normal(50.0, 20.0, 2),
+            tau=None if k % 2 else float(rng.uniform(0.1, 2.0)),
+            u=float(rng.normal(0.0, 3000.0)), feasible=k % 2 == 0,
+            delta=None if k % 2 else float(rng.exponential()), margin=float(rng.normal()),
+            dt_inter_event=None if end == n_rows else 0.01 * (end - start),
+        )
+        for k, (start, end) in enumerate(zip(starts, ends))
+    ]
+    V = rng.normal(0.0, 100.0, n_rows)
+    V[n_rows // 2] = np.nan
+    return TrajectoryLog(
+        events=events, t=0.01 * np.arange(n_rows), z=rng.normal(50.0, 20.0, n_rows),
+        v=rng.normal(15.0, 5.0, n_rows), h=rng.normal(10.0, 5.0, n_rows), V=V,
+        event_index=np.repeat(np.arange(len(starts)), np.diff([*starts, n_rows])),
+    )
+
+
+@pytest.mark.parametrize("n_rows, starts", [
+    (1, [0]),
+    (BLOCK_ROWS, [0, 1, BLOCK_ROWS - 1]),
+    (BLOCK_ROWS + 1, [0, BLOCK_ROWS - 4]),  # the last event runs across a block boundary
+    (2 * BLOCK_ROWS + 3, [0, 5, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS]),
+], ids=["one_row", "one_block", "one_block_and_one_row", "events_that_begin_a_block"])
+def test_trajectory_writer_matches_the_list_writer(tmp_path, n_rows, starts):
+    """The writer formats a block of rows at a time; its bytes equal those
+    of one list of all rows, and each event's time scale and inter-event
+    time stay on its first row wherever the blocks split it."""
+    log = synthetic_log(n_rows, starts)
+    write_trajectory_csv(tmp_path / "streamed.csv", log)
+    list_trajectory_csv(tmp_path / "listed.csv", log)
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "listed.csv").read_bytes()
+    assert len(streamed.splitlines()) == n_rows + 1
+
+
+def test_summary_of_a_file_without_rows_is_empty(tmp_path):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(",".join(TRAJECTORY_COLUMNS) + "\n", encoding="utf-8")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    for path in (header_only, empty):
+        assert summary_from_trajectory_csv(path, AccParams()) == {
+            "min_h": None, "event_count": 0, "infeasible_events": 0,
+            "effort": 0.0, "mean_abs_du": 0.0,
+        }
+
+
+def test_a_long_log_is_written_and_summarised_in_bounded_memory(tmp_path):
+    """100,000 rows: the writer holds one block of rows and the summary one
+    block plus its six typed columns (41 B a row), so the traced peak stays
+    under 8 MB, where rows held as strings take 600-800 B each."""
+    n_rows = 100_000
+    log = synthetic_log(n_rows, list(range(0, n_rows, 37)))
+    path = tmp_path / "long_trajectory.csv"
+
+    def write_and_summarise():
+        write_trajectory_csv(path, log)
+        return summary_from_trajectory_csv(path, AccParams())
+
+    start = time.perf_counter()
+    summary = write_and_summarise()
+    assert time.perf_counter() - start < 2.0
+    assert summary["event_count"] == len(log.events)
+    tracemalloc.start()
+    try:
+        assert write_and_summarise() == summary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
