@@ -9,9 +9,9 @@ which makes the summary exactly reproducible by re-parsing the CSV.
 
 The writers stream their rows to ``csv.writer``: the trajectory CSV is
 formatted ``BLOCK_ROWS`` samples at a time, and the events and candidates
-CSVs one event at a time.  The summary reads the trajectory CSV one block of
-rows at a time and keeps only its six columns as typed arrays, so a run's
-output memory is one block of rows plus those columns, whatever its length.
+CSVs one event at a time.  The summary reads the trajectory CSV back with
+``np.loadtxt``, which parses only the six columns it uses, found by header
+name, into one structured array (41 B a row), whatever the run's length.
 
 Exit codes: 0 clean run, 1 bad config or unwritable output path, 2 safety
 violated (min h < 0), 3 aborted (Zeno diagnostic or integrator failure).
@@ -25,8 +25,6 @@ import json
 import math
 import os
 import sys
-from array import array
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +49,10 @@ EVENT_COLUMNS = [
     "event_index", "t", "z", "v", "tau", "u", "feasible", "delta",
     "margin", "dt_inter_event",
 ]
-# the trajectory columns the summary reads: name, array type code, parser
-SUMMARY_COLUMNS = (
-    ("t", "d", float), ("v", "d", float), ("u", "d", float), ("h", "d", float),
-    ("event_index", "q", int), ("feasible", "b", "1".__eq__),
-)
-# trajectory rows formatted or parsed at a time
+# the trajectory columns the summary reads, each with the type it is parsed to
+SUMMARY_DTYPE = np.dtype([("t", "f8"), ("v", "f8"), ("u", "f8"), ("h", "f8"),
+                          ("event_index", "i8"), ("feasible", "?")])
+# trajectory rows formatted at a time
 BLOCK_ROWS = 128
 
 PARAM_KEYS = ("M", "vp", "vd", "f0", "f1", "f2", "lp", "ca", "cd", "c3", "w")
@@ -292,41 +288,24 @@ def write_candidates_csv(path: Path, log: TrajectoryLog, cfg: ControllerConfig) 
     )
 
 
-def _read_block(reader, header: list[str], columns: list[array]) -> bool:
-    """Append the summary's cells of the next ``BLOCK_ROWS`` rows to their
-    typed columns; False once no row is left.  The block's strings are
-    freed on return, so one block is held at a time."""
-    cells = dict(zip(header, zip(*islice(reader, BLOCK_ROWS))))
-    if not cells:
-        return False
-    for (key, _, parse), values in zip(SUMMARY_COLUMNS, columns):
-        values.extend(map(parse, cells[key]))
-    return True
-
-
 def summary_from_trajectory_csv(path: Path, params: AccParams) -> dict:
     """Recompute the summary record from an emitted trajectory CSV.
 
     Works entirely on the rounded values stored in the file; the CLI uses
     the same routine to produce summary.json, so re-parsing reproduces it
-    exactly.  The file is read a block of rows at a time, and only the six
-    columns the summary uses are kept, as typed arrays.
+    exactly.  Only the six columns the summary uses are parsed.
     """
-    columns = [array(code) for _, code, _ in SUMMARY_COLUMNS]
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        while _read_block(reader, header, columns):
-            pass
-    if not columns[0]:
-        return {
-            "min_h": None, "event_count": 0, "infeasible_events": 0,
-            "effort": 0.0, "mean_abs_du": 0.0,
-        }
-    # numpy arrays over the columns' buffers, without a copy
-    t, v, u, h, event_index, feasible = (
-        np.frombuffer(values, dtype=values.typecode) for values in columns)
-    feasible = feasible.view(bool)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if not fh.readline():
+            return {
+                "min_h": None, "event_count": 0, "infeasible_events": 0,
+                "effort": 0.0, "mean_abs_du": 0.0,
+            }
+        fh.seek(0)
+        rows = np.loadtxt(fh, SUMMARY_DTYPE, comments=None, delimiter=",", skiprows=1,
+                          usecols=[header.index(k) for k in SUMMARY_DTYPE.names], ndmin=1)
+    t, v, u, h, event_index, feasible = (rows[name] for name in SUMMARY_DTYPE.names)
 
     effort = float(np.trapezoid(effort_integrand(u, v, params), t))
 

@@ -200,11 +200,12 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
             "active-set enumeration found no optimum for a feasible instance"
         )
 
-    # the objective as dot products, as one instance on its own computes
-    # it: a stacked row-by-column matmul is bit-identical
-    objective = (diag[:, None, None] @ (cand * cand)[..., None]
-                 + c[:, None, None] @ cand[..., None])[..., 0, 0]
-    objective = np.where(feasible, objective, math.inf)
+    # the objective as dot products, as one instance on its own computes it
+    # (a stacked matmul is bit-identical); a non-finite one counts as +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = (diag[:, None, None] @ (cand * cand)[..., None]
+                     + c[:, None, None] @ cand[..., None])[..., 0, 0]
+    objective = np.where(feasible & np.isfinite(objective), objective, math.inf)
     pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
     values = np.where(lacking[:, None], np.nan, cand[pick])
     return values, objective[pick], ~lacking
@@ -301,10 +302,11 @@ def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
     rhs[:, dim:] = rhs_rows
     rhs = rhs[independent]
     sols = _solve_stack(kkt, rhs)
-    # a non-finite solution entry makes every residual non-finite, so the
-    # residual test also rejects the NaN rows of singular systems
-    residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) \
-        <= 1e-6 * np.maximum(1.0, np.abs(rhs))
+    # a non-finite solution entry or product makes its residuals non-finite,
+    # so the test also rejects the NaN rows of singular systems
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) \
+            <= 1e-6 * np.maximum(1.0, np.abs(rhs))
     points = np.zeros((n_sys, dim))
     ok = np.zeros(n_sys, dtype=bool)
     points[independent] = sols[:, :dim]

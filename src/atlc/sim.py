@@ -80,7 +80,10 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Trigger-integration tolerances, all positive and finite; rel_tol of
-    at least 100 eps, below which the step-size control cannot work."""
+    at least 100 eps, below which the step-size control cannot work.
+    trigger_bisection_tol is only the Zeno threshold of simulate_closed_loop
+    (an inter-event time at or below it aborts the run); the exit-time
+    search does not read it, as Brent's method there runs to 4 eps."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10

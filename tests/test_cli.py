@@ -29,10 +29,12 @@ from atlc.cli import (
     KNOWN_KEYS,
     TRAJECTORY_COLUMNS,
     build_controller_config,
+    fmt,
     main,
     summary_from_trajectory_csv,
     write_trajectory_csv,
 )
+from atlc.model import effort_integrand
 from references import list_trajectory_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -431,6 +433,21 @@ def test_huge_time_scales_normalise_their_qp_rows(tmp_path):
     assert summary["min_h"] == pytest.approx(79.6671686)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, code", [("lp", 2), ("c3", 0)])
+def test_extreme_magnitudes_overflow_in_the_qp_without_a_warning(tmp_path, key, code):
+    """A 1e300 safety distance or CLF rate overflows candidate objectives and
+    KKT residuals in the QP; those candidates are rejected quietly, so the
+    run finishes with every event infeasible instead of aborting on a
+    warning turned into an error."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIOS / "atlc_cd04.json"),
+                 "--set", "T=1", "--set", f"{key}=1e300", "--out", str(out)]) == code
+    summary = json.loads((out / "atlc_cd04_summary.json").read_text())
+    assert (summary["status"], summary["event_count"],
+            summary["infeasible_events"]) == ("ok", 8, 8)
+
+
 def test_scenario_without_a_kind_reads_only_adaptive_keys():
     """A scenario that names no kind is of kind atlc: its tau selection keys
     apply, and a tlc_fixed key is an error."""
@@ -741,6 +758,47 @@ def test_summary_of_a_file_without_rows_is_empty(tmp_path):
             "min_h": None, "event_count": 0, "infeasible_events": 0,
             "effort": 0.0, "mean_abs_du": 0.0,
         }
+
+
+def dict_reader_summary(path: Path) -> dict:
+    """The summary of a trajectory CSV parsed with ``csv.DictReader``, one
+    Python object per cell, with the summary's reductions."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    t, v, u, h = (np.array([float(row[key]) for row in rows]) for key in "tvuh")
+    event_index = np.array([int(row["event_index"]) for row in rows])
+    feasible = np.array([row["feasible"] == "1" for row in rows])
+    first_of_event = np.r_[True, event_index[1:] != event_index[:-1]]
+    du = np.abs(np.diff(u[first_of_event]))
+    return {
+        "min_h": float(fmt(h.min())),
+        "event_count": int(event_index.max()) + 1,
+        "infeasible_events": int(np.sum(~feasible[first_of_event])),
+        "effort": float(fmt(np.trapezoid(effort_integrand(u, v, AccParams()), t))),
+        "mean_abs_du": float(fmt(np.mean(du))) if du.size else 0.0,
+    }
+
+
+@pytest.mark.parametrize("n_rows, starts, columns", [
+    (1, [0], TRAJECTORY_COLUMNS),
+    (300, [0, 5, 150, 151], TRAJECTORY_COLUMNS[::-1]),
+], ids=["one_row", "permuted_columns"])
+def test_summary_matches_a_dict_reader(tmp_path, n_rows, starts, columns):
+    """The summary finds its columns by header name, in any order, and a
+    file with one data row still gives one-row columns."""
+    written = tmp_path / "written.csv"
+    write_trajectory_csv(written, synthetic_log(n_rows, starts))
+    with open(written, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    path = tmp_path / "trajectory.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    summary = summary_from_trajectory_csv(path, AccParams())
+    assert summary == dict_reader_summary(path)
+    assert summary == summary_from_trajectory_csv(written, AccParams())
+    assert summary["event_count"] == len(starts)
 
 
 def test_a_long_log_is_written_and_summarised_in_bounded_memory(tmp_path):
