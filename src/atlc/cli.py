@@ -186,9 +186,19 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
         if kind.name != "hocbf":
             taus = candidate_taus(cfg.tau_cfg) if kind.name == "atlc" else [kind.tau_fixed]
             taylor_table(taus, cfg.model.m)
+        # no overflow in the model at the start state (its rhs: L_f h, the effort)
+        model, x = cfg.model, make_state(cfg.z0, cfg.v0)
+        with np.errstate(over="raise", invalid="raise"):
+            values = [model.lie_stack(x), *model.clf_terms(x), *model.cost(x),
+                      effort_integrand(np.array([model.u_min, model.u_max]), x[1], cfg.params)]
+        if not all(np.isfinite(v).all() for v in values):
+            raise FloatingPointError("a value is not finite")
         return cfg
     except ConfigError:
         raise
+    except FloatingPointError as exc:  # not a ValueError
+        raise ConfigError(f"invalid scenario value: the model overflows at the "
+                          f"start state: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 

@@ -107,15 +107,17 @@ def build_clf_row(x: Array, c3: float, model: SystemModel) -> tuple[Array, float
     return np.concatenate([-lgV, [1.0]]), lfV + c3 * V
 
 
-def build_qp_instance(rows, model: SystemModel, x: Array, w: float) -> QpInstance:
-    """Assemble the controller QP over (u, delta) from (a, b) rows: the
-    model's input cost at the state x plus w delta^2."""
+def qp_cost_and_box(model: SystemModel, x: Array, w: float) -> tuple[Array, ...]:
+    """The controller QP's cost (diag, linear) and box (lower, upper) over
+    (u, delta) at the state x: the model's input cost plus w delta^2."""
     diag, linear = model.cost(x)
-    return QpInstance(
-        quadratic_diag=np.append(diag, w),
-        linear_cost=np.append(linear, 0.0),
-        a_ge=np.array([a for a, _ in rows]),
-        b_ge=np.array([b for _, b in rows]),
-        lower=np.append(model.u_min, 0.0),
-        upper=np.append(model.u_max, DELTA_CAP),
-    )
+    return (np.append(diag, w), np.append(linear, 0.0), np.append(model.u_min, 0.0),
+            np.append(model.u_max, DELTA_CAP))
+
+
+def build_qp_instance(rows, model: SystemModel, x: Array, w: float) -> QpInstance:
+    """Assemble the controller QP over (u, delta) from (a, b) rows and
+    :func:`qp_cost_and_box`."""
+    diag, linear, lower, upper = qp_cost_and_box(model, x, w)
+    return QpInstance(diag, linear, np.array([a for a, _ in rows]),
+                      np.array([b for _, b in rows]), lower, upper)

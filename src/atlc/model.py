@@ -101,7 +101,8 @@ class SystemModel:
     Every evaluator takes states of shape (..., n), ``rhs`` also inputs of
     shape (..., q) with the same leading axes, and returns its values over
     those leading axes: ``lie_stack`` (..., m+1), ``phi`` (..., q),
-    ``rhs`` (..., n) and the CLF terms (...), (...) and (..., q).  A batch
+    ``rhs`` (..., n) and the CLF terms (...), (...) and (..., q); ``rhs(x, u,
+    out)`` writes into ``out`` (shaped like ``x``, not ``x``) when given.  A batch
     equals its per-state calls bit for bit, so worst-case bounds over a box
     and the lookahead rollouts need no Python-level loop.  All evaluators
     are pure functions.
@@ -114,7 +115,7 @@ class SystemModel:
     n: int
     q: int
     m: int
-    rhs: Callable[[Array, Array], Array]
+    rhs: Callable[..., Array]
     lie_stack: Callable[[Array], Array]
     phi: Callable[[Array], Array]
     clf_terms: Callable[[Array], tuple[float, float, Array]]
@@ -164,26 +165,28 @@ def _columns(x: Array, *values) -> Array:
     return out
 
 
-def acc_dynamics_rhs(x: Array, u, p: AccParams) -> Array:
-    """Time derivative of (gap, speed) under traction/braking force u [N].
+def acc_dynamics_rhs(x: Array, u, p: AccParams, out: Array | None = None) -> Array:
+    """Time derivative of (gap, speed) under traction/braking force u [N],
+    written into ``out`` (shaped like ``x``) when given, else a new array.
 
     ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs.  One
     state is evaluated in Python floats, a batch in place with ufuncs; both
     do the IEEE operations of :func:`resistance_force` in its order, so a
     batch equals its per-state calls bit for bit."""
+    out = np.empty(x.shape) if out is None else out
     if x.ndim == 1:  # one state: Python floats cost less than numpy scalars
         force = u.item() if isinstance(u, np.ndarray) else float(u)
         v = x.item(1)
         # sgn(v) as a comparison; a NaN speed still propagates through f1 * v
         fr = p.f0 * ((v > 0.0) - (v < 0.0)) + p.f1 * v + p.f2 * v * v
-        return np.array([p.vp - v, (force - fr) / p.M])
+        out[0], out[1] = p.vp - v, (force - fr) / p.M
+        return out
     u = np.asarray(u, dtype=float)
     force = u[..., 0] if u.ndim else u[()]
     # a batch: the operations of resistance_force, in its order, in place;
     # the last argument of each ufunc is its output (positional: cheaper)
     f0, f1, f2, M, vp = p._rhs_operands
     v = x[..., 1]
-    out = np.empty(x.shape)
     rate, scratch = out[..., 1], out[..., 0]
     np.multiply(f0, np.sign(v, rate), rate)
     np.add(rate, np.multiply(f1, v, scratch), rate)
@@ -226,8 +229,8 @@ def acc_clf_terms(x: Array, p: AccParams, form: str = "quadratic"):
 def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
     """Build the car-following :class:`SystemModel` (n=2, q=1, m=2)."""
 
-    def rhs(x: Array, u) -> Array:
-        return acc_dynamics_rhs(x, u, p)
+    def rhs(x: Array, u, out: Array | None = None) -> Array:
+        return acc_dynamics_rhs(x, u, p, out)  # positional, as counters see it
 
     def lie_stack(x: Array) -> Array:
         h, lfh, lf2h, _ = acc_lie_stack(x, p)

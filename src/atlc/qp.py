@@ -1,18 +1,18 @@
-"""Small dense box-constrained QP solver with exact active-set enumeration.
+"""Small dense QP solver for the controller's input-constrained QPs.
 
-The controller QPs have at most three decision variables (inputs plus one
-slack) and a handful of inequality rows, so instead of an iterative method
-the global optimum is found by enumerating every candidate active set:
-each subset of constraints of size <= dim is solved as an
-equality-constrained KKT system and kept if it is primal feasible with
-nonnegative multipliers.  Strict convexity guarantees the optimum appears
-among these candidates.  The enumeration runs over a stack of instances of
-one shape at once, passed as arrays (the candidate time scales of one
-control decision); a single instance is the stack of one.  Each candidate
-is computed once per distinct KKT system: a subset of constraints that,
-with the cost, is the same bits on every instance is solved once for the
-whole stack, the others per instance.  Infeasibility is certified
-separately by a max-min-slack vertex enumeration over the same stack.
+The QPs minimise a separable quadratic over a box (inputs plus one slack)
+subject to a few rows.  A row with one nonzero coefficient is a bound and
+is folded into the box.  With at most one general row left, the optimum is
+the clipped unconstrained minimiser if it meets the row, else the point on
+the row found by a breakpoint search on the row's multiplier (the continuous
+quadratic knapsack; Kiwiel, Math. Programming 2008).  Two or more general
+rows, and the instances that the enumeration's feasibility tolerance
+decides (bounds, or a row, met only within it), are left to an exact
+active-set enumeration: the KKT point of every subset of at most dim
+constraints, kept if feasible within the tolerance with nonnegative
+multipliers, and a max-min-slack certificate of infeasibility.  All of it
+runs over a stack of same-shape instances passed as arrays (the candidate
+time scales of one decision), each instance getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _constraints_ge(a, b, lower, upper) -> tuple[Array, Array]:
     (n_inst, n_con, dim) and b is (n_inst, n_con)."""
     n_inst, n_rows, dim = a.shape
     a_all = np.empty((n_inst, 2 * dim + n_rows, dim))
-    a_all[:, : 2 * dim] = _box_faces(dim)
+    a_all[:, :dim], a_all[:, dim : 2 * dim] = np.eye(dim), -np.eye(dim)
     a_all[:, 2 * dim :] = a
     b_all = np.concatenate([lower, -upper, b], axis=1)
     return a_all, b_all
@@ -83,14 +83,6 @@ def _combinations(n: int, size: int) -> Array:
     combos = combos.reshape(-1, size)
     combos.setflags(write=False)
     return combos
-
-
-@lru_cache(maxsize=None)
-def _box_faces(dim: int) -> Array:
-    """Normals of the lower then upper box faces, oriented as A @ x >= b."""
-    faces = np.vstack([np.eye(dim), -np.eye(dim)])
-    faces.setflags(write=False)
-    return faces
 
 
 def _solve_stack(matrices: Array, rhs: Array) -> Array:
@@ -109,7 +101,7 @@ def _solve_stack(matrices: Array, rhs: Array) -> Array:
 
 def solve_qp(inst: QpInstance) -> QpSolution:
     """Global optimum of one instance; the stacked solve of a batch of one."""
-    values, objective, optimal = _enumerate(*(v[None] for v in (
+    values, objective, optimal = _solve(*(v[None] for v in (
         inst.quadratic_diag, inst.linear_cost, inst.a_ge, inst.b_ge,
         inst.lower, inst.upper)))
     return QpSolution(values=values[0], objective=float(objective[0]),
@@ -134,11 +126,11 @@ def solve_qp_stack(diag, linear, a_ge, b_ge, lower, upper) -> tuple[Array, ...]:
         for v in (diag, linear, lower, upper))
     b = np.broadcast_to(np.asarray(b_ge, dtype=float), (n_inst, n_rows))
     _check(diag, lower, upper, linear, a, b)
-    return _enumerate(diag, linear, a, b, lower, upper)
+    return _solve(diag, linear, a, b, lower, upper)
 
 
 def _check(diag: Array, lower: Array, upper: Array, *rest: Array) -> None:
-    if not all(np.isfinite(v).all() for v in (diag, lower, upper, *rest)):
+    if not np.isfinite(np.concatenate([v.ravel() for v in (diag, lower, upper, *rest)])).all():
         raise ValueError("QP data must be finite")
     if (diag <= 0.0).any():
         raise ValueError("quadratic weights must be strictly positive")
@@ -146,46 +138,120 @@ def _check(diag: Array, lower: Array, upper: Array, *rest: Array) -> None:
         raise ValueError("need lower <= upper componentwise")
 
 
-def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
-    """Exhaustive enumeration of candidate active sets over a checked stack.
-
-    The candidates of each instance are, in order, the unconstrained
-    minimiser and then the KKT point of every subset of constraints of size
-    1, 2, ..., dim; subsets with linearly dependent normals (zero Gram
-    determinant) are dropped, since strict convexity guarantees the optimum
-    is certified by some linearly independent subset.  A candidate counts
-    when it is primal feasible with nonnegative multipliers, and the first
-    one with the least objective wins.  Every candidate is computed once per
-    distinct system: a subset whose constraints, and the cost, are the same
-    bits on every instance is one KKT system for the whole stack.  The
-    feasibility test, the objectives and the pick stay per instance, so a
-    stacked solve returns exactly what one-at-a-time solves return.
-    """
+def _solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
+    """Optima, objectives and feasibility flags of a checked stack.  The fold
+    and closed form put the instance axis last, variables (dim, n_inst) and
+    constraints (n_con, dim, n_inst), so small reductions run over outer axes."""
     n_inst, _, dim = a.shape
     if n_inst == 0:
         return np.empty((0, dim)), np.empty(0), np.empty(0, dtype=bool)
     a_all, b_all = _constraints_ge(a, b, lower, upper)
-    n_con = a_all.shape[1]
-    a_unit, b_unit = _unit_rows(a_all, b_all)
-    a_unit, b_unit = a_unit.reshape(-1, dim), b_unit.reshape(-1)
-    neg_c = -c
-    two_diag = 2.0 * diag
-    varying = _varying(diag, c, a_all, b_all).tobytes()
+    a_all, b_all = np.ascontiguousarray(a_all.transpose(1, 2, 0)), b_all.T
+    norms, b_unit = _row_norms(a_all, b_all, axis=1)
+    tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
+    count = np.add.reduce(a_all != 0.0, axis=1)
+    n_general = np.add.reduce(general := count > 1)
+    # each instance's general row; none is a zero row with b = -inf
+    row, has_row = (general.argmax(axis=0), np.arange(n_inst)), n_general > 0
+    a_row = a_all[row[0], :, row[1]].T * has_row
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi, empty, tied = _fold(a_all, b_all, tol, count == 1)
+        empty |= np.logical_or.reduce((count == 0) & (b_all > tol))  # 0 >= b
+        values, feasible, edge = _closed_form(
+            diag.T, c.T, lo, hi, a_row, np.where(has_row, b_all[row], -math.inf),
+            tol[row], a_row / norms[row], b_unit[row])
+        feasible &= ~empty
+        values[:, ~feasible] = np.nan
+        objective = np.add.reduce(diag.T * values * values) + np.add.reduce(c.T * values)
+    objective[~(feasible & np.isfinite(objective))] = math.inf
+    values = np.ascontiguousarray(values.T)
+    hard = ~empty & ((n_general > 1) | tied | edge)
+    if hard.any():  # two general rows, or a pick that the tolerance decides
+        values[hard], objective[hard], feasible[hard] = _enumerate(
+            diag[hard], c[hard], a[hard], b[hard], lower[hard], upper[hard])
+    return values, objective, feasible
 
-    n_combos = [_combinations(n_con, size).shape[0] for size in range(1, dim + 1)]
-    n_cand = 1 + sum(n_combos)
-    cand = np.zeros((n_inst, n_cand, dim))
-    valid = np.zeros((n_inst, n_cand), dtype=bool)  # KKT point, multipliers >= 0
-    cand[:, 0] = neg_c / two_diag
-    valid[:, 0] = True
-    first = 1
-    for size, n_combo in enumerate(n_combos, start=1):
-        cost, rows, system = _systems(n_inst, n_con, size, varying)
-        points, ok = _kkt_points(two_diag[cost], neg_c[cost], a_unit[rows], b_unit[rows])
-        slots = slice(first, first + n_combo)
-        first += n_combo
-        cand[:, slots] = points[system]
-        valid[:, slots] = ok[system]
+
+def _fold(a_all, b_all, tol, single) -> tuple[Array, ...]:
+    """The tightest bounds (dim, n_inst) that the constraints marked ``single``
+    put on their one variable, whether they are empty, and whether the
+    tolerance decides between them: the enumeration accepts violations up to
+    ``tol`` and keeps the least objective, so the bounds are empty when their
+    relaxed ends cross, and its pick rests on its multipliers when they cross
+    within it or another bound of a side lies within it of the tightest."""
+    coef = np.add.reduce(a_all, axis=1)  # a single row's one coefficient
+    bound, relaxed = (b_all / coef)[:, None], ((b_all - tol) / coef)[:, None]
+    low_side, high_side = single[:, None] & (a_all > 0.0), single[:, None] & (a_all < 0.0)
+    lo = np.maximum.reduce(np.where(low_side, bound, -math.inf))
+    hi = np.minimum.reduce(np.where(high_side, bound, math.inf))
+    lo_tol = np.maximum.reduce(np.where(low_side, relaxed, -math.inf))
+    hi_tol = np.minimum.reduce(np.where(high_side, relaxed, math.inf))
+    close = (low_side & (bound >= lo_tol) & (bound < lo)) | (
+        high_side & (bound <= hi_tol) & (bound > hi))
+    return (lo, hi, np.logical_or.reduce(lo_tol > hi_tol),
+            np.logical_or.reduce(lo > hi) | np.logical_or.reduce(close, axis=(0, 1)))
+
+
+def _closed_form(diag, c, lo, hi, a, b, tol, a_unit, b_unit) -> tuple[Array, ...]:
+    """Minimisers (dim, n_inst) of diag @ x**2 + c @ x over [lo, hi] and one
+    row a @ x >= b (none: a zero row, b = -inf; unit row ``a_unit``,
+    ``b_unit``), whether each is feasible, and whether the box's minimiser or
+    the row's maximum over the box meets the row only within ``tol`` (the
+    enumeration's to decide).  Along the multiplier lam >= 0, x = clip(m + r
+    lam, lo, hi), m = -c / (2 diag), r = a_unit / (2 diag), and a_unit @ x
+    rises affinely between the breakpoints where variables reach bounds; the
+    first that meets the row ends the root's segment, solved with its free
+    variables.  Run under an errstate that ignores overflow (huge weights)."""
+    two_diag = diag + diag
+    m = -c / two_diag
+    x0 = np.minimum(np.maximum(m, lo), hi)
+    miss = b - np.add.reduce(a * x0)
+    meets = miss <= 0.0
+    if meets.all():
+        return x0, meets, ~meets
+    r = a_unit / two_diag
+    to_lo, to_hi = (lo - m) / r, (hi - m) / r
+    first, last = np.fmin(to_lo, to_hi), np.fmax(to_lo, to_hi)
+    lams = np.fmax(np.concatenate((first, last)), 0.0)
+    # fmin, fmax: the NaN of r = 0 at an infinite breakpoint adds 0 to the row
+    y = np.fmin(np.fmax(lams[:, None] * r + m, lo), hi)
+    reach = np.add.reduce(a_unit * y, axis=1) >= b_unit
+    lam_lo = np.maximum.reduce(np.where(reach, 0.0, lams))
+    lam_hi = np.minimum.reduce(np.where(reach, lams, math.inf))
+    moves, up = r != 0.0, r > 0.0
+    free = (first <= lam_lo) & (last >= lam_hi)
+    held = np.where(moves, np.where((last <= lam_lo) == up, hi, lo), x0)
+    slope = np.add.reduce(a_unit * r * free)
+    excess = b_unit - np.add.reduce(a_unit * np.where(free, m, held))
+    # m + r lam, lam = excess / slope, which itself can overflow
+    on_row = np.where(free, np.minimum(np.maximum(m + r / slope * excess, lo), hi), held)
+    top = np.add.reduce(a * np.where(moves, np.where(up, hi, lo), x0))  # the row's maximum
+    edge = ~meets & ((miss <= tol) | (np.abs(b - top) <= tol))
+    return np.where(meets, x0, on_row), meets | np.logical_or.reduce(reach), edge
+
+
+def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
+    """Active-set enumeration over a checked stack of one or more instances:
+    the unconstrained minimiser, then the KKT point of every subset of
+    constraints of size 1, ..., dim with independent normals; the first
+    feasible one with nonnegative multipliers and the least objective wins.
+    Each instance solves its own systems, as it would alone."""
+    n_inst, _, dim = a.shape
+    a_all, b_all = _constraints_ge(a, b, lower, upper)
+    n_con = a_all.shape[1]
+    norms, b_unit = _row_norms(a_all, b_all)
+    a_unit = a_all / norms[..., None]
+    neg_c, two_diag = -c, 2.0 * diag
+    cand, valid = [(neg_c / two_diag)[:, None]], [np.ones((n_inst, 1), dtype=bool)]
+    for size in range(1, dim + 1):
+        combos = _combinations(n_con, size)
+        n_combo = combos.shape[0]
+        points, ok = _kkt_points(
+            np.repeat(two_diag, n_combo, axis=0), np.repeat(neg_c, n_combo, axis=0),
+            a_unit[:, combos].reshape(-1, size, dim), b_unit[:, combos].reshape(-1, size))
+        cand.append(points.reshape(n_inst, n_combo, dim))
+        valid.append(ok.reshape(n_inst, n_combo))
+    cand, valid = np.concatenate(cand, axis=1), np.concatenate(valid, axis=1)
 
     feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
     violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
@@ -211,82 +277,31 @@ def _enumerate(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     return values, objective[pick], ~lacking
 
 
-def _unit_rows(a_all: Array, b_all: Array) -> tuple[Array, Array]:
-    """The constraint rows and right sides divided by the Euclidean norms of
-    the rows.  A row whose squares overflow is divided by its largest
-    magnitude before its norm is taken; every other norm keeps the bits of
-    the plain sum of squares.  A ValueError when a norm or a normalised
-    right side is not finite."""
+def _row_norms(a_all: Array, b_all: Array, axis: int = -1) -> tuple[Array, Array]:
+    """Euclidean norms of the constraint rows (entries along ``axis``), 1 for
+    a zero row, and the right sides divided by them.  A row whose squares
+    overflow is scaled by its largest entry first; every other norm keeps
+    the bits of the plain sum.  A ValueError if a result is not finite."""
     with np.errstate(over="ignore"):
-        norms = np.sqrt((a_all * a_all).sum(-1))
+        norms = np.sqrt(np.add.reduce(a_all * a_all, axis))
         if norms.max() == math.inf:
             huge = np.isinf(norms)
-            rows = a_all[huge]
+            rows = np.moveaxis(a_all, axis, -1)[huge]
             peak = np.abs(rows).max(-1)
             norms[huge] = peak * np.sqrt(((rows / peak[:, None]) ** 2).sum(-1))
-        # a zero row becomes a zero unit row, so every subset holding it has
-        # a zero Gram determinant and is dropped
-        safe_norms = np.where(norms > 0.0, norms, 1.0)
-        b_unit = b_all / safe_norms
+        # a zero unit row makes every subset holding it dependent: dropped
+        norms[norms == 0.0] = 1.0
+        b_unit = b_all / norms
     if norms.max() == math.inf or not np.isfinite(b_unit).all():
         raise ValueError("the QP rows cannot be normalised: a normalised value is not finite")
-    return a_all / safe_norms[..., None], b_unit
-
-
-def _varying(diag, c, a_all, b_all) -> Array:
-    """Which constraints (box faces, then rows) are not the same bits on
-    every instance of the stack; all of them when the cost is not.  Bits,
-    not values: +0.0 and -0.0 can round a KKT solution differently."""
-    n_inst, n_con, _ = a_all.shape
-    if n_inst == 1:
-        return np.zeros(n_con, dtype=bool)
-
-    def differs(v: Array) -> Array:
-        bits = v.view(np.int64)
-        return bits != bits[:1]
-
-    if differs(diag).any() or differs(c).any():
-        return np.ones(n_con, dtype=bool)
-    return differs(a_all).any(axis=(0, 2)) | differs(b_all).any(axis=0)
-
-
-@lru_cache(maxsize=64)
-def _systems(n_inst: int, n_con: int, size: int, varying: bytes) -> tuple:
-    """The distinct KKT systems of the size-subsets over a stack whose
-    constraints marked in ``varying`` differ between instances: each subset
-    of shared constraints once, from instance 0, then, per instance, every
-    subset holding a varying constraint.
-
-    Returns, per system, the index of its cost among the stack's costs and
-    the indices of its constraints among the stack's (n_inst * n_con)
-    constraints; then the index of each (instance, subset) candidate's
-    system, subsets in lexicographic order.  The cost varies only when every
-    constraint does, so with a shared subset it is instance 0's; with no
-    varying constraint, every instance takes the systems of instance 0.
-    """
-    combos = _combinations(n_con, size)
-    own = np.frombuffer(varying, dtype=bool)[combos].any(axis=1)
-    shared, owned = np.flatnonzero(~own), np.flatnonzero(own)
-    inst = np.repeat(np.arange(n_inst), owned.size)
-    rows = np.concatenate([
-        combos[shared], inst[:, None] * n_con + np.tile(combos[owned], (n_inst, 1))])
-    system = np.empty((n_inst, combos.shape[0]), dtype=int)
-    system[:, shared] = np.arange(shared.size)
-    system[:, owned] = shared.size + np.arange(inst.size).reshape(n_inst, -1)
-    for array in (inst, rows, system):
-        array.setflags(write=False)
-    return (slice(0, 1) if shared.size else inst, rows,
-            system if owned.size else slice(None))
+    return norms, b_unit
 
 
 def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
                 rhs_rows: Array) -> tuple[Array, Array]:
-    """KKT points of min diag @ x**2 + c @ x subject to rows @ x = rhs_rows,
-    one system per leading index: rows (n, size, dim) of unit normals.
-
-    Returns the points (n, dim), zero where the rows are linearly dependent,
-    and whether each is a KKT point with nonnegative multipliers (n,).
-    """
+    """KKT points (n, dim) of min diag @ x**2 + c @ x subject to
+    rows @ x = rhs_rows, unit rows (n, size, dim), zero where the rows are
+    dependent, and whether each has nonnegative multipliers (n,)."""
     n_sys, size, dim = rows.shape
     k = dim + size
     gram = rows @ rows.swapaxes(-1, -2)
@@ -297,18 +312,16 @@ def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
     kkt[:, :dim, dim:] = -rows.swapaxes(-1, -2)
     kkt[:, dim:, :dim] = rows
     kkt = kkt[independent]
-    rhs = np.empty((n_sys, k))
-    rhs[:, :dim] = neg_c
-    rhs[:, dim:] = rhs_rows
-    rhs = rhs[independent]
+    rhs = np.concatenate([neg_c, rhs_rows], axis=1)[independent]
     sols = _solve_stack(kkt, rhs)
-    # a non-finite solution entry or product makes its residuals non-finite,
-    # so the test also rejects the NaN rows of singular systems
+    # one step of refinement, and residuals relative to the products they sum:
+    # a weight far above the others makes multipliers that dwarf the point; a
+    # non-finite entry fails its residual test (the NaN rows of singular systems)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) \
-            <= 1e-6 * np.maximum(1.0, np.abs(rhs))
-    points = np.zeros((n_sys, dim))
-    ok = np.zeros(n_sys, dtype=bool)
+        sols += _solve_stack(kkt, rhs - (kkt @ sols[..., None])[..., 0])
+        residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) <= 1e-6 * np.maximum(
+            np.maximum(1.0, np.abs(rhs)), (np.abs(kkt) @ np.abs(sols)[..., None])[..., 0])
+    points, ok = np.zeros((n_sys, dim)), np.zeros(n_sys, dtype=bool)
     points[independent] = sols[:, :dim]
     ok[independent] = residual_ok.all(axis=1) & (
         sols[:, dim:] >= -MULT_TOL).all(axis=1)
@@ -316,18 +329,12 @@ def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
 
 
 def _max_min_slack(a_all: Array, b_all: Array) -> Array:
-    """Phase-1 certificate per instance of a stack (box faces, then rows, as
-    from :func:`_constraints_ge`): max over the box of the minimum row slack
-    (+inf for an instance without rows).
-
-    Solved as a vertex enumeration of the lifted feasibility program
-    max s subject to row_i @ x - s >= rhs_i and x in the box; the optimum
-    of this program sits at a vertex defined by dim+1 active constraints.
-    Nonnegative value certifies a feasible instance.
-    """
+    """Phase-1 certificate per instance (constraints as from
+    :func:`_constraints_ge`, with rows): the max over the box of the least
+    row slack, from the vertices of max s subject to row_i @ x - s >= rhs_i
+    and the box, each fixed by dim+1 active constraints.  A nonnegative
+    value certifies a feasible instance."""
     n_inst, n_con, dim = a_all.shape
-    if n_con == 2 * dim:
-        return np.full(n_inst, math.inf)
     # constraints over (x, s), oriented as A @ (x, s) >= b
     lifted = np.zeros((n_inst, n_con, dim + 1))
     lifted[..., :dim] = a_all

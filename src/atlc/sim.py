@@ -411,9 +411,9 @@ def integrate_fixed_horizon(
     ``u`` is one input (a scalar when q = 1, or a q-vector), giving
     states of shape (n_samples, n), or a (..., q) batch of inputs rolled
     out together from the same start, giving states of shape
-    (n_samples, ..., n).  Returns (times, states).  The stage states share
-    one buffer, so ``model.rhs`` must return a new array, not a view of
-    its state argument.
+    (n_samples, ..., n).  Returns (times, states).  The slopes are written
+    through ``model.rhs(x, u, out)`` into four buffers kept for the whole
+    rollout.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -425,19 +425,21 @@ def integrate_fixed_horizon(
     states = np.empty((times.size, *inputs.shape[:-1], x0.size))
     states[0] = x0
     rhs = model.rhs
-    # the step x + h/6 (k1 + 2 (k2 + k3) + k4), operation for operation, in
-    # two buffers: the stage state and the weighted slope sum; the last
-    # argument of each ufunc is its output (positional: cheaper)
-    stage, slope = np.empty_like(states[0]), np.empty_like(states[0])
+    # the step x + h/6 (k1 + 2 (k2 + k3) + k4), operation for operation, in the
+    # stage state and the four slopes (the sum built in k2), with 0-d scalars; the
+    # last argument of each ufunc is its output (positional and 0-d: cheaper)
+    stage, k1, k2, k3, k4 = np.empty((5, *states[0].shape))
+    half, step, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
     x = states[0]
     for i, h in enumerate(np.diff(times).tolist(), start=1):
-        k1 = rhs(x, inputs)
-        k2 = rhs(np.add(x, np.multiply(0.5 * h, k1, stage), stage), inputs)
-        k3 = rhs(np.add(x, np.multiply(0.5 * h, k2, stage), stage), inputs)
-        k4 = rhs(np.add(x, np.multiply(h, k3, stage), stage), inputs)
-        np.multiply(2.0, np.add(k2, k3, slope), slope)
-        np.add(np.add(k1, slope, slope), k4, slope)
-        x = np.add(x, np.multiply(h / 6.0, slope, slope), states[i])
+        half[()], step[()], sixth[()] = 0.5 * h, h, h / 6.0
+        rhs(x, inputs, k1)
+        rhs(np.add(x, np.multiply(half, k1, stage), stage), inputs, k2)
+        rhs(np.add(x, np.multiply(half, k2, stage), stage), inputs, k3)
+        rhs(np.add(x, np.multiply(step, k3, stage), stage), inputs, k4)
+        np.multiply(two, np.add(k2, k3, k2), k2)
+        np.add(np.add(k1, k2, k2), k4, k2)
+        x = np.add(x, np.multiply(sixth, k2, k2), states[i])
     if not np.isfinite(states).all():
         raise IntegrationError("rollout state is not finite", 0.0, x0)
     return times, states

@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constraints import RobustRows, atlc_rows, build_clf_row, build_qp_instance
+from .constraints import (RobustRows, atlc_rows, build_clf_row, build_qp_instance,
+                          qp_cost_and_box)
 from .margin import ascending_grid
 from .model import SystemModel
 from .qp import QpSolution, solve_qp, solve_qp_stack
@@ -124,7 +125,7 @@ def _solve_rows(
     """The QP of every time scale of the table, in one stacked solve: the
     CLF-row QP with that time scale's robust rows added.  Returns the
     optima, objectives and feasibility flags."""
-    base = build_qp_instance([clf_row], model, x_k, cfg.params.w)
+    diag, linear, lower, upper = qp_cost_and_box(model, x_k, cfg.params.w)
     a_clf, b_clf = clf_row
     n_tau, n_rows, q = rows.gains.shape
     a = np.zeros((n_tau, n_rows + 1, q + 1))
@@ -133,8 +134,7 @@ def _solve_rows(
     b = np.empty((n_tau, n_rows + 1))
     b[:, :-1] = -rows.h_worst[:, None]
     b[:, -1] = b_clf
-    return solve_qp_stack(
-        base.quadratic_diag, base.linear_cost, a, b, base.lower, base.upper)
+    return solve_qp_stack(diag, linear, a, b, lower, upper)
 
 
 def solve_event_qp(
@@ -162,14 +162,15 @@ def select_tau(
     table = np.recarray(len(taus), dtype=[
         ("tau", float), ("feasible", bool), ("min_h_pred", float),
         ("qp_objective", float), ("u", float, (model.q,)), ("delta", float)])
-    table.tau, table.feasible, table.min_h_pred = taus, optimal, math.nan
-    table.qp_objective, table.u, table.delta = objective, values[:, :-1], values[:, -1]
+    table["tau"], table["feasible"], table["min_h_pred"] = taus, optimal, math.nan
+    table["qp_objective"], table["u"], table["delta"] = objective, values[:, :-1], values[:, -1]
     feasible = np.flatnonzero(optimal)
     if not feasible.size:
         return ControlDecision(
             u=None, tau=None, delta=None, margin=float(margins.max()), table=table)
     best = feasible[0]  # with one distinct input, the smallest feasible tau
-    if len({u.tobytes() for u in table.u[feasible]}) > 1:
+    bits = values[feasible, :-1].view(np.int64)  # inputs compared by their bytes
+    if (bits != bits[0]).any():
         table = with_predictions(table, x_k, cfg.tau_cfg.T_look, model)
         best = feasible[np.argmax(table.min_h_pred[feasible])]  # first maximum
     return ControlDecision(

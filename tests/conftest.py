@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import atlc.qp
 from atlc import AccParams, SimulationError, TrajectoryLog, acc_model, cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,11 +24,13 @@ class ScenarioRun:
 @dataclasses.dataclass
 class CaseStudy:
     """``atlc compare --dir scenarios/``: its exit code, the directory it
-    wrote and each scenario's run, by scenario id."""
+    wrote, each scenario's run, by scenario id, and the number of QP
+    instances that reached the active-set enumeration."""
 
     code: int
     out: Path
     runs: dict[str, ScenarioRun]
+    enumerated: int
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +39,8 @@ def case_study(tmp_path_factory):
     line; the golden, fingerprint and acceptance tests read this one run."""
     out = tmp_path_factory.mktemp("case_study")
     run_scenario, simulate = cli.run_scenario, cli.simulate_closed_loop
-    loops, runs = [], {}
+    enumerate_ = atlc.qp._enumerate
+    loops, runs, enumerated = [], {}, []
 
     def timed_simulate(cfg):
         start = time.perf_counter()
@@ -54,11 +58,16 @@ def case_study(tmp_path_factory):
         runs[scenario["id"]] = ScenarioRun(code, *loops.pop())
         return code, summary
 
+    def counted_enumerate(diag, *rest):
+        enumerated.append(diag.shape[0])
+        return enumerate_(diag, *rest)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "simulate_closed_loop", timed_simulate)
         patch.setattr(cli, "run_scenario", recorded_run)
+        patch.setattr(atlc.qp, "_enumerate", counted_enumerate)
         code = cli.main(["compare", "--dir", str(SCENARIOS), "--out", str(out)])
-    return CaseStudy(code, out, runs)
+    return CaseStudy(code, out, runs, sum(enumerated))
 
 
 @pytest.fixture(scope="session")

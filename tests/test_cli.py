@@ -448,6 +448,38 @@ def test_extreme_magnitudes_overflow_in_the_qp_without_a_warning(tmp_path, key, 
             summary["infeasible_events"]) == ("ok", 8, 8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", ["1e8", "1e12", "1e300"])
+@pytest.mark.parametrize("name", ["atlc_cd04", "tlc_cd04", "hocbf_aggressive"])
+def test_huge_slack_weights_run(tmp_path, name, w):
+    """A slack weight of 1e8 or more runs like 1e7 (59 events, min h
+    51.6968 over 4 s) where the QP's products stay finite, and runs at all,
+    without a warning, at 1e300."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIOS / f"{name}.json"), "--set", "T=4",
+                 "--set", f"w={w}", "--out", str(out)]) == 0
+    summary = json.loads((out / f"{name}_summary.json").read_text())
+    assert summary["status"] == "ok"
+    if w != "1e300":
+        assert summary["event_count"] == 59
+        assert summary["min_h"] == pytest.approx(51.6968, abs=5e-5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["f0", "f1", "f2", "v0", "vd"])
+def test_model_magnitudes_that_overflow_are_config_errors(tmp_path, capsys, key):
+    """A model parameter or start speed of 1e300 overflows the model at the
+    start state: one error line and exit 1 before anything runs, not a
+    warning and an aborted run."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIOS / "atlc_cd04.json"), "--set", "T=1",
+                 "--set", f"{key}=1e300", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: invalid scenario value: the model overflows at the start state")
+    assert not out.exists()
+
+
 def test_scenario_without_a_kind_reads_only_adaptive_keys():
     """A scenario that names no kind is of kind atlc: its tau selection keys
     apply, and a tlc_fixed key is an error."""

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import nnls
 
 from atlc import QpInstance, solve_qp
-from atlc.qp import _constraints_ge, _solve_stack, solve_qp_stack
+from atlc.qp import FEAS_TOL, _constraints_ge, _enumerate, _solve_stack, solve_qp_stack
 
 from references import oracle_grid_solve, row_slacks
 
@@ -281,8 +281,8 @@ def shared_stacks(rng):
 def test_stacked_solve_matches_single_solves():
     """Solving instances of one shape as one array stack returns, bit for
     bit, what solving each alone returns, infeasible verdicts included;
-    cost rows shared by the stack may be passed once.  So do stacks that
-    share constraints or the cost, whose shared systems are solved once."""
+    cost rows shared by the stack may be passed once.  So do stacks whose
+    instances share constraints or the cost."""
     rng = np.random.default_rng(77)
     groups = {}
     for _ in range(600):
@@ -349,3 +349,118 @@ def test_solve_stack_singular_system_gives_nan_row():
     assert np.isnan(sols[2]).all()
     for i in (0, 1, 3, 4):
         assert sols[i].tobytes() == np.linalg.solve(matrices[i], rhs[i]).tobytes()
+
+
+def foldable_stack(rng, q, n_single, log_w, near, n=60):
+    """A stack over (u_1..u_q, delta) whose rows leave at most one general
+    row once those with one nonzero coefficient are folded into the box:
+    n_single single-coefficient rows (on an input, on the slack alone, all
+    zero, or the two sign-straddling vertex rows of an input gain) and a
+    convergence row (-L_g V, 1), absent from a quarter of the instances and
+    with a zero entry in a fifth.  Slack weights are log-uniform over log_w;
+    some instances are infeasible.  With ``near``, some folded bounds lie
+    within FEAS_TOL of a box bound, on either side, and in an eighth of the
+    stacks without other rows the convergence row's maximum over the box is
+    b, within FEAS_TOL, and in another eighth the box's minimiser misses the
+    row by less than FEAS_TOL."""
+    dim = q + 1
+    diag = np.column_stack([rng.uniform(0.05, 10.0, (n, q)),
+                            10.0 ** rng.uniform(*log_w, n)])
+    linear = np.column_stack([rng.uniform(-5.0, 5.0, (n, q)), np.zeros(n)])
+    span = rng.uniform(0.5, 3.0, (n, q))
+    lower = np.column_stack([-span, np.zeros(n)])
+    upper = np.column_stack([span * rng.uniform(0.5, 1.5, (n, q)),
+                             rng.uniform(1.0, 100.0, n)])
+    a = np.zeros((n, n_single + 1, dim))
+    b = np.zeros((n, n_single + 1))
+    vertex = n_single == 2 and rng.random() < 0.5
+    for i in range(n):
+        j = int(rng.integers(q))
+        if vertex:  # g u_j >= -h for the least and the greatest gain
+            gains = [-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)]
+            a[i, :2, j], b[i, :2] = gains, -rng.uniform(-0.5, 3.0)
+            continue
+        for k in range(n_single):
+            kind = rng.integers(5)
+            if kind == 4:  # all zero: holds when b <= 0, within the tolerance
+                b[i, k] = rng.choice([0.0, -1.0, 1.0, 0.5 * FEAS_TOL])
+                continue
+            # an input, or the slack alone
+            var = dim - 1 if kind == 3 or (kind == 2 and rng.random() < 0.3) else j
+            coef = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+            a[i, k, var] = coef
+            if kind == 2 and near:  # a bound within the tolerance of a box bound
+                edge = rng.choice([lower[i, var], upper[i, var]])
+                b[i, k] = coef * edge + rng.uniform(-0.9, 0.9) * FEAS_TOL * max(
+                    1.0, abs(coef * edge))
+            else:
+                b[i, k] = coef * rng.uniform(lower[i, var] - 0.5, upper[i, var] + 0.5)
+    lgv = rng.uniform(-2.0, 2.0, (n, q))
+    lgv[1::5, 0] = 0.0  # a convergence row off u_1: on the slack alone when q = 1
+    a[:, -1, :q], a[:, -1, q] = -lgv, 1.0
+    b[:, -1] = rng.uniform(-5.0, 150.0, n)
+    a[::4, -1], b[::4, -1] = 0.0, -1.0  # no convergence row: 0 >= -1
+    if near and n_single == 0:
+        top = np.maximum(a[2::8, -1] * lower[2::8], a[2::8, -1] * upper[2::8]).sum(axis=1)
+        b[2::8, -1] = top + rng.uniform(-0.9, 0.9, top.size) * FEAS_TOL * np.maximum(1.0, top)
+        # the box's minimiser misses the row by less than the tolerance
+        x0 = np.clip(-linear[6::8] / (2.0 * diag[6::8]), lower[6::8], upper[6::8])
+        at = (a[6::8, -1] * x0).sum(axis=1)
+        b[6::8, -1] = at + rng.uniform(0.0, 0.9, at.size) * FEAS_TOL * np.maximum(1.0, at)
+    return diag, linear, a, b, lower, upper
+
+
+def foldable_stacks(seed, log_w, near):
+    rng = np.random.default_rng(seed)
+    for q in (1, 2):
+        for n_single in (0, 1, 2):
+            for _ in range(8):
+                yield foldable_stack(rng, q, n_single, log_w, near)
+
+
+def test_closed_form_matches_the_enumeration():
+    """Stacks whose rows fold to at most one general row, with slack weights
+    from 1e-2 to 1e9: the solver gives each instance the enumeration's
+    verdict, and its optimum and objective within 1e-12 relative."""
+    checked = infeasible = 0
+    for arrays in foldable_stacks(25, (-2.0, 9.0), near=True):
+        values, objective, optimal = solve_qp_stack(*arrays)
+        ref_values, ref_objective, ref_optimal = _enumerate(*arrays)
+        np.testing.assert_array_equal(optimal, ref_optimal)
+        assert (np.abs(values[optimal] - ref_values[optimal])
+                <= 1e-12 * np.maximum(1.0, np.abs(ref_values[optimal]))).all()
+        assert (np.abs(objective[optimal] - ref_objective[optimal])
+                <= 1e-12 * np.maximum(1.0, np.abs(ref_objective[optimal]))).all()
+        assert np.isnan(values[~optimal]).all() and (objective[~optimal] == np.inf).all()
+        checked += optimal.sum()
+        infeasible += (~optimal).sum()
+    assert checked > 1000 and infeasible > 200
+
+
+def test_closed_form_is_a_kkt_point_at_huge_slack_weights():
+    """With slack weights from 1e9 to 1e12 the enumeration accepts points
+    that violate the convergence row within FEAS_TOL, whose objective is
+    lower by w times that violation, or finds no point at all, so it is no
+    reference; the stacks keep clear of the tolerance, which the solver
+    leaves to the enumeration.  The verdicts are those the enumeration
+    gives the same rows under the weight 1, and each optimum meets every
+    constraint and the KKT conditions."""
+    checked = infeasible = 0
+    for arrays in foldable_stacks(26, (9.0, 12.0), near=False):
+        values, objective, optimal = solve_qp_stack(*arrays)
+        unit_weight = arrays[0].copy()
+        unit_weight[:, -1] = 1.0
+        np.testing.assert_array_equal(optimal, _enumerate(unit_weight, *arrays[1:])[2])
+        infeasible += (~optimal).sum()
+        for i in np.flatnonzero(optimal):
+            inst = QpInstance(*(v[i] for v in arrays))
+            sol = solve_qp(inst)
+            np.testing.assert_array_equal(sol.values, values[i])
+            (a_all,), (b_all,) = _constraints_ge(inst.a_ge[None], inst.b_ge[None],
+                                                 inst.lower[None], inst.upper[None])
+            assert (a_all @ sol.values - b_all
+                    >= -FEAS_TOL * np.maximum(1.0, np.abs(b_all))).all()
+            grad = 2.0 * inst.quadratic_diag * sol.values + inst.linear_cost
+            assert kkt_residual(inst, sol) <= 1e-9 * max(1.0, float(np.abs(grad).max()))
+            checked += 1
+    assert checked > 1000 and infeasible > 200

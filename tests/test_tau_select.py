@@ -258,6 +258,27 @@ def near_limit_states(n, seed=8):
     return cases
 
 
+def test_case_study_and_near_limit_qps_never_enumerate(case_study, monkeypatch):
+    """Every QP of the nine case-study loops and of seeded near-limit
+    decisions folds to at most one general row, so the closed form solves
+    it: a silent fallback to the active-set enumeration fails here."""
+    assert len(case_study.runs) == 9 and case_study.enumerated == 0
+    enumerated = []
+    enumerate_ = atlc.qp._enumerate
+
+    def counted(diag, *rest):
+        enumerated.append(diag.shape[0])
+        return enumerate_(diag, *rest)
+
+    monkeypatch.setattr(atlc.qp, "_enumerate", counted)
+    infeasible = 0
+    for x, params in near_limit_states(12):
+        cfg = ControllerConfig(params=params)
+        decision = select_tau(x, make_box(x, [0.5, 0.5], [0.5, 0.5]), cfg, acc_model(params))
+        infeasible += int((~decision.table.feasible).sum())
+    assert enumerated == [] and infeasible > 0
+
+
 def test_matches_scripted_reimplementation():
     """The batched selection agrees with an independent scripted loop that
     solves and rolls out one candidate at a time: at (90, 15) with the
@@ -387,10 +408,10 @@ def test_decision_equals_full_rollout_selection():
 
 def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
     """At the first atlc_cd04 event the stacked QP of the 40 candidates
-    solves 173 KKT systems: the 13 independent subsets of shared constraints
-    (box faces and convergence row) once, and the 4 holding the safety row
-    per candidate, where solving every candidate on its own takes 680.  A
-    contested decision rolls out with 4 rhs calls per RK4 step."""
+    solves no KKT system: each safety row acts on the input alone and folds
+    into its bounds, so the closed form of one general row (the convergence
+    row) solves every candidate.  A contested decision rolls out with 4 rhs
+    calls per RK4 step."""
     solved = []
     solve = atlc.qp._solve_stack
 
@@ -412,7 +433,7 @@ def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
     x = make_state(cfg.z0, cfg.v0)
     decision = select_tau(x, make_box(x, cfg.box_under, cfg.box_over), cfg, case_model)
     assert len(decision.table) == 40 and all(e.feasible for e in decision.table)
-    assert sum(solved) == 173 and rhs_calls == []
+    assert solved == [] and rhs_calls == []
 
     x, params = near_limit_states(1)[0]
     cfg = ControllerConfig(params=params)
