@@ -10,7 +10,6 @@ the worst-case quantities over the event box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -51,9 +50,9 @@ def atlc_rows(gs: GridStack, taus) -> RobustRows:
     """Robust adaptive safety rows g @ u >= -h_worst at every time scale of
     ``taus``, as one table.
 
-    The gain box is (tau^m / m!) times the extrema of phi over the box
-    lattice.  An input whose gain is constant there has one vertex value,
-    not two, so a constant gain gives one row.  h_worst is the minimum of
+    The gain box is (tau^m / m!) times the extrema of the one input's gain
+    phi over the box lattice, so its vertices are those two extremes; a
+    gain constant there gives one row.  h_worst is the minimum of
     the joint Taylor sum of h over the box lattice, from one lattice product
     per time scale, so each entry is bit for bit that time scale's value on
     its own; a product over all time scales at once rounds differently.
@@ -65,9 +64,8 @@ def atlc_rows(gs: GridStack, taus) -> RobustRows:
     h_worst = np.array([(gs.stack @ w).min() for w in weights])
     scale = weights[:, -1:]
     phi_min, phi_max = gs.phi.min(axis=0), gs.phi.max(axis=0)
-    extremes = [(lo,) if lo == hi else (lo, hi)
-                for lo, hi in zip(phi_min.tolist(), phi_max.tolist())]
-    vertices = np.array(list(product(*extremes)))  # (R, q)
+    # the one input's distinct gain extremes, (R, 1)
+    vertices = phi_min[None] if phi_min == phi_max else np.stack((phi_min, phi_max))
     return RobustRows(h_worst, scale * phi_min, scale * phi_max,
                       scale[:, :, None] * vertices)
 

@@ -90,7 +90,8 @@ class AccParams:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Affine system with one safety output of relative degree ``m``.
+    """Affine system with one input (``q`` = 1) and one safety output of
+    relative degree ``m``.
 
     ``lie_stack(x)`` returns the m+1 drift terms ``[h, L_f h, ..., L_f^m h]``
     and ``phi(x)`` the input gain row of the m-th derivative, so that
@@ -127,6 +128,8 @@ class SystemModel:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"relative degree must be >= 1, got {self.m}")
+        if self.q != 1:  # the QP solver and the event log take one input
+            raise ValueError(f"the controller takes one input, got q = {self.q}")
         u_min = np.asarray(self.u_min, dtype=float)
         u_max = np.asarray(self.u_max, dtype=float)
         if u_min.shape != (self.q,) or u_max.shape != (self.q,):

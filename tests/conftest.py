@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import atlc.qp
 from atlc import AccParams, SimulationError, TrajectoryLog, acc_model, cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -24,13 +23,11 @@ class ScenarioRun:
 @dataclasses.dataclass
 class CaseStudy:
     """``atlc compare --dir scenarios/``: its exit code, the directory it
-    wrote, each scenario's run, by scenario id, and the number of QP
-    instances that reached the active-set enumeration."""
+    wrote and each scenario's run, by scenario id."""
 
     code: int
     out: Path
     runs: dict[str, ScenarioRun]
-    enumerated: int
 
 
 @pytest.fixture(scope="session")
@@ -39,8 +36,7 @@ def case_study(tmp_path_factory):
     line; the golden, fingerprint and acceptance tests read this one run."""
     out = tmp_path_factory.mktemp("case_study")
     run_scenario, simulate = cli.run_scenario, cli.simulate_closed_loop
-    enumerate_ = atlc.qp._enumerate
-    loops, runs, enumerated = [], {}, []
+    loops, runs = [], {}
 
     def timed_simulate(cfg):
         start = time.perf_counter()
@@ -58,16 +54,11 @@ def case_study(tmp_path_factory):
         runs[scenario["id"]] = ScenarioRun(code, *loops.pop())
         return code, summary
 
-    def counted_enumerate(diag, *rest):
-        enumerated.append(diag.shape[0])
-        return enumerate_(diag, *rest)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "simulate_closed_loop", timed_simulate)
         patch.setattr(cli, "run_scenario", recorded_run)
-        patch.setattr(atlc.qp, "_enumerate", counted_enumerate)
         code = cli.main(["compare", "--dir", str(SCENARIOS), "--out", str(out)])
-    return CaseStudy(code, out, runs, sum(enumerated))
+    return CaseStudy(code, out, runs)
 
 
 @pytest.fixture(scope="session")
@@ -89,34 +80,6 @@ def sign_gain_model(params):
     return dataclasses.replace(
         acc_model(params),
         phi=lambda x: ((50.0 - x[..., 0]) * scale)[..., None],
-    )
-
-
-@pytest.fixture(scope="session")
-def two_input_model(params):
-    """A two-input toy on the case-study state whose input gain
-    ((50 - z), (v - 25)) / (10 M) changes sign in both entries across a box
-    around (50, 25), so its gain box has four vertices.  Its CLF and cost
-    put the second input at half the weight of the first; only the robust
-    rows and QPs read it, so it keeps the case study's one-input rhs."""
-    base = acc_model(params)
-    scale = 1.0 / (10.0 * params.M)
-
-    def clf_terms(x):
-        V, lfV, lgV = base.clf_terms(x)
-        return V, lfV, np.concatenate([lgV, 0.5 * lgV], axis=-1)
-
-    def cost(x):
-        diag, linear = base.cost(x)
-        return np.append(diag, 0.5 * diag), np.append(linear, 0.5 * linear)
-
-    return dataclasses.replace(
-        base, q=2,
-        phi=lambda x: np.stack([50.0 - x[..., 0], x[..., 1] - 25.0], axis=-1) * scale,
-        clf_terms=clf_terms, cost=cost,
-        u_min=np.array([params.u_min, -0.5 * params.u_max]),
-        u_max=np.array([params.u_max, 0.25 * params.u_max]),
-        fallback=np.array([params.u_min, 0.0]),
     )
 
 

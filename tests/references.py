@@ -8,12 +8,15 @@ bounds of one time scale and one input-sign branch at a time, which
 ``atlc.constraints.atlc_rows`` builds as one table, the robust QP and
 margin split over the input-sign orthants, which the vertex rows of the
 gain box replace, and the trajectory CSV built as one list of all its
-rows, which ``atlc.cli`` formats and writes one block at a time.
+rows, which ``atlc.cli`` formats and writes one block at a time, and the
+active-set enumeration of QP optima, which ``atlc.qp`` replaces by a closed
+form for at most one general row.
 """
 
 import dataclasses
 import math
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -21,8 +24,12 @@ from atlc.cli import TRAJECTORY_COLUMNS, _fmt_floats, _write_csv, fmt
 from atlc.constraints import build_qp_instance, row_margin
 from atlc.controller import TrajectoryLog
 from atlc.model import SystemModel
-from atlc.qp import QpInstance, QpSolution, solve_qp
+from atlc.qp import FEAS_TOL, QpInstance, QpSolution, _constraints_ge, _row_norms, solve_qp
 from atlc.robust_bounds import BoundConfig, Box, GridStack, _axis_points, taylor_table
+
+Array = np.ndarray
+
+MULT_TOL = 1e-9  # the least multiplier the enumeration accepts
 
 
 def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
@@ -159,3 +166,134 @@ def list_trajectory_csv(path, log: TrajectoryLog) -> None:
             str(k), feasible, fmt(event.dt_inter_event) if is_event_row else "",
         ])
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
+
+
+@lru_cache(maxsize=None)
+def _combinations(n: int, size: int) -> Array:
+    """Every size-subset of range(n) as an index array, in lexicographic order."""
+    combos = np.array(list(combinations(range(n), size)), dtype=int)
+    combos = combos.reshape(-1, size)
+    combos.setflags(write=False)
+    return combos
+
+
+def solve_stack(matrices: Array, rhs: Array) -> Array:
+    """Stacked linear solves; a singular system yields a NaN row."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        sols = np.full(rhs.shape, np.nan)
+        for i in range(rhs.shape[0]):
+            try:
+                sols[i] = np.linalg.solve(matrices[i], rhs[i])
+            except np.linalg.LinAlgError:
+                continue
+        return sols
+
+
+def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
+    """Active-set enumeration over a checked stack of one or more instances
+    of any number of general rows, as arrays of ``atlc.qp.solve_qp_stack``:
+    the unconstrained minimiser, then the KKT point of every subset of
+    constraints of size 1, ..., dim with independent normals; the first
+    feasible one with nonnegative multipliers and the least objective wins.
+    Each instance solves its own systems, as it would alone.  Constraints
+    count as met when missed by at most ``FEAS_TOL * max(1, |b|)``, as in
+    ``atlc.qp``.  Valid for slack weights w <= 1e9 against input weights
+    of order 1: above about 1e10 it picks points that violate a row within
+    the tolerance, whose objective is lower by w times the violation."""
+    n_inst, _, dim = a.shape
+    a_all, b_all = _constraints_ge(a, b, lower, upper)
+    n_con = a_all.shape[1]
+    norms, b_unit = _row_norms(a_all, b_all, axis=-1)
+    a_unit = a_all / norms[..., None]
+    neg_c, two_diag = -c, 2.0 * diag
+    cand, valid = [(neg_c / two_diag)[:, None]], [np.ones((n_inst, 1), dtype=bool)]
+    for size in range(1, dim + 1):
+        combos = _combinations(n_con, size)
+        n_combo = combos.shape[0]
+        points, ok = _kkt_points(
+            np.repeat(two_diag, n_combo, axis=0), np.repeat(neg_c, n_combo, axis=0),
+            a_unit[:, combos].reshape(-1, size, dim), b_unit[:, combos].reshape(-1, size))
+        cand.append(points.reshape(n_inst, n_combo, dim))
+        valid.append(ok.reshape(n_inst, n_combo))
+    cand, valid = np.concatenate(cand, axis=1), np.concatenate(valid, axis=1)
+
+    feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
+    violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
+                > feas_tol[:, None, :]).any(axis=-1)
+    feasible = valid & ~violated
+    lacking = ~feasible.any(axis=1)
+    if lacking.any() and (
+            _max_min_slack(a_all[lacking], b_all[lacking]) > FEAS_TOL).any():
+        # clearly feasible yet no candidate survived: internal failure, do
+        # not mask it as infeasibility
+        raise RuntimeError(
+            "active-set enumeration found no optimum for a feasible instance"
+        )
+
+    # the objective as dot products, as one instance on its own computes it
+    # (a stacked matmul is bit-identical); a non-finite one counts as +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = (diag[:, None, None] @ (cand * cand)[..., None]
+                     + c[:, None, None] @ cand[..., None])[..., 0, 0]
+    objective = np.where(feasible & np.isfinite(objective), objective, math.inf)
+    pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
+    values = np.where(lacking[:, None], np.nan, cand[pick])
+    return values, objective[pick], ~lacking
+
+
+def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
+                rhs_rows: Array) -> tuple[Array, Array]:
+    """KKT points (n, dim) of min diag @ x**2 + c @ x subject to
+    rows @ x = rhs_rows, unit rows (n, size, dim), zero where the rows are
+    dependent, and whether each has nonnegative multipliers (n,)."""
+    n_sys, size, dim = rows.shape
+    k = dim + size
+    gram = rows @ rows.swapaxes(-1, -2)
+    det = gram[..., 0, 0] if size == 1 else np.linalg.det(gram)
+    independent = np.abs(det) > 1e-12
+    kkt = np.zeros((n_sys, k, k))
+    kkt[:, np.arange(dim), np.arange(dim)] = two_diag
+    kkt[:, :dim, dim:] = -rows.swapaxes(-1, -2)
+    kkt[:, dim:, :dim] = rows
+    kkt = kkt[independent]
+    rhs = np.concatenate([neg_c, rhs_rows], axis=1)[independent]
+    sols = solve_stack(kkt, rhs)
+    # one step of refinement, and residuals relative to the products they sum:
+    # a weight far above the others makes multipliers that dwarf the point; a
+    # non-finite entry fails its residual test (the NaN rows of singular systems)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sols += solve_stack(kkt, rhs - (kkt @ sols[..., None])[..., 0])
+        residual_ok = np.abs((kkt @ sols[..., None])[..., 0] - rhs) <= 1e-6 * np.maximum(
+            np.maximum(1.0, np.abs(rhs)), (np.abs(kkt) @ np.abs(sols)[..., None])[..., 0])
+    points, ok = np.zeros((n_sys, dim)), np.zeros(n_sys, dtype=bool)
+    points[independent] = sols[:, :dim]
+    ok[independent] = residual_ok.all(axis=1) & (
+        sols[:, dim:] >= -MULT_TOL).all(axis=1)
+    return points, ok
+
+
+def _max_min_slack(a_all: Array, b_all: Array) -> Array:
+    """Phase-1 certificate per instance (constraints as from
+    :func:`_constraints_ge`, with rows): the max over the box of the least
+    row slack, from the vertices of max s subject to row_i @ x - s >= rhs_i
+    and the box, each fixed by dim+1 active constraints.  A nonnegative
+    value certifies a feasible instance."""
+    n_inst, n_con, dim = a_all.shape
+    # constraints over (x, s), oriented as A @ (x, s) >= b
+    lifted = np.zeros((n_inst, n_con, dim + 1))
+    lifted[..., :dim] = a_all
+    lifted[:, 2 * dim :, dim] = -1.0
+    combos = _combinations(n_con, dim + 1)
+    systems = lifted[:, combos]  # (n_inst, n_combo, dim + 1, dim + 1)
+    solvable = np.linalg.det(systems) != 0.0
+    inst_idx = np.nonzero(solvable)[0]
+    points = solve_stack(systems[solvable], b_all[:, combos][solvable])
+    feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
+    slack = (lifted[inst_idx] @ points[..., None])[..., 0] - b_all[inst_idx]
+    vertex = np.isfinite(points).all(axis=1) & ~(
+        slack < -feas_tol[inst_idx]).any(axis=1)
+    best = np.full(n_inst, -math.inf)
+    np.maximum.at(best, inst_idx[vertex], points[vertex, -1])
+    return best

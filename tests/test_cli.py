@@ -436,8 +436,8 @@ def test_huge_time_scales_normalise_their_qp_rows(tmp_path):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key, code", [("lp", 2), ("c3", 0)])
 def test_extreme_magnitudes_overflow_in_the_qp_without_a_warning(tmp_path, key, code):
-    """A 1e300 safety distance or CLF rate overflows candidate objectives and
-    KKT residuals in the QP; those candidates are rejected quietly, so the
+    """A 1e300 safety distance or CLF rate overflows candidate objectives in
+    the QP; those candidates are rejected quietly, so the
     run finishes with every event infeasible instead of aborting on a
     warning turned into an error."""
     out = tmp_path / "out"

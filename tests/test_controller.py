@@ -312,16 +312,6 @@ def test_loop_applies_the_input_vector(monkeypatch):
                if not e.feasible)
 
 
-def test_loop_rejects_an_input_it_cannot_log(monkeypatch, two_input_model):
-    """The event record logs one float: a two-input decision is a
-    SimulationError before the first event, not its first input alone."""
-    monkeypatch.setattr(controller, "acc_model", lambda *args: two_input_model)
-    with pytest.raises(SimulationError) as excinfo:
-        simulate_closed_loop(ControllerConfig(T=1.0))
-    assert isinstance(excinfo.value.__cause__, ValueError)
-    assert excinfo.value.log.events == []
-
-
 def test_decision_feasibility_is_its_input():
     """A decision carries no status of its own: u is None marks the
     infeasible one."""

@@ -1,5 +1,7 @@
 """Car-following model: analytic values, derivative exactness, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,16 @@ def test_system_model_invariants(params):
                 {"fallback": m.u_max + 1.0}, {"fallback": np.array([np.nan])}):
         with pytest.raises(ValueError):
             SystemModel(**{**fields, **bad})
+
+
+def test_system_model_takes_one_input(params):
+    """A model with other than one input is a ValueError at construction:
+    the QP solver and the event record take one input."""
+    m = acc_model(params)
+    for q in (0, 2):
+        with pytest.raises(ValueError, match="one input"):
+            dataclasses.replace(m, q=q, u_min=np.full(q, -1.0), u_max=np.ones(q),
+                                fallback=np.zeros(q))
 
 
 @pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])

@@ -46,8 +46,9 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (one leading underscore) that no module
-    of ``sources`` (file name -> source) reads, as a name or an attribute."""
+    """Module-level private names (one leading underscore) and UPPER_CASE
+    constants that no module of ``sources`` (file name -> source) reads, as
+    a name or an attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -67,8 +68,8 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             dead += [f"{module} line {node.lineno}: {name}" for name in names
-                     if name.startswith("_") and not name.startswith("__")
-                     and name not in read]
+                     if (name.startswith("_") and not name.startswith("__")
+                         or name.isupper()) and name not in read]
     return sorted(dead)
 
 
@@ -76,9 +77,11 @@ def test_dead_private_names_are_caught():
     sources = {
         "a.py": "_used = 1\n_dead = 2\n__all__ = []\ndef _helper():\n    return _used\n",
         "b.py": "import a\n_TABLE: dict = {}\nclass _Unread:\n    pass\nx = a._helper()\n",
+        "c.py": "import a\nLIMIT = 1e-9\nSTEP: float = 2.0\nSCALE = 3\ny = SCALE * a.STEP\n",
     }
     assert dead_private_names(sources) == [
-        "a.py line 2: _dead", "b.py line 2: _TABLE", "b.py line 3: _Unread"]
+        "a.py line 2: _dead", "b.py line 2: _TABLE", "b.py line 3: _Unread",
+        "c.py line 2: LIMIT"]
 
 
 def test_every_private_name_is_read_in_the_package():

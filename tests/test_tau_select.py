@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import atlc.model
-import atlc.qp
 from atlc import (
     AccParams,
     ControllerConfig,
@@ -220,28 +219,6 @@ def test_event_qp_matches_the_orthant_split_bit_for_bit(sign_gain_model):
     assert infeasible > 0
 
 
-def test_event_qp_matches_the_orthant_split_with_two_inputs(two_input_model):
-    """With a gain that changes sign in both entries (four vertex rows, four
-    orthants), the QP and the margin match the orthant split to 1e-12
-    relative, with the same feasibility."""
-    model, cfg = two_input_model, config()
-    infeasible = 0
-    for x, gs, clf in straddling_cases(model, 32, (24.6, 25.4)):
-        assert (gs.phi.min(axis=0) < 0.0).all() and (gs.phi.max(axis=0) > 0.0).all()
-        for tau in (0.05, 0.5, 2.0, 4.0):
-            sol = solve_event_qp(x, gs, tau, clf, cfg, model)
-            ref = orthant_event_qp(x, gs, tau, clf, cfg.params.w, model)
-            assert sol.status == ref.status
-            if sol.status == "optimal":
-                np.testing.assert_allclose(sol.values, ref.values, rtol=1e-12, atol=1e-9)
-                assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
-            else:
-                infeasible += 1
-            assert margin_from_stack(gs, tau, model) == pytest.approx(
-                orthant_margin(gs, tau, model), rel=1e-12)
-    assert infeasible > 0
-
-
 def near_limit_states(n, seed=8):
     """Seeded fast approaches whose gap falls short of the braking distance
     by up to 10%, plus 1.5-2.5 m, at 0.35-0.5 g braking: many distinct
@@ -256,27 +233,6 @@ def near_limit_states(n, seed=8):
         z0 = p.lp + 0.9 * braking + rng.uniform(1.5, 2.5)
         cases.append((make_state(z0, v0), AccParams(cd=cd)))
     return cases
-
-
-def test_case_study_and_near_limit_qps_never_enumerate(case_study, monkeypatch):
-    """Every QP of the nine case-study loops and of seeded near-limit
-    decisions folds to at most one general row, so the closed form solves
-    it: a silent fallback to the active-set enumeration fails here."""
-    assert len(case_study.runs) == 9 and case_study.enumerated == 0
-    enumerated = []
-    enumerate_ = atlc.qp._enumerate
-
-    def counted(diag, *rest):
-        enumerated.append(diag.shape[0])
-        return enumerate_(diag, *rest)
-
-    monkeypatch.setattr(atlc.qp, "_enumerate", counted)
-    infeasible = 0
-    for x, params in near_limit_states(12):
-        cfg = ControllerConfig(params=params)
-        decision = select_tau(x, make_box(x, [0.5, 0.5], [0.5, 0.5]), cfg, acc_model(params))
-        infeasible += int((~decision.table.feasible).sum())
-    assert enumerated == [] and infeasible > 0
 
 
 def test_matches_scripted_reimplementation():
@@ -406,19 +362,10 @@ def test_decision_equals_full_rollout_selection():
     assert len(cd04_states) >= 15 and 0 < one_input < len(cases)
 
 
-def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
-    """At the first atlc_cd04 event the stacked QP of the 40 candidates
-    solves no KKT system: each safety row acts on the input alone and folds
-    into its bounds, so the closed form of one general row (the convergence
-    row) solves every candidate.  A contested decision rolls out with 4 rhs
-    calls per RK4 step."""
-    solved = []
-    solve = atlc.qp._solve_stack
-
-    def counted_solve(matrices, rhs):
-        solved.append(matrices.shape[0])
-        return solve(matrices, rhs)
-
+def test_rhs_calls_per_rollout_step(monkeypatch):
+    """At the first atlc_cd04 event every one of the 40 candidates is
+    feasible with one distinct input, so no rollout runs; a contested
+    decision rolls out with 4 rhs calls per RK4 step."""
     rhs_calls = []
     rhs = atlc.model.acc_dynamics_rhs
 
@@ -426,14 +373,13 @@ def test_kkt_systems_solved_once_and_rhs_calls_per_step(monkeypatch):
         rhs_calls.append(np.ndim(args[0]))
         return rhs(*args)
 
-    monkeypatch.setattr(atlc.qp, "_solve_stack", counted_solve)
     monkeypatch.setattr(atlc.model, "acc_dynamics_rhs", counted_rhs)
     cfg = build_controller_config(load_scenario(SCENARIOS / "atlc_cd04.json"))
     case_model = acc_model(cfg.params, cfg.clf_form)
     x = make_state(cfg.z0, cfg.v0)
     decision = select_tau(x, make_box(x, cfg.box_under, cfg.box_over), cfg, case_model)
     assert len(decision.table) == 40 and all(e.feasible for e in decision.table)
-    assert solved == [] and rhs_calls == []
+    assert rhs_calls == []
 
     x, params = near_limit_states(1)[0]
     cfg = ControllerConfig(params=params)
