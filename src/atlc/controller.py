@@ -47,7 +47,9 @@ class ControllerKind:
     frozen time scale); `robust=False` switches to the row evaluated
     pointwise at the event state.  The pointwise form undershoots the
     boundary by roughly the trigger-box radius under zero-order hold, so
-    it exists for ablations only.
+    it exists for ablations only.  A field that the named kind does not
+    read (the rates outside hocbf; the time scale or `robust=False` outside
+    tlc_fixed) is a ValueError.
     """
 
     name: str
@@ -68,6 +70,15 @@ class ControllerKind:
                 raise ValueError("tlc_fixed needs a positive finite time scale")
         elif self.name != "atlc":
             raise ValueError(f"unknown controller kind {self.name!r}")
+        unread = [key for key, given, reader in (
+            ("p1", self.p1 is not None, "hocbf"),
+            ("p2", self.p2 is not None, "hocbf"),
+            ("tau_fixed", self.tau_fixed is not None, "tlc_fixed"),
+            ("robust=False", not self.robust, "tlc_fixed"),
+        ) if given and reader != self.name]
+        if unread:
+            raise ValueError(f"controller kind {self.name!r} does not read "
+                             f"{', '.join(unread)}")
 
     @staticmethod
     def hocbf(p1: float, p2: float) -> "ControllerKind":
@@ -101,6 +112,9 @@ class ControllerConfig:
             raise ValueError(f"final time must be positive and finite, got {self.T}")
         for name in ("box_under", "box_over"):
             radii = np.asarray(getattr(self, name), float)
+            if radii.shape != (2,):
+                raise ValueError(f"{name} must hold one radius per state entry "
+                                 f"(z, v), got shape {radii.shape}")
             if not np.all(np.isfinite(radii)) or np.any(radii < 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {radii}")
             object.__setattr__(self, name, radii)
@@ -193,8 +207,8 @@ def compute_control(
     # tau_fixed is None for hocbf, which has no time scale to log
     if sol.status != "optimal":
         return ControlDecision(u=None, tau=kind.tau_fixed, delta=None, margin=margin)
-    return ControlDecision(u=sol.values[: model.q], tau=kind.tau_fixed,
-                           delta=float(sol.values[-1]), margin=margin)
+    return ControlDecision(u=float(sol.values[0]), tau=kind.tau_fixed,
+                           delta=float(sol.values[1]), margin=margin)
 
 
 def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
@@ -219,7 +233,7 @@ def simulate_closed_loop(cfg: ControllerConfig) -> TrajectoryLog:
 
             record = EventRecord(
                 index=len(log.events), t=t, x=x.copy(), tau=decision.tau,
-                u=u_apply.item(), feasible=feasible, delta=decision.delta,
+                u=u_apply, feasible=feasible, delta=decision.delta,
                 margin=decision.margin, table=decision.table,
             )
             log.events.append(record)

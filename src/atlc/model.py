@@ -11,6 +11,7 @@ and the fallback input.  The car-following instance built by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -90,61 +91,54 @@ class AccParams:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Affine system with one input (``q`` = 1) and one safety output of
-    relative degree ``m``.
+    """Affine system with one input and one safety output of relative
+    degree ``m``.
 
     ``lie_stack(x)`` returns the m+1 drift terms ``[h, L_f h, ..., L_f^m h]``
-    and ``phi(x)`` the input gain row of the m-th derivative, so that
+    and ``phi(x)`` the input gain of the m-th derivative, so that
 
-        d^m h / dt^m = L_f^m h(x) + phi(x) @ u.
+        d^m h / dt^m = L_f^m h(x) + phi(x) u.
 
-    ``clf_terms(x)`` returns ``(V, L_f V, L_g V)`` with ``L_g V`` a q-vector.
-    Every evaluator takes states of shape (..., n), ``rhs`` also inputs of
-    shape (..., q) with the same leading axes, and returns its values over
-    those leading axes: ``lie_stack`` (..., m+1), ``phi`` (..., q),
-    ``rhs`` (..., n) and the CLF terms (...), (...) and (..., q); ``rhs(x, u,
-    out)`` writes into ``out`` (shaped like ``x``, not ``x``) when given.  A batch
-    equals its per-state calls bit for bit, so worst-case bounds over a box
-    and the lookahead rollouts need no Python-level loop.  All evaluators
-    are pure functions.
+    ``clf_terms(x)`` returns ``(V, L_f V, L_g V)``.  Every evaluator takes
+    states of shape (..., n), ``rhs`` also a float input or inputs shaped
+    like the leading axes, and returns its values over those leading axes:
+    ``lie_stack`` (..., m+1), ``rhs`` (..., n) and ``phi`` and the CLF terms
+    (...); ``rhs(x, u, out)`` writes into ``out`` (shaped like ``x``, not
+    ``x``) when given.  A batch equals its per-state calls bit for bit, so
+    worst-case bounds over a box and the lookahead rollouts need no
+    Python-level loop.  All evaluators are pure functions.
 
-    ``cost(x)`` returns the q-vectors ``(diag, linear)`` of the controller's
-    input cost ``sum(diag * u * u) + linear @ u`` at one state, and
-    ``fallback`` is the input held while the QP is infeasible.
+    ``cost(x)`` returns the floats ``(diag, linear)`` of the controller's
+    input cost ``diag * u * u + linear * u`` at one state, and ``fallback``
+    is the input held while the QP is infeasible.
     """
 
     n: int
-    q: int
     m: int
     rhs: Callable[..., Array]
     lie_stack: Callable[[Array], Array]
     phi: Callable[[Array], Array]
-    clf_terms: Callable[[Array], tuple[float, float, Array]]
-    u_min: Array
-    u_max: Array
-    cost: Callable[[Array], tuple[Array, Array]]
-    fallback: Array
+    clf_terms: Callable[[Array], tuple[Array, Array, Array]]
+    u_min: float
+    u_max: float
+    cost: Callable[[Array], tuple[float, float]]
+    fallback: float
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"relative degree must be >= 1, got {self.m}")
-        if self.q != 1:  # the QP solver and the event log take one input
-            raise ValueError(f"the controller takes one input, got q = {self.q}")
-        u_min = np.asarray(self.u_min, dtype=float)
-        u_max = np.asarray(self.u_max, dtype=float)
-        if u_min.shape != (self.q,) or u_max.shape != (self.q,):
-            raise ValueError("input bounds must be q-vectors")
-        if not (np.all(np.isfinite(u_min)) and np.all(np.isfinite(u_max))):
-            raise ValueError("input bounds must be finite")
-        if np.any(u_min > u_max):
-            raise ValueError("need u_min <= u_max componentwise")
-        fallback = np.asarray(self.fallback, dtype=float)
-        if fallback.shape != (self.q,) or not np.all(
-                (u_min <= fallback) & (fallback <= u_max)):
-            raise ValueError("fallback input must be a q-vector in the input box")
-        object.__setattr__(self, "u_min", u_min)
-        object.__setattr__(self, "u_max", u_max)
-        object.__setattr__(self, "fallback", fallback)
+        for name in ("u_min", "u_max", "fallback"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != ():  # the QP solver and the event log take one input
+                raise ValueError(f"{name} must be a float: the controller takes "
+                                 f"one input, got shape {value.shape}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
+        if self.u_min > self.u_max:
+            raise ValueError("need u_min <= u_max")
+        if not self.u_min <= self.fallback <= self.u_max:
+            raise ValueError("fallback input must lie in the input box")
 
 
 def resistance_force(v, p: AccParams):
@@ -172,20 +166,18 @@ def acc_dynamics_rhs(x: Array, u, p: AccParams, out: Array | None = None) -> Arr
     """Time derivative of (gap, speed) under traction/braking force u [N],
     written into ``out`` (shaped like ``x``) when given, else a new array.
 
-    ``x`` is (..., 2) and ``u`` a scalar force or (..., 1) inputs.  One
-    state is evaluated in Python floats, a batch in place with ufuncs; both
-    do the IEEE operations of :func:`resistance_force` in its order, so a
-    batch equals its per-state calls bit for bit."""
+    ``x`` is (..., 2) and ``u`` a float force or forces over the leading
+    axes of ``x``.  One state is evaluated in Python floats, a batch in place
+    with ufuncs; both do the IEEE operations of :func:`resistance_force` in
+    its order, so a batch equals its per-state calls bit for bit."""
     out = np.empty(x.shape) if out is None else out
     if x.ndim == 1:  # one state: Python floats cost less than numpy scalars
-        force = u.item() if isinstance(u, np.ndarray) else float(u)
+        force = float(u)
         v = x.item(1)
         # sgn(v) as a comparison; a NaN speed still propagates through f1 * v
         fr = p.f0 * ((v > 0.0) - (v < 0.0)) + p.f1 * v + p.f2 * v * v
         out[0], out[1] = p.vp - v, (force - fr) / p.M
         return out
-    u = np.asarray(u, dtype=float)
-    force = u[..., 0] if u.ndim else u[()]
     # a batch: the operations of resistance_force, in its order, in place;
     # the last argument of each ufunc is its output (positional: cheaper)
     f0, f1, f2, M, vp = p._rhs_operands
@@ -195,7 +187,7 @@ def acc_dynamics_rhs(x: Array, u, p: AccParams, out: Array | None = None) -> Arr
     np.add(rate, np.multiply(f1, v, scratch), rate)
     np.multiply(np.multiply(f2, v, scratch), v, scratch)
     np.add(rate, scratch, rate)
-    np.divide(np.subtract(force, rate, rate), M, rate)
+    np.divide(np.subtract(u, rate, rate), M, rate)
     np.subtract(vp, v, scratch)
     return out
 
@@ -230,7 +222,7 @@ def acc_clf_terms(x: Array, p: AccParams, form: str = "quadratic"):
 
 
 def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
-    """Build the car-following :class:`SystemModel` (n=2, q=1, m=2)."""
+    """Build the car-following :class:`SystemModel` (n=2, m=2)."""
 
     def rhs(x: Array, u, out: Array | None = None) -> Array:
         return acc_dynamics_rhs(x, u, p, out)  # positional, as counters see it
@@ -240,27 +232,26 @@ def acc_model(p: AccParams, clf_form: str = "quadratic") -> SystemModel:
         return _columns(x, h, lfh, lf2h)
 
     def phi(x: Array) -> Array:
-        return _columns(x, -1.0 / p.M)
+        return np.full(x.shape[:-1], -1.0 / p.M)
 
     def clf_terms(x: Array):
         V, lfV, lgV = acc_clf_terms(x, p, clf_form)
-        return V, lfV, _columns(x, lgV)
+        return V, lfV, np.full(x.shape[:-1], lgV)
 
-    def cost(x: Array) -> tuple[Array, Array]:
+    def cost(x: Array) -> tuple[float, float]:
         # effort_integrand expanded in u; the constant term is dropped
         m2 = p.M**2
-        return np.array([1.0 / m2]), np.array([-2.0 * resistance_force(x[1], p) / m2])
+        return 1.0 / m2, float(-2.0 * resistance_force(x[1], p) / m2)
 
     return SystemModel(
         n=2,
-        q=1,
         m=2,
         rhs=rhs,
         lie_stack=lie_stack,
         phi=phi,
         clf_terms=clf_terms,
-        u_min=np.array([p.u_min]),
-        u_max=np.array([p.u_max]),
+        u_min=p.u_min,
+        u_max=p.u_max,
         cost=cost,
-        fallback=np.array([p.u_min]),  # maximum braking
+        fallback=p.u_min,  # maximum braking
     )

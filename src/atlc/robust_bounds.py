@@ -3,14 +3,14 @@
 Between control updates the state is confined to a box around the last
 event state.  The safety condition is therefore tightened with the
 worst-case drift term (minimum of the joint Taylor sum over the box) and
-the box of input gains (the per-component extrema of the gain), whose
-vertices give the robust rows; :func:`~atlc.constraints.atlc_rows` builds
-both.  Extrema are taken over a tensor evaluation lattice that
-always contains the box vertices; the per-axis point counts are snapped to
-a dyadic cell count so refining the lattice only ever adds midpoints and
-the computed minimum never increases under refinement.  The lattice is
-built by broadcasting each axis into its column, and the Taylor weights of
-a time-scale grid are computed once per grid and shared read-only.
+the interval of input gains (the extrema of the gain), whose two ends give
+the robust rows; :func:`~atlc.constraints.atlc_rows` builds both.  Extrema
+are taken over a tensor evaluation lattice that always contains the box
+vertices; the per-axis point counts are snapped to a dyadic cell count so
+refining the lattice only ever adds midpoints and the computed minimum
+never increases under refinement.  The lattice is built by broadcasting
+each axis into its column, and the Taylor weights of a time-scale grid are
+computed once per grid and shared read-only.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class GridStack:
     """Lie-derivative values of a model evaluated on a box lattice.
 
     ``stack`` holds [h, L_f h, ..., L_f^m h] per lattice point and ``phi``
-    the input gain rows.  The stack is independent of the time scale, so a
+    the input gain there.  The stack is independent of the time scale, so a
     single evaluation serves every candidate time scale at an event.
     """
 
@@ -108,15 +108,12 @@ class GridStack:
     stack: Array
     phi: Array
     m: int
-    q: int
 
 
 def stack_on_grid(box: Box, model: SystemModel, cfg: BoundConfig) -> GridStack:
     pts = grid_points(box, cfg)
     return GridStack(
-        points=pts, stack=model.lie_stack(pts), phi=model.phi(pts),
-        m=model.m, q=model.q,
-    )
+        points=pts, stack=model.lie_stack(pts), phi=model.phi(pts), m=model.m)
 
 
 def taylor_table(taus, m: int) -> Array:

@@ -408,21 +408,18 @@ def integrate_fixed_horizon(
     """Integrate under constant input over [0, horizon] with classic RK4,
     one step per dense sample at spacing dt, both endpoints included.
 
-    ``u`` is one input (a scalar when q = 1, or a q-vector), giving
-    states of shape (n_samples, n), or a (..., q) batch of inputs rolled
-    out together from the same start, giving states of shape
-    (n_samples, ..., n).  Returns (times, states).  The slopes are written
-    through ``model.rhs(x, u, out)`` into four buffers kept for the whole
-    rollout.
+    ``u`` is one input, giving states of shape (n_samples, n), or an array
+    of inputs rolled out together from the same start, giving states of
+    shape (n_samples, *u.shape, n).  Returns (times, states).  The slopes
+    are written through ``model.rhs(x, u, out)`` into four buffers kept for
+    the whole rollout.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(u, dtype=float)
-    if inputs.shape[-1:] != (model.q,) and not (inputs.ndim == 0 and model.q == 1):
-        raise ValueError(f"inputs need {model.q} entries, got shape {inputs.shape}")
     times = _dense_times(0.0, horizon, dt)
-    states = np.empty((times.size, *inputs.shape[:-1], x0.size))
+    states = np.empty((times.size, *inputs.shape, x0.size))
     states[0] = x0
     rhs = model.rhs
     # the step x + h/6 (k1 + 2 (k2 + k3) + k4), operation for operation, in the

@@ -9,7 +9,7 @@ the smallest time scale (the least restrictive constraint).
 
 The candidates are evaluated as arrays: one table of robust rows for every
 time scale, one stacked QP solve over its rows, and one fixed-step
-integration of the distinct inputs (compared by their exact bytes).  A
+integration of the distinct inputs (compared by their exact bits).  A
 prediction can only separate candidates whose inputs differ, so the
 rollout runs only when two or more distinct inputs are feasible; with one,
 the smallest feasible time scale wins and :func:`with_predictions`
@@ -68,10 +68,10 @@ class ControlDecision:
     largest margin over the candidates.  ``table`` holds the adaptive
     variant's candidates, a row per time scale: ``tau``, ``feasible``,
     ``min_h_pred`` (NaN: no prediction), ``qp_objective`` (+inf when
-    infeasible), ``u`` (q,) and ``delta`` (NaN when infeasible).
+    infeasible), ``u`` and ``delta`` (NaN when infeasible).
     """
 
-    u: Array | None
+    u: float | None
     tau: float | None
     delta: float | None
     margin: float
@@ -86,20 +86,12 @@ def rollout_min_h(x_k: Array, u, T_look: float, model: SystemModel):
     """Minimum of the safety output along the constant-input rollout,
     over dense samples including both endpoints.
 
-    A single input (scalar or q-vector) gives a float; a (K, q) batch of
-    inputs gives the K minima, from one evaluation of the safety output.
+    A single input gives a float; a (K,) array of inputs gives the K
+    minima, from one evaluation of the safety output.
     """
     _, states = integrate_fixed_horizon(x_k, u, T_look, model)
     minima = model.lie_stack(states)[..., 0].min(axis=0)
-    return float(minima) if np.ndim(u) < 2 else minima
-
-
-def _distinct(inputs, q: int) -> tuple[list[int], Array]:
-    """Index of each input among the distinct ones (exact bytes, in order
-    of first appearance), and the distinct inputs as a (D, q) array."""
-    slot: dict[bytes, int] = {}
-    index = [slot.setdefault(u.tobytes(), len(slot)) for u in inputs]
-    return index, np.frombuffer(b"".join(slot), dtype=float).reshape(-1, q)
+    return float(minima) if np.ndim(u) == 0 else minima
 
 
 def with_predictions(
@@ -108,13 +100,14 @@ def with_predictions(
     """The candidate table with every feasible candidate's prediction: a
     copy in which the inputs of those the selection left without one are
     rolled out.  Identical inputs yield identical rollouts: each distinct
-    one is rolled out once, all of them together."""
+    one (by its bits) is rolled out once, all of them together, and a
+    rollout is elementwise per input, so their order changes no bit."""
     missing = np.flatnonzero(table.feasible & np.isnan(table.min_h_pred))
     if not missing.size:
         return table
-    index, distinct = _distinct(table.u[missing], model.q)
+    bits, index = np.unique(table.u[missing].view(np.int64), return_inverse=True)
     filled = table.copy()
-    filled.min_h_pred[missing] = rollout_min_h(x_k, distinct, T_look, model)[index]
+    filled.min_h_pred[missing] = rollout_min_h(x_k, bits.view(float), T_look, model)[index]
     return filled
 
 
@@ -126,14 +119,12 @@ def _solve_rows(
     CLF-row QP with that time scale's robust rows added.  Returns the
     optima, objectives and feasibility flags."""
     diag, linear, lower, upper = qp_cost_and_box(model, x_k, cfg.params.w)
-    a_clf, b_clf = clf_row
-    n_tau, n_rows, q = rows.gains.shape
-    a = np.zeros((n_tau, n_rows + 1, q + 1))
-    a[:, :-1, :q] = rows.gains
-    a[:, -1] = a_clf
-    b = np.empty((n_tau, n_rows + 1))
-    b[:, :-1] = -rows.h_worst[:, None]
-    b[:, -1] = b_clf
+    n_tau = len(rows.h_worst)
+    a = np.zeros((n_tau, 3, 2))
+    a[:, 0, 0], a[:, 1, 0], a[:, 2] = rows.low, rows.high, clf_row[0]
+    b = np.empty((n_tau, 3))
+    b[:, 0] = b[:, 1] = -rows.h_worst
+    b[:, 2] = clf_row[1]
     return solve_qp_stack(diag, linear, a, b, lower, upper)
 
 
@@ -144,7 +135,8 @@ def solve_event_qp(
     """Robust safety QP at one time scale: the rows of
     :func:`~atlc.constraints.atlc_rows` and the CLF row over the input box."""
     rows = atlc_rows(gs, [tau])
-    robust = [(np.append(gain, 0.0), -rows.h_worst[0]) for gain in rows.gains[0]]
+    robust = [(np.array([gain, 0.0]), -rows.h_worst[0])
+              for gain in (rows.low[0], rows.high[0])]
     return solve_qp(build_qp_instance([*robust, clf_row], model, x_k, cfg.params.w))
 
 
@@ -161,19 +153,19 @@ def select_tau(
     margins = rows.margins(model.u_min, model.u_max)
     table = np.recarray(len(taus), dtype=[
         ("tau", float), ("feasible", bool), ("min_h_pred", float),
-        ("qp_objective", float), ("u", float, (model.q,)), ("delta", float)])
+        ("qp_objective", float), ("u", float), ("delta", float)])
     table["tau"], table["feasible"], table["min_h_pred"] = taus, optimal, math.nan
-    table["qp_objective"], table["u"], table["delta"] = objective, values[:, :-1], values[:, -1]
+    table["qp_objective"], table["u"], table["delta"] = objective, *values.T
     feasible = np.flatnonzero(optimal)
     if not feasible.size:
         return ControlDecision(
             u=None, tau=None, delta=None, margin=float(margins.max()), table=table)
     best = feasible[0]  # with one distinct input, the smallest feasible tau
-    bits = values[feasible, :-1].view(np.int64)  # inputs compared by their bytes
+    bits = values[feasible, 0].view(np.int64)  # inputs compared by their bits
     if (bits != bits[0]).any():
         table = with_predictions(table, x_k, cfg.tau_cfg.T_look, model)
         best = feasible[np.argmax(table.min_h_pred[feasible])]  # first maximum
     return ControlDecision(
-        u=values[best, :-1], tau=taus[best],
-        delta=float(values[best, -1]), margin=float(margins[best]), table=table,
+        u=float(values[best, 0]), tau=taus[best],
+        delta=float(values[best, 1]), margin=float(margins[best]), table=table,
     )

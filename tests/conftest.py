@@ -74,12 +74,13 @@ def model(params):
 @pytest.fixture(scope="session")
 def sign_gain_model(params):
     """The case-study model with an input gain proportional to 50 - z, which
-    changes sign across any event box that straddles z = 50: the gain box
-    then has two vertices, and the robust condition two rows."""
+    changes sign across any event box that straddles z = 50: the ends of
+    the gain interval then have opposite signs, and the robust condition
+    two different rows."""
     scale = 1.0 / (10.0 * params.M)
     return dataclasses.replace(
         acc_model(params),
-        phi=lambda x: ((50.0 - x[..., 0]) * scale)[..., None],
+        phi=lambda x: (50.0 - x[..., 0]) * scale,
     )
 
 

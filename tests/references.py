@@ -6,17 +6,17 @@ from ``np.meshgrid`` and the Taylor weights of a grid without the memo,
 which ``atlc.robust_bounds`` builds by broadcasting and shares, the lattice
 bounds of one time scale and one input-sign branch at a time, which
 ``atlc.constraints.atlc_rows`` builds as one table, the robust QP and
-margin split over the input-sign orthants, which the vertex rows of the
-gain box replace, and the trajectory CSV built as one list of all its
-rows, which ``atlc.cli`` formats and writes one block at a time, and the
-active-set enumeration of QP optima, which ``atlc.qp`` replaces by a closed
-form for at most one general row.
+margin split over the two signs of the input, which the rows of the two
+ends of the gain interval replace, and the trajectory CSV built as one
+list of all its rows, which ``atlc.cli`` formats and writes one block at a
+time, and the active-set enumeration of QP optima, which ``atlc.qp``
+replaces by a closed form for at most one general row.
 """
 
 import dataclasses
 import math
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -99,54 +99,51 @@ def h_ratlc_from_stack(gs: GridStack, tau: float) -> float:
     return float(values.min())
 
 
-def g_ratlc_from_stack(gs: GridStack, tau: float, sign_branch) -> np.ndarray:
-    """Worst-case input-gain row (tau^m / m!) * extremum of phi over the box.
+def g_ratlc_from_stack(gs: GridStack, tau: float, sign) -> float:
+    """Worst-case input gain (tau^m / m!) * extremum of phi over the box.
 
-    Component j uses the box minimum of phi_j when the branch declares
-    u_j >= 0 and the maximum otherwise, so the row times any
+    The box minimum of phi when the sign branch (+1 or -1) declares u >= 0,
+    the maximum when it declares u <= 0, so the gain times any
     branch-consistent input lower-bounds the exact input contribution.
     """
-    branch = np.asarray(sign_branch)
-    if branch.shape != (gs.q,) or not (np.abs(branch) == 1).all():
-        raise ValueError("sign branch must be a vector of +1/-1 per input")
+    if sign not in (1.0, -1.0):
+        raise ValueError("sign branch must be +1 or -1")
     scale = taylor_table([tau], gs.m)[0][-1]
-    worst = np.where(branch > 0, gs.phi.min(axis=0), gs.phi.max(axis=0))
-    return scale * worst
+    return float(scale * (gs.phi.min() if sign > 0 else gs.phi.max()))
 
 
 def orthant_rows(gs: GridStack, tau: float, model: SystemModel) -> list:
-    """The robust row of each non-empty input-sign orthant of the input box,
-    with the orthant's part of the box: (row, lower, upper).  Where an input
+    """The robust row of each sign of the input that the input box admits,
+    with the box's part of that sign: (row, lower, upper).  Where the input
     is nonnegative its least gain over the box is the worst case, where it
     is nonpositive its greatest."""
     parts = []
-    for branch in product((1.0, -1.0), repeat=gs.q):
-        sign = np.array(branch)
-        lower = np.where(sign > 0, np.maximum(model.u_min, 0.0), model.u_min)
-        upper = np.where(sign > 0, model.u_max, np.minimum(model.u_max, 0.0))
-        if (lower <= upper).all():
-            row = (np.append(g_ratlc_from_stack(gs, tau, branch), 0.0),
+    for sign, lower, upper in (
+            (1.0, max(model.u_min, 0.0), model.u_max),
+            (-1.0, model.u_min, min(model.u_max, 0.0))):
+        if lower <= upper:
+            row = (np.array([g_ratlc_from_stack(gs, tau, sign), 0.0]),
                    -h_ratlc_from_stack(gs, tau))
             parts.append((row, lower, upper))
     return parts
 
 
 def orthant_margin(gs: GridStack, tau: float, model: SystemModel) -> float:
-    """The robust margin as the best orthant row's margin on its part."""
+    """The robust margin as the best sign's row margin on its part."""
     return max(row_margin(row, lower, upper)
                for row, lower, upper in orthant_rows(gs, tau, model))
 
 
 def orthant_event_qp(x: np.ndarray, gs: GridStack, tau: float, clf_row, w: float,
                      model: SystemModel) -> QpSolution:
-    """The robust QP as one QP per orthant, each with its row and the CLF
-    row on its part of the input box; the first least objective wins."""
+    """The robust QP as one QP per sign of the input, each with its row and
+    the CLF row on its part of the input box; the first least objective wins."""
     solutions = []
     for row, lower, upper in orthant_rows(gs, tau, model):
         inst = build_qp_instance([row, clf_row], model, x, w)
         solutions.append(solve_qp(dataclasses.replace(
-            inst, lower=np.append(lower, inst.lower[-1]),
-            upper=np.append(upper, inst.upper[-1]))))
+            inst, lower=np.array([lower, inst.lower[1]]),
+            upper=np.array([upper, inst.upper[1]]))))
     return min(solutions, key=lambda sol: sol.objective)  # infeasible: +inf
 
 

@@ -258,13 +258,13 @@ def test_criterion_8_robust_bound_soundness(model, params):
         box = make_box(center, under, over)
         gs = stack_on_grid(box, model, BOUND_CFG)
         h_r = h_ratlc_from_stack(gs, tau)
-        g_plus = g_ratlc_from_stack(gs, tau, [1])[0]
-        g_minus = g_ratlc_from_stack(gs, tau, [-1])[0]
+        g_plus = g_ratlc_from_stack(gs, tau, 1)
+        g_minus = g_ratlc_from_stack(gs, tau, -1)
 
         xs = rng.uniform(box.lower, box.upper, size=(1000, 2))
         us = rng.uniform(params.u_min, params.u_max, size=1000)
         stacks = model.lie_stack(xs)
-        phis = model.phi(xs)[:, 0]
+        phis = model.phi(xs)
         w = taylor_table([tau], model.m)[0]
         expr = stacks @ w + phis * us * w[-1]
         bound = np.where(us >= 0.0, g_plus, g_minus) * us + h_r
@@ -286,7 +286,7 @@ def test_criterion_9_mean_value_property(model, params):
         w = taylor_table([tau], model.m)[0]
         inner = states[1:-1]
         stacks = model.lie_stack(inner)
-        phis = model.phi(inner)[:, 0]
+        phis = model.phi(inner)
         residuals = stack0[0] + stack0[1] * w[1] + (stacks[:, 2] + phis * u) * w[2] - h_end
         crosses = bool(np.any(residuals[:-1] * residuals[1:] <= 0.0))
         if not (crosses or np.abs(residuals).min() < 1e-6):

@@ -39,10 +39,10 @@ def hocbf_row(x, p1, p2, model):
 
 def robust_row(box, tau, model):
     """The case study's one robust row over (u, delta): its input gain is
-    constant, so the gain box is one vertex."""
+    constant, so the rows of the two ends of the gain interval are equal."""
     rows = atlc_rows(stack_on_grid(box, model, CFG), [tau])
-    assert rows.gains.shape == (1, 1, 1)
-    return np.append(rows.gains[0, 0], 0.0), -rows.h_worst[0]
+    assert rows.low.shape == (1,) and rows.low.tobytes() == rows.high.tobytes()
+    return np.array([rows.low[0], 0.0]), -rows.h_worst[0]
 
 
 def feasible_interval(row, u_min, u_max):
@@ -71,36 +71,34 @@ def test_atlc_row_degenerate_small_tau(model):
 
 
 def test_atlc_rows_split_where_the_gain_changes_sign(sign_gain_model):
-    """A gain that changes sign over the box gives one row per vertex of
-    the gain box, both over the whole input box: the least gain first, then
-    the greatest."""
+    """A gain that changes sign over the box gives two different rows, one
+    per end of the gain interval, both over the whole input box: the least
+    gain (``low``) and the greatest (``high``)."""
     box = make_box(make_state(49.8, 15.0), [0.5, 0.5], [0.5, 0.5])
     gs = stack_on_grid(box, sign_gain_model, CFG)
     rows = atlc_rows(gs, [0.5])
-    assert rows.gains.shape == (1, 2, 1)
-    (a_low,), (a_high,) = rows.gains[0]
     scale = 0.5**2 / 2
-    assert [a_low, a_high] == [scale * gs.phi.min(), scale * gs.phi.max()]
-    assert rows.low.tolist() == [[a_low]] and rows.high.tolist() == [[a_high]]
-    assert a_low < 0.0 < a_high
+    assert rows.low.tolist() == [scale * gs.phi.min()]
+    assert rows.high.tolist() == [scale * gs.phi.max()]
+    assert rows.low[0] < 0.0 < rows.high[0]
 
 
 def test_atlc_rows_table_matches_per_tau_rows(model, sign_gain_model):
     """One table over the 40 candidate time scales holds, bit for bit, each
-    time scale's own lattice bound and worst-case gains, and its margins are
-    those of the single rows of the input-sign orthants."""
+    time scale's own lattice bound and worst-case gains (the least for a
+    nonnegative input, the greatest for a nonpositive one), and its margins
+    are those of the single rows of the two signs of the input."""
     taus = [float(tau) for tau in candidate_taus(TauSelectConfig())]
-    for case_model, z, n_rows in ((model, 90.0, 1), (sign_gain_model, 49.8, 2)):
+    for case_model, z in ((model, 90.0), (sign_gain_model, 49.8)):
         box = make_box(make_state(z, 15.0), [0.5, 0.5], [0.5, 0.5])
         gs = stack_on_grid(box, case_model, CFG)
         rows = atlc_rows(gs, taus)
-        assert rows.gains.shape == (40, n_rows, 1)
+        assert rows.low.shape == rows.high.shape == (40,)
         assert rows.h_worst.tolist() == [h_ratlc_from_stack(gs, tau) for tau in taus]
         margins = rows.margins(case_model.u_min, case_model.u_max)
         for k, tau in enumerate(taus):
-            for b, branch in enumerate([[1.0], [-1.0]][:n_rows]):
-                np.testing.assert_array_equal(
-                    rows.gains[k, b], g_ratlc_from_stack(gs, tau, branch))
+            assert [rows.low[k], rows.high[k]] == [
+                g_ratlc_from_stack(gs, tau, 1.0), g_ratlc_from_stack(gs, tau, -1.0)]
             assert margins[k] == max(
                 row_margin(row, lower, upper)
                 for row, lower, upper in orthant_rows(gs, tau, case_model))
@@ -152,8 +150,8 @@ def test_hocbf_tlc_coefficient_non_identity(model):
 
 
 def test_clf_row_values(model, params):
-    """The row L_g V @ u - delta <= -(L_f V + c3 V), stored negated as
-    -L_g V @ u + delta >= L_f V + c3 V."""
+    """The row L_g V u - delta <= -(L_f V + c3 V), stored negated as
+    -L_g V u + delta >= L_f V + c3 V."""
     a, b = build_clf_row(make_state(90.0, 15.0), 2.0, model)
     assert a == pytest.approx([0.010909090909090908, 1.0])
     assert b == pytest.approx(163.43290909090908, abs=1e-10)

@@ -29,8 +29,8 @@ from atlc.tau_select import candidate_taus
 
 
 def test_fallback_values():
-    assert acc_model(AccParams(cd=0.4)).fallback[0] == pytest.approx(-6474.6)
-    assert acc_model(AccParams(cd=1.2)).fallback[0] == pytest.approx(-19423.8)
+    assert acc_model(AccParams(cd=0.4)).fallback == pytest.approx(-6474.6)
+    assert acc_model(AccParams(cd=1.2)).fallback == pytest.approx(-19423.8)
     with pytest.raises(ValueError):
         AccParams(cd=0.0)
 
@@ -39,7 +39,7 @@ def test_atlc_decision_accelerates_from_start(model):
     cfg = ControllerConfig()
     decision = compute_control(make_state(90.0, 15.0), cfg, model)
     assert decision.u is not None
-    assert decision.u[0] == pytest.approx(cfg.params.u_max)  # speed-tracking phase
+    assert decision.u == pytest.approx(cfg.params.u_max)  # speed-tracking phase
     assert cfg.tau_cfg.tau_min <= decision.tau <= cfg.tau_cfg.tau_max
     assert decision.margin > 0
     assert decision.table is not None and len(decision.table) == 40
@@ -105,10 +105,47 @@ def test_kind_validation():
             ControllerKind.hocbf(bad, 1.0)
 
 
+@pytest.mark.parametrize("fields, unread", [
+    pytest.param(dict(name="hocbf", p1=0.3, p2=0.3, tau_fixed=0.5), "tau_fixed",
+                 id="hocbf-tau_fixed"),
+    pytest.param(dict(name="hocbf", p1=0.3, p2=0.3, robust=False), "robust=False",
+                 id="hocbf-robust"),
+    pytest.param(dict(name="tlc_fixed", tau_fixed=0.5, p1=0.3), "p1", id="tlc_fixed-p1"),
+    pytest.param(dict(name="tlc_fixed", tau_fixed=0.5, robust=False, p2=0.3), "p2",
+                 id="tlc_fixed-p2"),
+    pytest.param(dict(name="atlc", p1=3.0, tau_fixed=0.7, robust=False),
+                 "p1, tau_fixed, robust=False", id="atlc-p1-tau_fixed-robust"),
+    pytest.param(dict(name="atlc", p2=0.3), "p2", id="atlc-p2"),
+])
+def test_kind_rejects_a_field_it_never_reads(fields, unread):
+    """Rates are read by hocbf only, the time scale and robust=False by
+    tlc_fixed only: given to another kind, each is a ValueError naming it."""
+    with pytest.raises(ValueError, match=f"does not read {unread}$"):
+        ControllerKind(**fields)
+    named = unread.replace("robust=False", "robust").split(", ")
+    ControllerKind(**{key: value for key, value in fields.items()
+                      if key not in named})  # without them the fields are accepted
+
+
 def test_config_rejects_non_finite_final_time():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ControllerConfig(T=bad)
+
+
+def test_config_takes_one_finite_nonnegative_radius_per_state_entry():
+    """Box radii are (z, v) pairs: another shape, a negative or a non-finite
+    radius is a ValueError at construction, not a broadcast error at the
+    first event."""
+    assert ControllerConfig(box_under=[0.1, 0.2], T=1.0).box_under.tolist() == [0.1, 0.2]
+    for name in ("box_under", "box_over"):
+        for bad in (np.array([0.5, 0.5, 0.5]), np.array([0.5]), 0.5, np.full((2, 2), 0.5),
+                    np.empty(0)):
+            with pytest.raises(ValueError, match=f"{name} must hold one radius"):
+                ControllerConfig(**{name: bad}, T=1.0)
+        for bad in ([-0.1, 0.5], [0.5, math.inf], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ControllerConfig(**{name: np.array(bad)}, T=1.0)
 
 
 def test_trigger_disabled_gives_single_event():
@@ -212,7 +249,7 @@ def test_fallback_engages_and_is_logged():
     )
     log = simulate_closed_loop(cfg)
     assert not log.events[0].feasible
-    assert log.events[0].u == pytest.approx(acc_model(p).fallback[0])
+    assert log.events[0].u == pytest.approx(acc_model(p).fallback)
     assert sum(not e.feasible for e in log.events) >= 1
 
 
@@ -287,9 +324,9 @@ def test_config_owns_the_model(monkeypatch):
         cfg.model = acc_model(cfg.params)
 
 
-def test_loop_applies_the_input_vector(monkeypatch):
-    """The held input reaches the integrator as the model's q-vector, the
-    decision's own or the fallback, and each event logs it as one float."""
+def test_loop_applies_one_float_input(monkeypatch):
+    """The held input reaches the integrator as one float, the decision's
+    own or the fallback, and each event logs that float."""
     applied = []
     integrate = controller.integrate_until_trigger
 
@@ -306,8 +343,7 @@ def test_loop_applies_the_input_vector(monkeypatch):
     assert {e.feasible for e in log.events} == {True, False}
     assert len(applied) == len(log.events)
     for event, u in zip(log.events, applied):
-        assert isinstance(u, np.ndarray) and u.shape == (cfg.model.q,)
-        assert type(event.u) is float and event.u == u[0]
+        assert type(u) is float and event.u is u
     assert all(u is cfg.model.fallback for u, e in zip(applied, log.events)
                if not e.feasible)
 

@@ -36,9 +36,8 @@ def test_margin_zero_gain_reduces_to_drift_bound(model):
     gs = GridStack(
         points=np.zeros((3, 2)),
         stack=np.array([[1.0, -0.5, 0.2], [2.0, -1.0, 0.1], [1.5, 0.0, 0.0]]),
-        phi=np.zeros((3, 1)),
+        phi=np.zeros(3),
         m=2,
-        q=1,
     )
     tau = 0.8
     h_values = gs.stack @ np.array([1.0, tau, tau**2 / 2])
@@ -49,9 +48,8 @@ def test_feasible_at_exact_zero_margin(model):
     gs = GridStack(
         points=np.zeros((1, 2)),
         stack=np.array([[0.0, 0.0, 0.0]]),
-        phi=np.zeros((1, 1)),
+        phi=np.zeros(1),
         m=2,
-        q=1,
     )
     assert margin_from_stack(gs, 1.0, model) == 0.0
 
@@ -69,12 +67,13 @@ def test_infeasible_when_gain_cannot_save(model, params):
     pytest.param(60.0, 15.0, id="60.0-15.0"),
 ])
 def test_margin_matches_brute_force_with_sign_changing_gain(sign_gain_model, z, v):
-    """With the vertex rows of the gain box the margin is the maximum over
-    a dense input grid (holding 0) of the worst case over the lattice."""
+    """With the rows of the two ends of the gain interval the margin is the
+    maximum over a dense input grid (holding 0) of the worst case over the
+    lattice."""
     model = sign_gain_model
     gs = stack_on_grid(make_box(make_state(z, v), [0.5, 0.5], [0.5, 0.5]), model, CFG)
-    inputs = np.union1d(np.linspace(model.u_min[0], model.u_max[0], 2001), [0.0])
-    gain = (gs.phi @ inputs[None]).min(axis=0)  # least gain over the lattice
+    inputs = np.union1d(np.linspace(model.u_min, model.u_max, 2001), [0.0])
+    gain = np.multiply.outer(gs.phi, inputs).min(axis=0)  # least gain over the lattice
     for tau in (0.05, 0.5, 1.3, 2.0):
         brute = (h_ratlc_from_stack(gs, tau) + tau**2 / 2 * gain).max()
         assert margin_from_stack(gs, tau, model) == pytest.approx(brute, abs=1e-9)

@@ -1,6 +1,7 @@
 """Car-following model: analytic values, derivative exactness, invariants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -156,32 +157,39 @@ def test_acc_params_invariants():
 
 def test_system_model_invariants(params):
     m = acc_model(params)
-    assert (m.n, m.q, m.m) == (2, 1, 2)
-    assert m.fallback.tolist() == m.u_min.tolist()  # maximum braking
-    fields = dict(n=2, q=1, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
+    assert (m.n, m.m) == (2, 2)
+    assert m.fallback == m.u_min  # maximum braking
+    assert all(type(value) is float for value in (m.u_min, m.u_max, m.fallback))
+    fields = dict(n=2, m=2, rhs=m.rhs, lie_stack=m.lie_stack, phi=m.phi,
                   clf_terms=m.clf_terms, u_min=m.u_min, u_max=m.u_max,
                   cost=m.cost, fallback=m.fallback)
-    SystemModel(**fields)
-    for bad in ({"m": 0}, {"u_min": np.array([1.0]), "u_max": np.array([-1.0])},
-                {"fallback": np.array([0.0, 0.0])}, {"fallback": 0.0},
-                {"fallback": m.u_max + 1.0}, {"fallback": np.array([np.nan])}):
+    coasting = SystemModel(**{**fields, "fallback": np.float64(0.0)}).fallback
+    assert type(coasting) is float and coasting == 0.0
+    for bad in ({"m": 0}, {"u_min": 1.0, "u_max": -1.0},
+                {"fallback": m.u_max + 1.0}, {"fallback": np.nan},
+                {"u_min": -np.inf}, {"u_max": np.nan}):
         with pytest.raises(ValueError):
             SystemModel(**{**fields, **bad})
 
 
 def test_system_model_takes_one_input(params):
-    """A model with other than one input is a ValueError at construction:
-    the QP solver and the event record take one input."""
+    """An input bound or fallback that is not one float is a ValueError at
+    construction that names the one input, not a numpy deprecation warning
+    or a TypeError: the QP solver and the event record take one input."""
     m = acc_model(params)
-    for q in (0, 2):
-        with pytest.raises(ValueError, match="one input"):
-            dataclasses.replace(m, q=q, u_min=np.full(q, -1.0), u_max=np.ones(q),
-                                fallback=np.zeros(q))
+    for name in ("u_min", "u_max", "fallback"):
+        value = getattr(m, name)
+        for bad in (np.array([value]), [value], np.full(2, value), np.empty(0),
+                    [[value]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="one input"):
+                    dataclasses.replace(m, **{name: bad})
 
 
 @pytest.mark.parametrize("name", ["quadratic", "linear", "sign_gain"])
 def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
-    """Every evaluator on an (S, K, n) batch, and rhs with (S, K, q) inputs,
+    """Every evaluator on an (S, K, n) batch, and rhs with (S, K) inputs,
     equals its per-state calls bit for bit, also at v = 0, v = -0, v < 0,
     a NaN speed, subnormal speeds and huge finite ones."""
     m = sign_gain_model if name == "sign_gain" else acc_model(params, name)
@@ -190,7 +198,7 @@ def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
     special = [[40.0, 0.0], [40.0, -1.5], [40.0, -0.0], [40.0, np.nan],
                [40.0, 5e-324], [40.0, -5e-324], [40.0, 1e100], [40.0, -1e100]]
     states = np.vstack([pts, special]).reshape(6, 12, 2)
-    inputs = rng.uniform(params.u_min, params.u_max, (6, 12, 1))
+    inputs = rng.uniform(params.u_min, params.u_max, (6, 12))
     V, lfV, lgV = m.clf_terms(states)
     batches = {"lie_stack": m.lie_stack(states), "phi": m.phi(states),
                "rhs": m.rhs(states, inputs), "V": V, "L_f V": lfV, "L_g V": lgV}
@@ -205,7 +213,7 @@ def test_evaluators_broadcast_bit_for_bit(params, sign_gain_model, name):
             assert found.tobytes() == np.asarray(value).tobytes(), key
     # the lattice bounds take stack @ weights, whose rounding follows the layout
     assert batches["lie_stack"].flags.c_contiguous
-    # one state: a Python float, a 0-d and a (1,) input give the same bytes
+    # one state: a Python float and a 0-d input give the same bytes
     for x, u in zip(states.reshape(-1, 2), inputs.reshape(-1).tolist()):
-        rates = {m.rhs(x, v).tobytes() for v in (u, np.array(u), np.array([u]))}
+        rates = {m.rhs(x, v).tobytes() for v in (u, np.array(u))}
         assert len(rates) == 1

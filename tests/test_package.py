@@ -1,9 +1,19 @@
-"""The package's public names, and its modules' imports."""
+"""The package's public names, and the imports and private names of its
+modules and of the test modules."""
 
 import ast
 from pathlib import Path
 
 import atlc
+
+# each directory's modules are checked against the reads within it
+DIRECTORIES = (Path(atlc.__file__).resolve().parent, Path(__file__).resolve().parent)
+
+
+def sources_in(directory: Path) -> dict[str, str]:
+    """The source of each module of ``directory``, by file name."""
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_public_names_resolve_and_do_not_repeat():
@@ -39,10 +49,11 @@ def test_unused_imports_are_caught():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    package = Path(atlc.__file__).resolve().parent
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
-    assert {name: names for name, names in found.items() if names} == {}
+    """In the package and in the tests."""
+    for directory in DIRECTORIES:
+        found = {name: unused_imports(source)
+                 for name, source in sources_in(directory).items()}
+        assert {name: names for name, names in found.items() if names} == {}, directory.name
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
@@ -85,7 +96,6 @@ def test_dead_private_names_are_caught():
 
 
 def test_every_private_name_is_read_in_the_package():
-    package = Path(atlc.__file__).resolve().parent
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(package.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    """And every private name of the tests is read in the tests."""
+    for directory in DIRECTORIES:
+        assert dead_private_names(sources_in(directory)) == [], directory.name

@@ -27,7 +27,7 @@ def dense_min_oracle(box, tau, params, n=201):
 def taylor_expr(x, u, tau, model):
     stack = model.lie_stack(x)
     w = taylor_table([tau], model.m)[0]
-    return float(stack @ w + (model.phi(x) @ np.atleast_1d(u)) * w[-1])
+    return float(stack @ w + model.phi(x) * u * w[-1])
 
 
 def test_make_box_values():
@@ -87,11 +87,11 @@ def test_h_ratlc_rejects_bad_tau(model):
 def test_g_ratlc_values(model):
     gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5]),
                        model, CFG)
-    for branch in ([1], [-1]):
-        row = g_ratlc_from_stack(gs, 0.5, branch)
-        assert row == pytest.approx([-7.575757575757576e-5], abs=1e-18)
-    assert g_ratlc_from_stack(gs, 1.0, [1]) == pytest.approx(
-        [-3.0303030303030303e-4], abs=1e-18
+    for branch in (1, -1):
+        gain = g_ratlc_from_stack(gs, 0.5, branch)
+        assert gain == pytest.approx(-7.575757575757576e-5, abs=1e-18)
+    assert g_ratlc_from_stack(gs, 1.0, 1) == pytest.approx(
+        -3.0303030303030303e-4, abs=1e-18
     )
 
 
@@ -99,17 +99,19 @@ def test_g_ratlc_degenerate_exact(model):
     gs = stack_on_grid(make_box(make_state(42.0, 17.0), [0.0, 0.0], [0.0, 0.0]),
                        model, CFG)
     expected = (0.7**2 / 2) * model.phi(np.array([42.0, 17.0]))
-    for branch in ([1], [-1]):
-        np.testing.assert_array_equal(g_ratlc_from_stack(gs, 0.7, branch), expected)
+    for branch in (1, -1):
+        assert g_ratlc_from_stack(gs, 0.7, branch) == expected
 
 
 def test_g_ratlc_rejects_bad_branch(model):
     gs = stack_on_grid(make_box(make_state(90.0, 15.0), [0.5, 0.5], [0.5, 0.5]),
                        model, CFG)
     with pytest.raises(ValueError):
-        g_ratlc_from_stack(gs, 0.5, [0])
+        g_ratlc_from_stack(gs, 0.5, 0)
     with pytest.raises(ValueError):
         g_ratlc_from_stack(gs, 0.5, [1, -1])
+    with pytest.raises(ValueError):
+        g_ratlc_from_stack(gs, 0.5, [1])
 
 
 def test_soundness_over_box(model, params):
@@ -123,14 +125,14 @@ def test_soundness_over_box(model, params):
         gs = stack_on_grid(box, model, CFG)
         h_r = h_ratlc_from_stack(gs, tau)
         for branch, lo, hi in (
-            ([1], max(0.0, params.u_min), params.u_max),
-            ([-1], params.u_min, min(0.0, params.u_max)),
+            (1, max(0.0, params.u_min), params.u_max),
+            (-1, params.u_min, min(0.0, params.u_max)),
         ):
             g_r = g_ratlc_from_stack(gs, tau, branch)
             xs = rng.uniform(box.lower, box.upper, size=(1000, 2))
             us = rng.uniform(lo, hi, size=1000)
             for x, u in zip(xs, us):
-                bound = float(g_r[0] * u + h_r)
+                bound = g_r * u + h_r
                 assert bound <= taylor_expr(x, u, tau, model) + 1e-9
 
 
@@ -176,9 +178,9 @@ def test_scale_factoring(model):
     """g_ratlc_from_stack(tau) / tau^m does not depend on tau."""
     gs = stack_on_grid(make_box(make_state(50.0, 20.0), [0.5, 0.5], [0.5, 0.5]),
                        model, CFG)
-    base = g_ratlc_from_stack(gs, 1.0, [1])
+    base = g_ratlc_from_stack(gs, 1.0, 1)
     for tau in (0.05, 0.3, 0.77, 1.9):
-        scaled = g_ratlc_from_stack(gs, tau, [1]) / tau**model.m
+        scaled = g_ratlc_from_stack(gs, tau, 1) / tau**model.m
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 

@@ -273,7 +273,7 @@ def allocating_rk4(x0, u, horizon, model, dt=sim.DENSE_DT):
     the reference for the in-place steps of integrate_fixed_horizon."""
     inputs = np.asarray(u, dtype=float)
     times = _dense_times(0.0, horizon, dt)
-    states = np.empty((times.size, *inputs.shape[:-1], x0.size))
+    states = np.empty((times.size, *inputs.shape, x0.size))
     states[0] = x0
     x = states[0]
     for i, h in enumerate(np.diff(times).tolist(), start=1):
@@ -288,7 +288,7 @@ def allocating_rk4(x0, u, horizon, model, dt=sim.DENSE_DT):
 @pytest.mark.parametrize("system", ["case_study", "sign_gain"])
 def test_rollout_equals_allocating_rk4_bit_for_bit(system, model, sign_gain_model,
                                                    params):
-    """One input (a scalar or a q-vector) or a (K, q) batch, at the dense
+    """One input (a float or a 0-d array) or a (K,) batch, at the dense
     spacing and at tau/400, braking through v = 0 included: the in-place
     rollout equals the allocating expressions bit for bit."""
     m = sign_gain_model if system == "sign_gain" else model
@@ -297,10 +297,10 @@ def test_rollout_equals_allocating_rk4_bit_for_bit(system, model, sign_gain_mode
     through_zero = 0
     for v0 in speeds:
         x0 = np.array([rng.uniform(11.0, 60.0), v0])
-        batch = rng.uniform(params.u_min, params.u_max, (int(rng.integers(2, 13)), 1))
+        batch = rng.uniform(params.u_min, params.u_max, int(rng.integers(2, 13)))
         batch[0] = params.u_min
         tau = rng.uniform(0.05, 2.0)
-        for u in (float(batch[0, 0]), batch[1], batch):
+        for u in (float(batch[0]), np.array(batch[1]), batch):
             for horizon, dt in ((1.0, sim.DENSE_DT), (tau, tau / 400.0)):
                 times, states = integrate_fixed_horizon(x0, u, horizon, m, dt=dt)
                 ref_times, ref_states = allocating_rk4(x0, u, horizon, m, dt=dt)
@@ -328,7 +328,7 @@ def test_taylor_mean_value_property(model, params):
 
         inner = states[1:-1]
         stacks = model.lie_stack(inner)
-        phis = model.phi(inner)[:, 0]
+        phis = model.phi(inner)
         residuals = lead + (stacks[:, 2] + phis * u) * w[2] - h_end
         crosses = np.any(residuals[:-1] * residuals[1:] <= 0.0)
         assert crosses or np.abs(residuals).min() < 1e-6

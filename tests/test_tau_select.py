@@ -22,8 +22,9 @@ from atlc import (
     solve_qp,
 )
 from atlc.cli import build_controller_config, load_scenario
-from atlc.constraints import build_clf_row, build_qp_instance
+from atlc.constraints import atlc_rows, build_clf_row, build_qp_instance, qp_cost_and_box
 from atlc.margin import margin_from_stack
+from atlc.qp import solve_qp_stack
 from atlc.robust_bounds import stack_on_grid
 from atlc.sim import _dense_times, integrate_fixed_horizon
 from atlc.tau_select import candidate_taus, solve_event_qp, with_predictions
@@ -56,18 +57,17 @@ def scripted_selection(x, box, cfg, model):
     table = []
     for tau in candidate_taus(cfg.tau_cfg):
         tau = float(tau)
-        # constant gain: the gain box is this one row's vertex
-        gain = np.append(g_ratlc_from_stack(gs, tau, [1.0]), 0.0)
-        row = gain, -h_ratlc_from_stack(gs, tau)
+        # constant gain: both ends of the gain interval give this one row
+        row = np.array([g_ratlc_from_stack(gs, tau, 1.0), 0.0]), -h_ratlc_from_stack(gs, tau)
         inst = build_qp_instance([row, clf], model, x, cfg.params.w)
         sol = solve_qp(inst)
         if sol.status != "optimal":
             table.append((tau, -math.inf))
             continue
-        pred = rollout_min_h(x, sol.values[:1], cfg.tau_cfg.T_look, model)
+        pred = rollout_min_h(x, sol.values[0], cfg.tau_cfg.T_look, model)
         table.append((tau, pred))
         if pred > best_pred:
-            best_tau, best_u, best_pred = tau, sol.values[:1], pred
+            best_tau, best_u, best_pred = tau, float(sol.values[0]), pred
     if best_tau is None:
         margin = max(margin_from_stack(gs, tau, model) for tau, _ in table)
         return None, None, margin, table
@@ -173,8 +173,9 @@ def test_all_infeasible_reported(model):
 
 @pytest.mark.parametrize("z, v", [(49.8, 15.0), (50.2, 20.0), (60.0, 15.0)])
 def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
-    """With the vertex rows of the gain box the decision is feasible, meets
-    the robust condition, and logs the margin at its time scale."""
+    """With the rows of the two ends of the gain interval the decision is
+    feasible, meets the robust condition, and logs the margin at its time
+    scale."""
     model = sign_gain_model
     x = make_state(z, v)
     box = make_box(x, [0.5, 0.5], [0.5, 0.5])
@@ -183,7 +184,7 @@ def test_selection_with_sign_changing_gain(sign_gain_model, z, v):
     gs = stack_on_grid(box, model, config().bound_cfg)
     assert decision.margin == margin_from_stack(gs, decision.tau, model)
     worst = h_ratlc_from_stack(gs, decision.tau) + decision.tau**2 / 2 * float(
-        (gs.phi[:, 0] * decision.u[0]).min()
+        (gs.phi * decision.u).min()
     )
     assert worst >= -1e-9
 
@@ -201,10 +202,10 @@ def straddling_cases(model, seed, v_range):
 
 
 def test_event_qp_matches_the_orthant_split_bit_for_bit(sign_gain_model):
-    """Where the gain changes sign over the box, the one QP over the vertex
-    rows and its margin are, bit for bit, those of one QP per input-sign
-    orthant with the least objective winning, and of the best orthant's
-    margin; tau = 4 makes some events infeasible."""
+    """Where the gain changes sign over the box, the one QP over the rows of
+    the two ends of the gain interval and its margin are, bit for bit, those
+    of one QP per sign of the input with the least objective winning, and
+    of the best sign's margin; tau = 4 makes some events infeasible."""
     model, cfg = sign_gain_model, config()
     infeasible = 0
     for x, gs, clf in straddling_cases(model, 31, (1.0, 30.0)):
@@ -216,6 +217,32 @@ def test_event_qp_matches_the_orthant_split_bit_for_bit(sign_gain_model):
                 ref.status, ref.objective, ref.values.tobytes())
             assert margin_from_stack(gs, tau, model) == orthant_margin(gs, tau, model)
             infeasible += sol.status != "optimal"
+    assert infeasible > 0
+
+
+def test_equal_end_rows_solve_as_one_row():
+    """With a constant gain the two end rows of every time scale are equal,
+    and the 40-candidate stack holding both solves, bit for bit, as the stack
+    holding one of them: a duplicated bound folds to the same bits."""
+    infeasible = 0
+    for x, params in [(make_state(90.0, 15.0), AccParams())] + near_limit_states(6):
+        cfg, case_model = ControllerConfig(params=params), acc_model(params)
+        box = make_box(x, cfg.box_under, cfg.box_over)
+        table = select_tau(x, box, cfg, case_model).table
+        rows = atlc_rows(stack_on_grid(box, case_model, cfg.bound_cfg),
+                         candidate_taus(cfg.tau_cfg))
+        assert rows.low.tobytes() == rows.high.tobytes()
+        a_clf, b_clf = build_clf_row(x, cfg.params.c3, case_model)
+        a = np.zeros((40, 2, 2))
+        a[:, 0, 0], a[:, 1] = rows.low, a_clf
+        b = np.column_stack([-rows.h_worst, np.full(40, b_clf)])
+        diag, linear, lower, upper = qp_cost_and_box(case_model, x, cfg.params.w)
+        values, objective, optimal = solve_qp_stack(diag, linear, a, b, lower, upper)
+        assert table.feasible.tolist() == optimal.tolist()
+        assert table.qp_objective.tobytes() == objective.tobytes()
+        assert table.u.tobytes() == values[:, 0].tobytes()
+        assert table.delta.tobytes() == values[:, 1].tobytes()
+        infeasible += (~optimal).sum()
     assert infeasible > 0
 
 
@@ -258,7 +285,7 @@ def test_matches_scripted_reimplementation():
             assert entry.feasible == math.isfinite(pred)
             if math.isfinite(pred):
                 assert entry.min_h_pred == pytest.approx(pred, abs=1e-9)
-        distinct.append(len({e.u.tobytes() for e in table if e.feasible}))
+        distinct.append(np.unique(table.u[table.feasible].view(np.int64)).size)
         infeasible += sum(not e.feasible for e in table)
 
         if i == 0:
@@ -276,14 +303,15 @@ def test_batched_rollout_equals_single_rollouts(model, params):
     rng = np.random.default_rng(12)
     for _ in range(5):
         x = np.array([rng.uniform(11.0, 60.0), rng.uniform(0.5, 30.0)])
-        inputs = rng.uniform(params.u_min, params.u_max, (int(rng.integers(1, 20)), 1))
+        inputs = rng.uniform(params.u_min, params.u_max, int(rng.integers(1, 20)))
         batch = rollout_min_h(x, inputs, 1.0, model)
-        assert batch.shape == (inputs.shape[0],)
-        singles = [rollout_min_h(x, u, 1.0, model) for u in inputs]
+        assert batch.shape == inputs.shape
+        singles = [rollout_min_h(x, u, 1.0, model) for u in inputs.tolist()]
         assert all(isinstance(value, float) for value in singles)
         np.testing.assert_array_equal(batch, singles)
-    with pytest.raises(ValueError):  # K inputs passed as one q-vector
-        rollout_min_h(x, np.zeros(3), 1.0, model)
+        # a 0-d input is one input, and a batch of one is a batch
+        assert rollout_min_h(x, np.array(inputs[0]), 1.0, model) == singles[0]
+        assert rollout_min_h(x, inputs[:1], 1.0, model).tolist() == singles[:1]
 
 
 def test_rollout_matches_rk45_reference(model, params):
@@ -355,7 +383,7 @@ def test_decision_equals_full_rollout_selection():
         decision = select_tau(x, box, cfg, case_model)
         tau, u, margin, _ = scripted_selection(x, box, cfg, case_model)
         assert (decision.tau, decision.u is None, decision.margin) == (tau, u is None, margin)
-        assert decision.u.tobytes() == u.tobytes()
+        assert decision.u.hex() == u.hex()
         skipped = np.isnan(decision.table.min_h_pred[decision.table.feasible])
         one_input += skipped.all()
         assert skipped.all() or not skipped.any()
