@@ -215,7 +215,7 @@ def _check_output_names(out_dir: Path, ids) -> None:
     """Raise a ConfigError when a scenario's longest output name,
     ``<id>_candidates.csv``, cannot name a file in ``out_dir``: the limit is
     that of ``out_dir``, or of its nearest existing parent before it is made."""
-    directory = next((p for p in (out_dir, *out_dir.parents) if p.is_dir()), out_dir)
+    directory = next((p for p in (out_dir, *out_dir.parents) if os.path.isdir(p)), out_dir)
     try:
         limit = os.pathconf(directory, "PC_NAME_MAX")
     except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit
@@ -462,7 +462,7 @@ def cmd_margin_map(args) -> int:
                               f"not of kind {cfg.kind.name!r}")
         x = make_state(args.z, args.v)
         out = Path(args.out)
-        if out.is_dir():
+        if os.path.isdir(out):
             raise ConfigError(f"{out}: is a directory, not a file to write")
         _make_out_dir(out.parent)
     except ValueError as exc:  # a ConfigError, or a non-finite state
@@ -474,7 +474,10 @@ def cmd_margin_map(args) -> int:
         [fmt(tau), fmt(value), fmt(value >= 0.0), fmt(result.tau_star)]
         for tau, value in zip(result.tau_grid, result.values)
     ]
-    _write_csv(out, ["tau", "margin", "feasible", "tau_star"], rows)
+    try:
+        _write_csv(out, ["tau", "margin", "feasible", "tau_star"], rows)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot write the margin map: {exc}") from exc
     star = "none" if result.tau_star is None else f"{result.tau_star:.6g}"
     print(f"wrote {len(rows)} rows to {out}; tau_star={star}")
     return 0

@@ -10,6 +10,7 @@ nonnegative grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,11 +37,17 @@ class MarginMap:
 
 def ascending_grid(tau_grid) -> Array:
     """The time-scale grid as a float vector, checked to be nonempty and
-    strictly increasing."""
+    strictly increasing; each distinct grid (by its bytes) is checked once."""
     grid = np.asarray(tau_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or not _increasing(grid.tobytes()):
         raise ValueError("time-scale grid must be a nonempty strictly increasing vector")
     return grid
+
+
+@lru_cache(maxsize=64)
+def _increasing(data: bytes) -> bool:
+    grid = np.frombuffer(data)
+    return grid.size > 0 and not np.any(np.diff(grid) <= 0.0)
 
 
 def margin_from_stack(gs: GridStack, tau: float, model: SystemModel) -> float:

@@ -9,8 +9,10 @@ bounds of one time scale and one input-sign branch at a time, which
 margin split over the two signs of the input, which the rows of the two
 ends of the gain interval replace, and the trajectory CSV built as one
 list of all its rows, which ``atlc.cli`` formats and writes one block at a
-time, and the active-set enumeration of QP optima, which ``atlc.qp``
-replaces by a closed form for at most one general row.
+time, and the active-set enumeration of QP optima over any number of
+variables and general rows, with its own box faces and row norms, which
+``atlc.qp`` replaces by a closed form over (u, delta) with at most one
+general row.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from atlc.cli import TRAJECTORY_COLUMNS, _fmt_floats, _write_csv, fmt
 from atlc.constraints import build_qp_instance, row_margin
 from atlc.controller import TrajectoryLog
 from atlc.model import SystemModel
-from atlc.qp import FEAS_TOL, QpInstance, QpSolution, _constraints_ge, _row_norms, solve_qp
+from atlc.qp import FEAS_TOL, QpInstance, QpSolution, solve_qp
 from atlc.robust_bounds import BoundConfig, Box, GridStack, _axis_points, taylor_table
 
 Array = np.ndarray
@@ -33,12 +35,7 @@ MULT_TOL = 1e-9  # the least multiplier the enumeration accepts
 
 
 def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
-    """Brute-force reference: best feasible point of a tensor grid over the box.
-
-    Limited to dim <= 3.
-    """
-    if inst.dim > 3:
-        raise ValueError("grid oracle supports at most 3 decision variables")
+    """Brute-force reference: best feasible point of a tensor grid over the box."""
     axes = [
         np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
         for lo, hi in zip(inst.lower, inst.upper)
@@ -50,7 +47,7 @@ def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
         feasible &= pts @ a >= b - 1e-12 * max(1.0, abs(b))
     if not np.any(feasible):
         return QpSolution(
-            values=np.full(inst.dim, np.nan), objective=math.inf,
+            values=np.full(2, np.nan), objective=math.inf,
             status="infeasible",
         )
     candidates = pts[feasible]
@@ -165,6 +162,36 @@ def list_trajectory_csv(path, log: TrajectoryLog) -> None:
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
 
 
+def constraints_ge(a, b, lower, upper) -> tuple[Array, Array]:
+    """Box faces, then the rows, of a stack oriented as A @ x >= b; A is
+    (n_inst, n_con, dim) and b is (n_inst, n_con)."""
+    n_inst, n_rows, dim = a.shape
+    a_all = np.empty((n_inst, 2 * dim + n_rows, dim))
+    a_all[:, :dim], a_all[:, dim : 2 * dim] = np.eye(dim), -np.eye(dim)
+    a_all[:, 2 * dim :] = a
+    b_all = np.concatenate([lower, -upper, b], axis=1)
+    return a_all, b_all
+
+
+def row_norms(a_all: Array, b_all: Array) -> tuple[Array, Array]:
+    """Euclidean norms of the constraint rows (along the last axis), 1 for a
+    zero row, and the right sides divided by them.  A row whose squares
+    overflow is scaled by its largest entry first.  A ValueError if a
+    result is not finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(a_all * a_all, -1))
+        if norms.max() == math.inf:
+            huge = np.isinf(norms)
+            rows = a_all[huge]
+            peak = np.abs(rows).max(-1)
+            norms[huge] = peak * np.sqrt(((rows / peak[:, None]) ** 2).sum(-1))
+        norms[norms == 0.0] = 1.0  # a zero row keeps its right side
+        b_unit = b_all / norms
+    if norms.max() == math.inf or not np.isfinite(b_unit).all():
+        raise ValueError("the QP rows cannot be normalised: a normalised value is not finite")
+    return norms, b_unit
+
+
 @lru_cache(maxsize=None)
 def _combinations(n: int, size: int) -> Array:
     """Every size-subset of range(n) as an index array, in lexicographic order."""
@@ -190,7 +217,8 @@ def solve_stack(matrices: Array, rhs: Array) -> Array:
 
 def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     """Active-set enumeration over a checked stack of one or more instances
-    of any number of general rows, as arrays of ``atlc.qp.solve_qp_stack``:
+    of any dimension and any number of general rows, as arrays of
+    ``atlc.qp.solve_qp_stack``:
     the unconstrained minimiser, then the KKT point of every subset of
     constraints of size 1, ..., dim with independent normals; the first
     feasible one with nonnegative multipliers and the least objective wins.
@@ -200,9 +228,9 @@ def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     of order 1: above about 1e10 it picks points that violate a row within
     the tolerance, whose objective is lower by w times the violation."""
     n_inst, _, dim = a.shape
-    a_all, b_all = _constraints_ge(a, b, lower, upper)
+    a_all, b_all = constraints_ge(a, b, lower, upper)
     n_con = a_all.shape[1]
-    norms, b_unit = _row_norms(a_all, b_all, axis=-1)
+    norms, b_unit = row_norms(a_all, b_all)
     a_unit = a_all / norms[..., None]
     neg_c, two_diag = -c, 2.0 * diag
     cand, valid = [(neg_c / two_diag)[:, None]], [np.ones((n_inst, 1), dtype=bool)]
@@ -273,7 +301,7 @@ def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,
 
 def _max_min_slack(a_all: Array, b_all: Array) -> Array:
     """Phase-1 certificate per instance (constraints as from
-    :func:`_constraints_ge`, with rows): the max over the box of the least
+    :func:`constraints_ge`, with rows): the max over the box of the least
     row slack, from the vertices of max s subject to row_i @ x - s >= rhs_i
     and the box, each fixed by dim+1 active constraints.  A nonnegative
     value certifies a feasible instance."""

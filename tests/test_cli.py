@@ -695,6 +695,33 @@ def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "suite"]
 
 
+def test_an_out_name_too_long_for_the_file_system_is_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    """An --out component longer than the file-name limit is one error line
+    and exit 1, not an OSError traceback; run and compare report it before
+    any simulation, and nothing is written."""
+    def no_simulation(cfg):
+        raise AssertionError("the run should not start")
+
+    monkeypatch.setattr("atlc.cli.simulate_closed_loop", no_simulation)
+    long_name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 45)
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    config = write_config(suite / "s.json", kind="atlc", T=1.0)
+    for argv in (
+        ["run", "--config", str(config), "--out", str(tmp_path / long_name)],
+        ["compare", "--dir", str(suite), "--out", str(tmp_path / long_name / "out")],
+        ["margin-map", "--config", str(config), "--z", "90", "--v", "15",
+         "--out", str(tmp_path / f"{long_name}.csv")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), argv[0]
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite"]
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))

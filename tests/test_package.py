@@ -1,5 +1,6 @@
 """The package's public names, and the imports and private names of its
-modules and of the test modules."""
+modules and of the test modules; no test reads a private name of the QP
+solver it checks."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,36 @@ def test_every_private_name_is_read_in_the_package():
     """And every private name of the tests is read in the tests."""
     for directory in DIRECTORIES:
         assert dead_private_names(sources_in(directory)) == [], directory.name
+
+
+def private_qp_names(source: str) -> list[str]:
+    """Private names (one leading underscore) that a module imports from
+    ``atlc.qp``, or reads as attributes of a module it imported as it."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "atlc.qp"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "atlc.qp":
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and ast.unparse(node.value) in aliases | {"atlc.qp"}):
+            found.append(f"line {node.lineno}: {node.attr}")
+    return sorted(found)
+
+
+def test_private_qp_names_are_caught():
+    source = ("from atlc.qp import FEAS_TOL, _solve\nimport atlc.qp\n"
+              "x = atlc.qp._check\ny = atlc.qp.solve_qp\n")
+    assert private_qp_names(source) == ["line 1: _solve", "line 3: _check"]
+
+
+def test_no_test_reads_a_private_name_of_the_qp_solver():
+    """The references and checks in the tests (the enumeration, the KKT
+    residual, the tolerance check) carry their own box faces and row norms,
+    so they share no normalisation with the solver they check."""
+    found = {name: private_qp_names(source)
+             for name, source in sources_in(DIRECTORIES[1]).items()}
+    assert {name: names for name, names in found.items() if names} == {}

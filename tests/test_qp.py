@@ -8,33 +8,36 @@ import pytest
 from scipy.optimize import nnls
 
 from atlc import QpInstance, QpSolution, solve_qp
-from atlc.qp import FEAS_TOL, _constraints_ge, solve_qp_stack
+from atlc.qp import FEAS_TOL, solve_qp_stack
 
-from references import active_set_solve, oracle_grid_solve, row_slacks, solve_stack
+from references import (active_set_solve, constraints_ge, oracle_grid_solve, row_slacks,
+                        solve_stack)
 
 
 def random_instance(rng, max_general=1):
-    """A random instance in 1 to 3 dimensions with 0 to 3 rows, of which up
-    to ``max_general`` are general; the others act on one variable."""
-    dim = int(rng.integers(1, 4))
-    diag = rng.uniform(0.05, 10.0, dim)
-    linear = rng.uniform(-5.0, 5.0, dim)
-    lower = rng.uniform(-3.0, -0.1, dim)
-    upper = rng.uniform(0.1, 3.0, dim)
+    """A random instance over (u, delta) with 0 to 3 rows, of which up to
+    ``max_general`` are general, with a positive delta coefficient; the
+    others act on one variable."""
+    diag = rng.uniform(0.05, 10.0, 2)
+    linear = rng.uniform(-5.0, 5.0, 2)
+    lower = rng.uniform(-3.0, -0.1, 2)
+    upper = rng.uniform(0.1, 3.0, 2)
     n_rows = int(rng.integers(0, 4))
     general = rng.permutation(n_rows) < rng.integers(0, max_general + 1)
-    a_ge, b_ge = np.empty((n_rows, dim)), np.empty(n_rows)
+    a_ge, b_ge = np.empty((n_rows, 2)), np.empty(n_rows)
     for i in range(n_rows):
-        coeffs = rng.uniform(-2.0, 2.0, dim)
+        coeffs = rng.uniform(-2.0, 2.0, 2)
         if not general[i]:
-            coeffs *= np.arange(dim) == rng.integers(dim)
+            coeffs *= np.arange(2) == rng.integers(2)
         sign = 1.0 if rng.random() < 0.5 else -1.0  # -1: drawn as a @ x <= b
         a_ge[i], b_ge[i] = sign * coeffs, sign * rng.uniform(-2.0, 2.0)
+        if general[i]:
+            a_ge[i, 1] = abs(a_ge[i, 1])
     return QpInstance(diag, linear, a_ge, b_ge, lower, upper)
 
 
 def oracle_points(inst):
-    per_axis = {1: 2001, 2: 115, 3: 31}[inst.dim]
+    per_axis = 115
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(inst.lower, inst.upper)]
     spacing = np.array([axis[1] - axis[0] for axis in axes])
     return per_axis, spacing
@@ -58,7 +61,7 @@ def objective_gap_bound(inst, spacing):
 def kkt_residual(inst, solution):
     """Stationarity residual with multipliers fitted by nonnegative least
     squares over the active constraints."""
-    (a_all,), (b_all,) = _constraints_ge(
+    (a_all,), (b_all,) = constraints_ge(
         inst.a_ge[None], inst.b_ge[None], inst.lower[None], inst.upper[None])
     x = solution.values
     slack = a_all @ x - b_all
@@ -108,12 +111,12 @@ def test_clf_relaxation_instance():
 
 def test_infeasible_row():
     inst = QpInstance(
-        quadratic_diag=np.array([1.0]),
-        linear_cost=np.zeros(1),
-        a_ge=np.array([[-1.0]]),
+        quadratic_diag=np.array([1.0, 1.0]),
+        linear_cost=np.zeros(2),
+        a_ge=np.array([[-1.0, 0.0]]),
         b_ge=np.array([1.0]),
-        lower=np.array([-0.5]),
-        upper=np.array([0.5]),
+        lower=np.array([-0.5, 0.0]),
+        upper=np.array([0.5, 1.0]),
     )
     assert solve_qp(inst).status == "infeasible"
     assert oracle_grid_solve(inst, 101).status == "infeasible"
@@ -130,11 +133,6 @@ def test_oracle_trivial_cases():
     )
     sol = oracle_grid_solve(inst, 11)
     np.testing.assert_allclose(sol.values, [0.0, 0.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        oracle_grid_solve(
-            QpInstance(np.ones(4), np.zeros(4), np.empty((0, 4)), np.empty(0),
-                       -np.ones(4), np.ones(4)), 5
-        )
 
 
 def test_rows_whose_squares_overflow_solve_as_their_scaled_copies():
@@ -142,14 +140,14 @@ def test_rows_whose_squares_overflow_solve_as_their_scaled_copies():
     before its norm is taken, so it solves as the same row scaled down; a
     row whose norm or normalised right side is not finite is a ValueError."""
     def instance(a_row, b):
-        return QpInstance(np.ones(2), np.array([-2.0, -2.0]), np.array([a_row]),
+        return QpInstance(np.ones(2), np.array([2.0, 2.0]), np.array([a_row]),
                           np.array([b]), -np.ones(2), np.ones(2))
 
-    plain = solve_qp(instance([-1.0, -1.0], -1.0))
-    huge = solve_qp(instance([-1e200, -1e200], -1e200))
+    plain = solve_qp(instance([1.0, 1.0], -1.0))
+    huge = solve_qp(instance([1e200, 1e200], -1e200))
     assert plain.status == huge.status == "optimal"
     np.testing.assert_allclose(huge.values, plain.values, rtol=1e-12)
-    np.testing.assert_allclose(plain.values, [0.5, 0.5], rtol=1e-12)
+    np.testing.assert_allclose(plain.values, [-0.5, -0.5], rtol=1e-12)
     for a_row, b in (([1.5e308, 1.5e308], 0.0), ([1e-100, 0.0], 1e300)):
         with pytest.raises(ValueError, match="cannot be normalised"):
             solve_qp(instance(a_row, b))
@@ -157,8 +155,8 @@ def test_rows_whose_squares_overflow_solve_as_their_scaled_copies():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        QpInstance(np.array([0.0]), np.zeros(1), np.empty((0, 1)), np.empty(0),
-                   -np.ones(1), np.ones(1))
+        QpInstance(np.array([0.0, 1.0]), np.zeros(2), np.empty((0, 2)), np.empty(0),
+                   -np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         QpInstance(np.ones(2), np.zeros(2), np.empty((0, 2)), np.empty(0),
                    np.ones(2), -np.ones(2))
@@ -245,6 +243,58 @@ def test_two_general_rows_are_a_value_error():
     assert optimal.tolist() == [True]
 
 
+def test_other_shapes_are_value_errors():
+    """The solver takes QPs over (u, delta): an instance or a stack over
+    another number of variables, or with a general row whose delta
+    coefficient is negative, is a ValueError that says so."""
+    for dim in (1, 3):
+        with pytest.raises(ValueError, match=r"over \(u, delta\)"):
+            QpInstance(np.ones(dim), np.zeros(dim), np.empty((0, dim)), np.empty(0),
+                       -np.ones(dim), np.ones(dim))
+        with pytest.raises(ValueError, match=r"over \(u, delta\).*got rows of shape"):
+            solve_qp_stack(np.ones(dim), np.zeros(dim), np.zeros((1, 1, dim)),
+                           np.zeros((1, 1)), -np.ones(dim), np.ones(dim))
+    cost_and_box = np.ones(2), np.zeros(2), -np.ones(2), np.ones(2)
+    for slack, status in ((-1.0, None), (1.0, "optimal")):
+        arrays = (*cost_and_box[:2], np.array([[1.0, slack]]), np.zeros(1), *cost_and_box[2:])
+        if status is None:
+            with pytest.raises(ValueError, match="delta coefficient must be positive"):
+                solve_qp(QpInstance(*arrays))
+        else:
+            assert solve_qp(QpInstance(*arrays)).status == status
+
+
+def test_safety_intervals_only_clip_the_input():
+    """Candidates that share the cost and the convergence row and differ only
+    in their safety interval [lo_k, hi_k] on u get, where feasible, the
+    input of the QP over the input box alone clipped into their interval,
+    bit for bit; an empty interval is infeasible."""
+    rng = np.random.default_rng(31)
+    mass, n = 1650.0, 40
+    u_box = 0.4 * mass * 9.81
+    clipped = 0
+    for _ in range(300):
+        diag = np.array([1.0 / mass**2, 10.0 ** rng.uniform(-2.0, 9.0)])
+        linear = np.array([-2.0 * rng.uniform(-1.5, 1.5) * u_box / mass**2, 0.0])
+        clf = np.array([[-rng.uniform(-0.02, 0.02), 1.0]])
+        clf_b = np.array([rng.uniform(-50.0, 150.0)])
+        box = np.array([-u_box, 0.0]), np.array([u_box, 1.0e7])
+        ((u_star, _),), _, (ok,) = solve_qp_stack(diag, linear, clf[None], clf_b[None], *box)
+        assert ok
+        ends = np.sort(rng.uniform(-u_box, u_box, (n, 2)), axis=1)
+        lo, hi = ends.T
+        lo[::7], hi[::7] = hi[::7], lo[::7]  # empty intervals
+        a = np.zeros((n, 3, 2))
+        a[:, 0, 0], a[:, 1, 0], a[:, 2] = 1.0, -1.0, clf
+        b = np.column_stack([lo, -hi, np.full(n, clf_b[0])])
+        values, _, optimal = solve_qp_stack(diag, linear, a, b, *box)
+        np.testing.assert_array_equal(optimal, lo <= hi)
+        expected = np.clip(u_star, lo[optimal], hi[optimal])
+        assert values[optimal, 0].tobytes() == expected.tobytes()
+        clipped += int((expected != u_star).sum())
+    assert clipped > 1000
+
+
 def test_enumeration_matches_the_grid_oracle():
     """The reference enumeration, on draws with two or three general rows
     that the solver rejects: its objectives lie within grid resolution of
@@ -314,18 +364,18 @@ def shared_stacks(rng):
     b = np.column_stack([np.ones(n), -3.0 - np.arange(n)])
     box = np.full((n, 2), 2.0)
     stacks.append((np.ones((n, 2)), np.tile([-1.0, 0.0], (n, 1)), a, b, -box, box))
-    # two shared bounds and a per-instance general row in 1 to 3
-    # dimensions, under a shared and under a per-instance cost
-    for dim in (1, 2, 3):
+    # two shared bounds on u or delta and a per-instance general row, under
+    # a shared and under a per-instance cost
+    for var in (0, 1, 0):
         n = 12
-        a = np.zeros((n, 3, dim))
-        a[:, :2, rng.integers(dim)] = rng.uniform(-2.0, 2.0, 2)
-        a[:, 2] = rng.uniform(-2.0, 2.0, (n, dim))
+        a = np.zeros((n, 3, 2))
+        a[:, :2, var] = rng.uniform(-2.0, 2.0, 2)
+        a[:, 2] = rng.uniform([-2.0, 0.05], 2.0, (n, 2))
         b = np.column_stack([np.tile(rng.uniform(-2.0, 1.0, 2), (n, 1)),
                              rng.uniform(-3.0, 2.0, n)])
-        box = np.broadcast_to(rng.uniform(0.5, 3.0, dim), (n, dim))
-        diag = rng.uniform(0.05, 10.0, (n, dim))
-        linear = rng.uniform(-5.0, 5.0, (n, dim))
+        box = np.broadcast_to(rng.uniform(0.5, 3.0, 2), (n, 2))
+        diag = rng.uniform(0.05, 10.0, (n, 2))
+        linear = rng.uniform(-5.0, 5.0, (n, 2))
         stacks.append((diag[0], linear[0], a, b, -box, box))
         stacks.append((diag, linear, a, b, -box, box))
     return stacks
@@ -340,7 +390,7 @@ def test_stacked_solve_matches_single_solves():
     groups = {}
     for _ in range(600):
         inst = random_instance(rng)
-        groups.setdefault((inst.dim, inst.b_ge.size), []).append(inst)
+        groups.setdefault(inst.b_ge.size, []).append(inst)
     infeasible = 0
     for group in groups.values():
         values, objective, optimal = solve_qp_stack(*stack_arrays(group))
@@ -357,7 +407,7 @@ def test_stacked_solve_matches_single_solves():
                 inst, quadratic_diag=diag[0], linear_cost=linear[0]))
             assert shared[1][i] == single.objective
             np.testing.assert_array_equal(shared[0][i], single.values)
-    assert len(groups) == 12 and infeasible > 0
+    assert len(groups) == 4 and infeasible > 0
     infeasible = 0
     for arrays in shared_stacks(rng):
         values, objective, optimal = solve_qp_stack(*arrays)
@@ -369,10 +419,10 @@ def test_stacked_solve_matches_single_solves():
             infeasible += not optimal[i]
     assert infeasible > 0
 
-    empty = [column[:0] for column in stack_arrays(groups[(2, 1)])]
+    empty = [column[:0] for column in stack_arrays(groups[1])]
     values, objective, optimal = solve_qp_stack(*empty)
     assert values.shape == (0, 2) and objective.shape == optimal.shape == (0,)
-    diag, linear, a, b, lower, upper = stack_arrays(groups[(2, 1)][:3])
+    diag, linear, a, b, lower, upper = stack_arrays(groups[1][:3])
     for bad in (
         (diag, linear, a[:, :, :1], b, lower, upper),  # rows of the wrong length
         (diag, linear, a[0], b, lower, upper),  # rows not stacked
@@ -405,44 +455,40 @@ def test_solve_stack_singular_system_gives_nan_row():
         assert sols[i].tobytes() == np.linalg.solve(matrices[i], rhs[i]).tobytes()
 
 
-def foldable_stack(rng, q, n_single, log_w, near, n=60):
-    """A stack over (u_1..u_q, delta) whose rows leave at most one general
-    row once those with one nonzero coefficient are folded into the box:
-    n_single single-coefficient rows (on an input, on the slack alone, all
-    zero, or the two sign-straddling vertex rows of an input gain) and a
-    convergence row (-L_g V, 1), absent from a quarter of the instances and
-    with a zero entry in a fifth.  Slack weights are log-uniform over log_w;
-    some instances are infeasible.  With ``near``, some folded bounds lie
-    within FEAS_TOL of a box bound, on either side, and in an eighth of the
-    stacks without other rows the convergence row's maximum over the box is
-    b, within FEAS_TOL, and in another eighth the box's minimiser misses the
-    row by less than FEAS_TOL.  Returns the arrays of solve_qp_stack and
-    the instances so drawn in the tolerance band, (n,)."""
-    dim = q + 1
-    diag = np.column_stack([rng.uniform(0.05, 10.0, (n, q)),
-                            10.0 ** rng.uniform(*log_w, n)])
-    linear = np.column_stack([rng.uniform(-5.0, 5.0, (n, q)), np.zeros(n)])
-    span = rng.uniform(0.5, 3.0, (n, q))
+def foldable_stack(rng, n_single, log_w, near, n=60):
+    """A stack over (u, delta) whose rows leave at most one general row once
+    those with one nonzero coefficient are folded into the box: n_single
+    single-coefficient rows (on the input, on the slack alone, all zero, or
+    the two sign-straddling vertex rows of an input gain) and a convergence
+    row (-L_g V, 1), absent from a quarter of the instances and on the
+    slack alone in a fifth.  Slack weights are log-uniform over log_w; some
+    instances are infeasible.  With ``near``, some folded bounds lie within
+    FEAS_TOL of a box bound, on either side, and in an eighth of the stacks
+    without other rows the convergence row's maximum over the box is b,
+    within FEAS_TOL, and in another eighth the box's minimiser misses the
+    row by less than FEAS_TOL.  Returns the arrays of solve_qp_stack and the
+    instances so drawn in the tolerance band, (n,)."""
+    diag = np.column_stack([rng.uniform(0.05, 10.0, n), 10.0 ** rng.uniform(*log_w, n)])
+    linear = np.column_stack([rng.uniform(-5.0, 5.0, n), np.zeros(n)])
+    span = rng.uniform(0.5, 3.0, n)
     lower = np.column_stack([-span, np.zeros(n)])
-    upper = np.column_stack([span * rng.uniform(0.5, 1.5, (n, q)),
-                             rng.uniform(1.0, 100.0, n)])
-    a = np.zeros((n, n_single + 1, dim))
+    upper = np.column_stack([span * rng.uniform(0.5, 1.5, n), rng.uniform(1.0, 100.0, n)])
+    a = np.zeros((n, n_single + 1, 2))
     b = np.zeros((n, n_single + 1))
     band = np.zeros(n, dtype=bool)
     vertex = n_single == 2 and rng.random() < 0.5
     for i in range(n):
-        j = int(rng.integers(q))
-        if vertex:  # g u_j >= -h for the least and the greatest gain
+        if vertex:  # g u >= -h for the least and the greatest gain
             gains = [-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)]
-            a[i, :2, j], b[i, :2] = gains, -rng.uniform(-0.5, 3.0)
+            a[i, :2, 0], b[i, :2] = gains, -rng.uniform(-0.5, 3.0)
             continue
         for k in range(n_single):
             kind = rng.integers(5)
             if kind == 4:  # all zero: holds when b <= 0, within the tolerance
                 b[i, k] = rng.choice([0.0, -1.0, 1.0, 0.5 * FEAS_TOL])
                 continue
-            # an input, or the slack alone
-            var = dim - 1 if kind == 3 or (kind == 2 and rng.random() < 0.3) else j
+            # the input, or the slack alone
+            var = 1 if kind == 3 or (kind == 2 and rng.random() < 0.3) else 0
             coef = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
             a[i, k, var] = coef
             if kind == 2 and near:  # a bound within the tolerance of a box bound
@@ -452,9 +498,9 @@ def foldable_stack(rng, q, n_single, log_w, near, n=60):
                 band[i] = True
             else:
                 b[i, k] = coef * rng.uniform(lower[i, var] - 0.5, upper[i, var] + 0.5)
-    lgv = rng.uniform(-2.0, 2.0, (n, q))
-    lgv[1::5, 0] = 0.0  # a convergence row off u_1: on the slack alone when q = 1
-    a[:, -1, :q], a[:, -1, q] = -lgv, 1.0
+    lgv = rng.uniform(-2.0, 2.0, n)
+    lgv[1::5] = 0.0  # a convergence row on the slack alone
+    a[:, -1, 0], a[:, -1, 1] = -lgv, 1.0
     b[:, -1] = rng.uniform(-5.0, 150.0, n)
     a[::4, -1], b[::4, -1] = 0.0, -1.0  # no convergence row: 0 >= -1
     if near and n_single == 0:
@@ -468,19 +514,18 @@ def foldable_stack(rng, q, n_single, log_w, near, n=60):
     return (diag, linear, a, b, lower, upper), band
 
 
-def foldable_stacks(seed, log_w, near):
+def foldable_stacks(seed, log_w, near, per_shape=16):
     rng = np.random.default_rng(seed)
-    for q in (1, 2):
-        for n_single in (0, 1, 2):
-            for _ in range(8):
-                yield foldable_stack(rng, q, n_single, log_w, near)
+    for n_single in (0, 1, 2):
+        for _ in range(per_shape):
+            yield foldable_stack(rng, n_single, log_w, near)
 
 
 def met_within_tolerance(inst, values):
     """Whether the point meets every constraint of the instance, box faces
     included, when each may be missed by FEAS_TOL * max(1, |b|)."""
-    (a_all,), (b_all,) = _constraints_ge(inst.a_ge[None], inst.b_ge[None],
-                                         inst.lower[None], inst.upper[None])
+    (a_all,), (b_all,) = constraints_ge(inst.a_ge[None], inst.b_ge[None],
+                                        inst.lower[None], inst.upper[None])
     return bool((a_all @ values - b_all >= -FEAS_TOL * np.maximum(1.0, np.abs(b_all))).all())
 
 
@@ -518,7 +563,7 @@ def test_closed_form_matches_the_enumeration():
         checked += exact.sum()
         in_band += (optimal & band).sum()
         infeasible += (~optimal).sum()
-    assert checked > 1000 and in_band > 300 and infeasible > 200 and len(missed) <= 10
+    assert checked > 1000 and in_band > 300 and infeasible > 200 and len(missed) <= 5
 
 
 def test_closed_form_is_a_kkt_point_at_huge_slack_weights():
