@@ -36,9 +36,10 @@ from .controller import (
     TrajectoryLog,
     simulate_closed_loop,
 )
+from .constraints import atlc_rows
 from .margin import tau_star_scan
 from .model import AccParams, effort_integrand, make_state
-from .robust_bounds import make_box, taylor_table
+from .robust_bounds import make_box, stack_on_grid, taylor_table
 from .tau_select import TauSelectConfig, candidate_taus, with_predictions
 
 TRAJECTORY_COLUMNS = [
@@ -164,6 +165,7 @@ def _kind(scenario: dict, num: dict) -> dict:
 def build_controller_config(scenario: dict) -> ControllerConfig:
     """The config a scenario describes: each key it gives sets one field,
     and each key it leaves out keeps that field's default."""
+    where = "at the start state"
     try:
         num = {key: _number(key, scenario[key])
                for key in FLOAT_KEYS if key in scenario}
@@ -182,23 +184,30 @@ def build_controller_config(scenario: dict) -> ControllerConfig:
             tau_cfg=TauSelectConfig(**tau), **fields,
         )
         # the Taylor weights of every time scale the controller uses are finite
-        kind = cfg.kind
+        kind, model, x = cfg.kind, cfg.model, make_state(cfg.z0, cfg.v0)
+        taus = candidate_taus(cfg.tau_cfg) if kind.name == "atlc" else [kind.tau_fixed]
         if kind.name != "hocbf":
-            taus = candidate_taus(cfg.tau_cfg) if kind.name == "atlc" else [kind.tau_fixed]
-            taylor_table(taus, cfg.model.m)
-        # no overflow in the model at the start state (its rhs: L_f h, the effort)
-        model, x = cfg.model, make_state(cfg.z0, cfg.v0)
+            taylor_table(taus, model.m)
+        # no overflow in the model at the start state (its rhs: L_f h, the
+        # effort), nor on the box lattice that the first robust rows read
         with np.errstate(over="raise", invalid="raise"):
             values = [model.lie_stack(x), *model.clf_terms(x), *model.cost(x),
                       effort_integrand(np.array([model.u_min, model.u_max]), x[1], cfg.params)]
+            if all(np.isfinite(v).all() for v in values) and (
+                    kind.name == "atlc" or kind.name == "tlc_fixed" and kind.robust):
+                where = "on the lattice of the first trigger box"
+                gs = stack_on_grid(make_box(x, cfg.box_under, cfg.box_over), model,
+                                   cfg.bound_cfg)
+                rows = atlc_rows(gs, taus)
+                values = [rows.h_worst, rows.low, rows.high]
         if not all(np.isfinite(v).all() for v in values):
             raise FloatingPointError("a value is not finite")
         return cfg
     except ConfigError:
         raise
-    except FloatingPointError as exc:  # not a ValueError
-        raise ConfigError(f"invalid scenario value: the model overflows at the "
-                          f"start state: {exc}") from exc
+    except (FloatingPointError, ZeroDivisionError) as exc:  # not ValueErrors
+        raise ConfigError(f"invalid scenario value: the model overflows {where}: "
+                          f"{exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 

@@ -1,6 +1,9 @@
-"""Inequality rows for the controller variants, in the QP row format.
+"""Safety rows for the controller variants and the QP they pose.
 
-Every row is a pair (a, b) meaning a @ (u, delta) >= b.  Safety
+Every kind poses the same QP over (u, delta): its safety rows on u, as one
+:class:`SafetyRows` table, and the slack-relaxed CLF row, with the cost and
+box of :func:`qp_cost_and_box`; :func:`build_qp_stack` is the one place that
+lays it out.  A row is a pair (a, b) meaning a @ (u, delta) >= b.  Safety
 rows leave the slack coefficient at zero; only the CLF row is relaxed by
 delta.  Pointwise rows (fixed-time-scale and second-order barrier
 baselines) are evaluated at the event state; the robust adaptive rows use
@@ -23,11 +26,12 @@ DELTA_CAP = 1.0e7  # keeps the slack box bounded; never active in practice
 
 
 @dataclass(frozen=True)
-class RobustRows:
-    """Robust adaptive safety rows at K time scales: ``g u >= -h_worst[k]``
+class SafetyRows:
+    """Safety rows on the input at K time scales: ``g u >= -h_worst[k]``
     for every input gain g in [low[k], high[k]].  A gain enters linearly,
     so the two rows of the ends, ``low[k] u >= -h_worst[k]`` and
-    ``high[k] u >= -h_worst[k]``, enforce the condition for every u."""
+    ``high[k] u >= -h_worst[k]``, enforce the condition for every u.  A
+    pointwise row is a table of one whose gain interval is a point."""
 
     h_worst: Array  # (K,)
     low: Array  # (K,)
@@ -45,7 +49,7 @@ class RobustRows:
         return self.h_worst + least.max(axis=1)
 
 
-def atlc_rows(gs: GridStack, taus) -> RobustRows:
+def atlc_rows(gs: GridStack, taus) -> SafetyRows:
     """Robust adaptive safety rows g u >= -h_worst at every time scale of
     ``taus``, as one table.
 
@@ -62,22 +66,12 @@ def atlc_rows(gs: GridStack, taus) -> RobustRows:
     weights = taylor_table(taus, gs.m)
     h_worst = np.array([(gs.stack @ w).min() for w in weights])
     scale = weights[:, -1]
-    return RobustRows(h_worst, scale * gs.phi.min(), scale * gs.phi.max())
+    return SafetyRows(h_worst, scale * gs.phi.min(), scale * gs.phi.max())
 
 
-def row_margin(row: tuple[Array, float], lower: float, upper: float) -> float:
-    """Best achievable slack of a safety row over the inputs [lower, upper]:
-    the row is satisfiable there iff this is >= 0."""
-    a, b = row
-    gain = a[0]  # the input's coefficient; a[1], the slack's, is zero
-    return float(gain * (upper if gain > 0 else lower) - b)
-
-
-def build_pointwise_row(
-    x: Array, c1: float, c0: float, model: SystemModel
-) -> tuple[Array, float]:
+def build_pointwise_row(x: Array, c1: float, c0: float, model: SystemModel) -> SafetyRows:
     """Second-order barrier row at the state x for a relative-degree-2
-    output: phi(x) u >= -(L_f^2 h + c1 L_f h + c0 h).
+    output, phi(x) u >= -(L_f^2 h + c1 L_f h + c0 h), as a table of one.
 
     The fixed-time-scale row takes (c1, c0) = (2/tau, 2/tau^2), the exact
     second-order Taylor condition normalized by tau^2/2; the high-order
@@ -88,7 +82,8 @@ def build_pointwise_row(
     if model.m != 2:
         raise ValueError("pointwise row is defined for relative degree 2")
     h, lfh, lf2h = model.lie_stack(x)
-    return np.array([model.phi(x), 0.0]), -(lf2h + c1 * lfh + c0 * h)
+    gain = np.array([model.phi(x)])
+    return SafetyRows(np.array([lf2h + c1 * lfh + c0 * h]), gain, gain)
 
 
 def build_clf_row(x: Array, c3: float, model: SystemModel) -> tuple[Array, float]:
@@ -108,9 +103,24 @@ def qp_cost_and_box(model: SystemModel, x: Array, w: float) -> tuple[Array, ...]
             np.array([model.u_max, DELTA_CAP]))
 
 
-def build_qp_instance(rows, model: SystemModel, x: Array, w: float) -> QpInstance:
-    """Assemble the controller QP over (u, delta) from (a, b) rows and
-    :func:`qp_cost_and_box`."""
+def build_qp_stack(rows: SafetyRows, clf_row: tuple[Array, float], model: SystemModel,
+                   x: Array, w: float) -> tuple[Array, ...]:
+    """The controller QP of every entry of the table, as the arguments of
+    :func:`~atlc.qp.solve_qp_stack`: the shared cost and box of
+    :func:`qp_cost_and_box`, and per entry the rows of its two gain ends and
+    the CLF row, (K, 3, 2) and (K, 3)."""
     diag, linear, lower, upper = qp_cost_and_box(model, x, w)
-    return QpInstance(diag, linear, np.array([a for a, _ in rows]),
-                      np.array([b for _, b in rows]), lower, upper)
+    n_rows = len(rows.h_worst)
+    a = np.zeros((n_rows, 3, 2))
+    a[:, 0, 0], a[:, 1, 0], a[:, 2] = rows.low, rows.high, clf_row[0]
+    b = np.empty((n_rows, 3))
+    b[:, 0] = b[:, 1] = -rows.h_worst
+    b[:, 2] = clf_row[1]
+    return diag, linear, a, b, lower, upper
+
+
+def build_qp_instance(rows: SafetyRows, clf_row: tuple[Array, float], model: SystemModel,
+                      x: Array, w: float) -> QpInstance:
+    """Entry 0 of :func:`build_qp_stack`, as one instance."""
+    diag, linear, a, b, lower, upper = build_qp_stack(rows, clf_row, model, x, w)
+    return QpInstance(diag, linear, a[0], b[0], lower, upper)

@@ -16,12 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import (
-    build_clf_row,
-    build_pointwise_row,
-    build_qp_instance,
-    row_margin,
-)
+from .constraints import build_clf_row, build_pointwise_row, build_qp_instance
 from .margin import margin_from_stack
 from .model import CLF_FORMS, AccParams, SystemModel, acc_model, make_state
 from .qp import solve_qp
@@ -202,8 +197,8 @@ def compute_control(
         else:
             c1, c0 = kind.p1 + kind.p2, kind.p1 * kind.p2
         safety = build_pointwise_row(x_k, c1, c0, model)
-        sol = solve_qp(build_qp_instance([safety, clf], model, x_k, cfg.params.w))
-        margin = row_margin(safety, model.u_min, model.u_max)
+        sol = solve_qp(build_qp_instance(safety, clf, model, x_k, cfg.params.w))
+        margin = float(safety.margins(model.u_min, model.u_max)[0])
     # tau_fixed is None for hocbf, which has no time scale to log
     if sol.status != "optimal":
         return ControlDecision(u=None, tau=kind.tau_fixed, delta=None, margin=margin)

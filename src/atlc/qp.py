@@ -128,10 +128,8 @@ def _solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
         m = -c / two_diag
         x0 = np.minimum(np.maximum(m, lo), hi)
         meets = np.add.reduce(row * x0) >= row_b
-        values, feasible = x0, meets
-        if not meets.all():
-            values, feasible = _on_row(meets, x0, m, two_diag, lo, hi, row, row_b,
-                                       np.add.reduce(tol * general), norm, b_unit)
+        values, feasible = _on_row(meets, x0, m, two_diag, lo, hi, row, row_b,
+                                   np.add.reduce(tol * general), norm, b_unit)
         feasible &= ~empty
         values[:, ~feasible] = np.nan
         objective = np.add.reduce(diag * values * values) + np.add.reduce(c * values)

@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constraints import (RobustRows, atlc_rows, build_clf_row, build_qp_instance,
-                          qp_cost_and_box)
+from .constraints import atlc_rows, build_clf_row, build_qp_instance, build_qp_stack
 from .margin import ascending_grid
 from .model import SystemModel
 from .qp import QpSolution, solve_qp, solve_qp_stack
@@ -111,33 +110,14 @@ def with_predictions(
     return filled
 
 
-def _solve_rows(
-    x_k: Array, rows: RobustRows, clf_row: tuple[Array, float], cfg: ControllerConfig,
-    model: SystemModel,
-) -> tuple[Array, Array, Array]:
-    """The QP of every time scale of the table, in one stacked solve: the
-    CLF-row QP with that time scale's robust rows added.  Returns the
-    optima, objectives and feasibility flags."""
-    diag, linear, lower, upper = qp_cost_and_box(model, x_k, cfg.params.w)
-    n_tau = len(rows.h_worst)
-    a = np.zeros((n_tau, 3, 2))
-    a[:, 0, 0], a[:, 1, 0], a[:, 2] = rows.low, rows.high, clf_row[0]
-    b = np.empty((n_tau, 3))
-    b[:, 0] = b[:, 1] = -rows.h_worst
-    b[:, 2] = clf_row[1]
-    return solve_qp_stack(diag, linear, a, b, lower, upper)
-
-
 def solve_event_qp(
     x_k: Array, gs: GridStack, tau: float, clf_row, cfg: ControllerConfig,
     model: SystemModel,
 ) -> QpSolution:
     """Robust safety QP at one time scale: the rows of
     :func:`~atlc.constraints.atlc_rows` and the CLF row over the input box."""
-    rows = atlc_rows(gs, [tau])
-    robust = [(np.array([gain, 0.0]), -rows.h_worst[0])
-              for gain in (rows.low[0], rows.high[0])]
-    return solve_qp(build_qp_instance([*robust, clf_row], model, x_k, cfg.params.w))
+    return solve_qp(build_qp_instance(atlc_rows(gs, [tau]), clf_row, model, x_k,
+                                      cfg.params.w))
 
 
 def select_tau(
@@ -149,7 +129,8 @@ def select_tau(
     clf_row = build_clf_row(x_k, cfg.params.c3, model)
     taus = candidate_taus(cfg.tau_cfg).tolist()
     rows = atlc_rows(gs, taus)
-    values, objective, optimal = _solve_rows(x_k, rows, clf_row, cfg, model)
+    values, objective, optimal = solve_qp_stack(
+        *build_qp_stack(rows, clf_row, model, x_k, cfg.params.w))
     margins = rows.margins(model.u_min, model.u_max)
     table = np.recarray(len(taus), dtype=[
         ("tau", float), ("feasible", bool), ("min_h_pred", float),

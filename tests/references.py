@@ -7,12 +7,14 @@ which ``atlc.robust_bounds`` builds by broadcasting and shares, the lattice
 bounds of one time scale and one input-sign branch at a time, which
 ``atlc.constraints.atlc_rows`` builds as one table, the robust QP and
 margin split over the two signs of the input, which the rows of the two
-ends of the gain interval replace, and the trajectory CSV built as one
-list of all its rows, which ``atlc.cli`` formats and writes one block at a
-time, and the active-set enumeration of QP optima over any number of
-variables and general rows, with its own box faces and row norms, which
-``atlc.qp`` replaces by a closed form over (u, delta) with at most one
-general row.
+ends of the gain interval replace, the margin of one (a, b) input row and
+the controller QP assembled from (a, b) rows, which ``atlc.constraints``
+reads from its one safety-row table and lays out in one builder, the
+trajectory CSV built as one list of all its rows, which ``atlc.cli``
+formats and writes one block at a time, and the active-set enumeration of
+QP optima over any number of variables and general rows, with its own box
+faces and row norms, which ``atlc.qp`` replaces by a closed form over
+(u, delta) with at most one general row.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from atlc.cli import TRAJECTORY_COLUMNS, _fmt_floats, _write_csv, fmt
-from atlc.constraints import build_qp_instance, row_margin
+from atlc.constraints import DELTA_CAP
 from atlc.controller import TrajectoryLog
 from atlc.model import SystemModel
 from atlc.qp import FEAS_TOL, QpInstance, QpSolution, solve_qp
@@ -32,6 +34,7 @@ from atlc.robust_bounds import BoundConfig, Box, GridStack, _axis_points, taylor
 Array = np.ndarray
 
 MULT_TOL = 1e-9  # the least multiplier the enumeration accepts
+RELAX = 0.99  # the share of its tolerance by which a constraint is relaxed
 
 
 def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
@@ -58,6 +61,22 @@ def oracle_grid_solve(inst: QpInstance, points_per_axis: int) -> QpSolution:
         values=candidates[idx], objective=float(objectives[idx]),
         status="optimal",
     )
+
+
+def row_margin(row, lower: float, upper: float) -> float:
+    """Best slack a[0] u - b of an input row (a, b) over the inputs
+    [lower, upper], taken at the end its coefficient's sign picks."""
+    a, b = row
+    return float(a[0] * (upper if a[0] > 0 else lower) - b)
+
+
+def qp_instance(rows, model: SystemModel, x: np.ndarray, w: float) -> QpInstance:
+    """The controller QP over (u, delta) with the (a, b) rows, from the
+    model's input cost and box, the slack weight w and the slack cap."""
+    diag, linear = model.cost(x)
+    return QpInstance(np.array([diag, w]), np.array([linear, 0.0]),
+                      np.array([a for a, _ in rows]), np.array([b for _, b in rows]),
+                      np.array([model.u_min, 0.0]), np.array([model.u_max, DELTA_CAP]))
 
 
 def row_slacks(inst: QpInstance, points: np.ndarray) -> np.ndarray:
@@ -137,7 +156,7 @@ def orthant_event_qp(x: np.ndarray, gs: GridStack, tau: float, clf_row, w: float
     the CLF row on its part of the input box; the first least objective wins."""
     solutions = []
     for row, lower, upper in orthant_rows(gs, tau, model):
-        inst = build_qp_instance([row, clf_row], model, x, w)
+        inst = qp_instance([row, clf_row], model, x, w)
         solutions.append(solve_qp(dataclasses.replace(
             inst, lower=np.array([lower, inst.lower[1]]),
             upper=np.array([upper, inst.upper[1]]))))
@@ -215,7 +234,8 @@ def solve_stack(matrices: Array, rhs: Array) -> Array:
         return sols
 
 
-def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
+def active_set_solve(diag, c, a, b, lower, upper, relax: bool = True
+                     ) -> tuple[Array, Array, Array]:
     """Active-set enumeration over a checked stack of one or more instances
     of any dimension and any number of general rows, as arrays of
     ``atlc.qp.solve_qp_stack``:
@@ -224,11 +244,38 @@ def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
     feasible one with nonnegative multipliers and the least objective wins.
     Each instance solves its own systems, as it would alone.  Constraints
     count as met when missed by at most ``FEAS_TOL * max(1, |b|)``, as in
-    ``atlc.qp``.  Valid for slack weights w <= 1e9 against input weights
-    of order 1: above about 1e10 it picks points that violate a row within
-    the tolerance, whose objective is lower by w times the violation."""
-    n_inst, _, dim = a.shape
+    ``atlc.qp``.  With ``relax``, an instance whose exact constraints admit
+    no KKT point is enumerated again with every constraint relaxed by RELAX
+    of its tolerance, so a point that meets them only within the tolerance,
+    such as a box vertex just short of a row, is found too.  Valid for slack
+    weights w <= 1e9 against input weights of order 1: above about 1e10 it
+    picks points that violate a row within the tolerance, whose objective
+    is lower by w times the violation."""
     a_all, b_all = constraints_ge(a, b, lower, upper)
+    feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
+    values, objective, found = _enumerate(diag, c, a_all, b_all, feas_tol)
+    lacking = ~found
+    if relax and lacking.any():
+        relaxed = _enumerate(diag[lacking], c[lacking], a_all[lacking],
+                             b_all[lacking] - RELAX * feas_tol[lacking], feas_tol[lacking],
+                             b_all[lacking])
+        values[lacking], objective[lacking], found[lacking] = relaxed
+    lacking = ~found
+    if lacking.any() and (
+            _max_min_slack(a_all[lacking], b_all[lacking]) > FEAS_TOL).any():
+        # clearly feasible yet no candidate survived: internal failure, do
+        # not mask it as infeasibility
+        raise RuntimeError(
+            "active-set enumeration found no optimum for a feasible instance"
+        )
+    return values, objective, found
+
+
+def _enumerate(diag, c, a_all, b_all, feas_tol, b_met=None) -> tuple[Array, Array, Array]:
+    """The least-objective KKT point of the constraints a_all @ x >= b_all
+    of each instance that meets the constraints against ``b_met`` (b_all if
+    None) within ``feas_tol``, its objective and whether one exists."""
+    n_inst, _, dim = a_all.shape
     n_con = a_all.shape[1]
     norms, b_unit = row_norms(a_all, b_all)
     a_unit = a_all / norms[..., None]
@@ -244,18 +291,11 @@ def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
         valid.append(ok.reshape(n_inst, n_combo))
     cand, valid = np.concatenate(cand, axis=1), np.concatenate(valid, axis=1)
 
-    feas_tol = FEAS_TOL * np.maximum(1.0, np.abs(b_all))
-    violated = (b_all[:, None, :] - cand @ a_all.swapaxes(-1, -2)
+    b_met = b_all if b_met is None else b_met
+    violated = (b_met[:, None, :] - cand @ a_all.swapaxes(-1, -2)
                 > feas_tol[:, None, :]).any(axis=-1)
     feasible = valid & ~violated
-    lacking = ~feasible.any(axis=1)
-    if lacking.any() and (
-            _max_min_slack(a_all[lacking], b_all[lacking]) > FEAS_TOL).any():
-        # clearly feasible yet no candidate survived: internal failure, do
-        # not mask it as infeasibility
-        raise RuntimeError(
-            "active-set enumeration found no optimum for a feasible instance"
-        )
+    found = feasible.any(axis=1)
 
     # the objective as dot products, as one instance on its own computes it
     # (a stacked matmul is bit-identical); a non-finite one counts as +inf
@@ -264,8 +304,8 @@ def active_set_solve(diag, c, a, b, lower, upper) -> tuple[Array, Array, Array]:
                      + c[:, None, None] @ cand[..., None])[..., 0, 0]
     objective = np.where(feasible & np.isfinite(objective), objective, math.inf)
     pick = np.arange(n_inst), objective.argmin(axis=1)  # first minimum
-    values = np.where(lacking[:, None], np.nan, cand[pick])
-    return values, objective[pick], ~lacking
+    values = np.where(found[:, None], cand[pick], np.nan)
+    return values, objective[pick], found
 
 
 def _kkt_points(two_diag: Array, neg_c: Array, rows: Array,

@@ -466,18 +466,71 @@ def test_huge_slack_weights_run(tmp_path, name, w):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("key", ["f0", "f1", "f2", "v0", "vd"])
+@pytest.mark.parametrize("key", ["f0", "f1", "f2", "v0", "vd", "M"])
 def test_model_magnitudes_that_overflow_are_config_errors(tmp_path, capsys, key):
-    """A model parameter or start speed of 1e300 overflows the model at the
+    """A model parameter or start speed of 1e300, or a mass of 1e-300 whose
+    square underflows to 0 in the input cost, overflows the model at the
     start state: one error line and exit 1 before anything runs, not a
-    warning and an aborted run."""
+    warning, a traceback or an aborted run."""
     out = tmp_path / "out"
+    value = "1e-300" if key == "M" else "1e300"
     assert main(["run", "--config", str(SCENARIOS / "atlc_cd04.json"), "--set", "T=1",
-                 "--set", f"{key}=1e300", "--out", str(out)]) == 1
+                 "--set", f"{key}={value}", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(
         "error: invalid scenario value: the model overflows at the start state")
     assert not out.exists()
+
+
+def test_compare_rejects_a_tiny_mass_before_any_run(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    write_config(suite / "a.json", kind="hocbf", p1=0.3, p2=0.3, T=1.0)
+    write_config(suite / "b.json", kind="tlc_fixed", M=1e-300, T=1.0)
+    out = tmp_path / "out"
+    assert main(["compare", "--dir", str(suite), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid scenario value: the model overflows at the start state: "
+        "float division by zero"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, radius", [
+    ("atlc_cd04", "box_under=1e200"),
+    ("atlc_cd04", "box_over=1e155"),
+    ("tlc_cd04", "box_under=1e300"),
+])
+def test_box_radii_whose_lattice_overflows_are_config_errors(tmp_path, capsys, name,
+                                                            radius):
+    """A trigger-box radius whose lattice overflows the model, where the
+    first robust rows read it (the adaptive and the robust fixed kinds): one
+    error line and exit 1 before anything runs, not a numpy warning and
+    events flagged infeasible."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIOS / f"{name}.json"), "--set", "T=0.3",
+                 "--set", radius, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid scenario value: the model overflows on the lattice of the "
+        "first trigger box: overflow encountered in multiply"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, overrides", [
+    ("hocbf_conservative", []),
+    ("tlc_cd04", ["tlc_robust=false"]),
+    ("atlc_cd04", []),
+])
+def test_kinds_that_read_no_huge_lattice_run(tmp_path, name, overrides):
+    """The pointwise kinds read no box lattice, so a radius of 1e300 runs
+    as before, without a warning; the adaptive kind runs at 1e150."""
+    radius = "1e150" if name == "atlc_cd04" else "1e300"
+    args = ["run", "--config", str(SCENARIOS / f"{name}.json"), "--set", "T=0.3",
+            "--set", f"box_under={radius}", "--out", str(tmp_path / "out")]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 0
 
 
 def test_scenario_without_a_kind_reads_only_adaptive_keys():

@@ -16,33 +16,44 @@ from atlc.constraints import (
     build_clf_row,
     build_pointwise_row,
     build_qp_instance,
-    row_margin,
+    build_qp_stack,
 )
 from atlc.model import resistance_force
 from atlc.robust_bounds import stack_on_grid
 from atlc.tau_select import candidate_taus
 
-from references import g_ratlc_from_stack, h_ratlc_from_stack, orthant_rows
+from references import (
+    g_ratlc_from_stack,
+    h_ratlc_from_stack,
+    orthant_rows,
+    qp_instance,
+    row_margin,
+)
 
 CFG = BoundConfig()
 
 
+def one_row(rows):
+    """The one row (a, b) over (u, delta) of a table of one whose gain
+    interval is a point: the rows of its two ends are equal."""
+    assert rows.low.shape == (1,) and rows.low.tobytes() == rows.high.tobytes()
+    return np.array([rows.low[0], 0.0]), -rows.h_worst[0]
+
+
 def tlc_row(x, tau, model):
     """The fixed-time-scale row, with the controller's coefficients."""
-    return build_pointwise_row(x, 2.0 / tau, 2.0 / tau**2, model)
+    return one_row(build_pointwise_row(x, 2.0 / tau, 2.0 / tau**2, model))
 
 
 def hocbf_row(x, p1, p2, model):
     """The high-order barrier row, with the controller's coefficients."""
-    return build_pointwise_row(x, p1 + p2, p1 * p2, model)
+    return one_row(build_pointwise_row(x, p1 + p2, p1 * p2, model))
 
 
 def robust_row(box, tau, model):
     """The case study's one robust row over (u, delta): its input gain is
     constant, so the rows of the two ends of the gain interval are equal."""
-    rows = atlc_rows(stack_on_grid(box, model, CFG), [tau])
-    assert rows.low.shape == (1,) and rows.low.tobytes() == rows.high.tobytes()
-    return np.array([rows.low[0], 0.0]), -rows.h_worst[0]
+    return one_row(atlc_rows(stack_on_grid(box, model, CFG), [tau]))
 
 
 def feasible_interval(row, u_min, u_max):
@@ -216,11 +227,46 @@ def test_build_qp_instance_cost(model, params):
     """The model's effort cost ((u - F_r(v)) / M)^2 expanded in u, bit for
     bit, plus the slack weight; the box gains the slack's bounds."""
     x = make_state(90.0, 15.0)
-    rows = [build_clf_row(x, params.c3, model)]
-    inst = build_qp_instance(rows, model, x, params.w)
+    inst = build_qp_instance(build_pointwise_row(x, 2.0, 1.0, model),
+                             build_clf_row(x, params.c3, model), model, x, params.w)
     fr = resistance_force(x[1], params)
     assert fr == pytest.approx(131.35, rel=1e-15)
     assert inst.quadratic_diag.tolist() == [1.0 / params.M**2, params.w]
     assert inst.linear_cost.tolist() == [-2.0 * fr / params.M**2, 0.0]
     assert inst.lower.tolist() == [params.u_min, 0.0]
     assert inst.upper.tolist() == [params.u_max, 1.0e7]
+
+
+def test_pointwise_qp_is_the_reference_assembly(model, params):
+    """A pointwise row's QP holds the rows of its two equal gain ends and
+    the CLF row, the reference instance with the one row and the CLF row
+    plus a copy of the safety row, bit for bit; its margin is that row's."""
+    for x in (make_state(90.0, 15.0), make_state(11.0, 15.0), make_state(10.2, 24.0)):
+        rows = build_pointwise_row(x, 2.0, 1.0, model)
+        clf = build_clf_row(x, params.c3, model)
+        inst = build_qp_instance(rows, clf, model, x, params.w)
+        ref = qp_instance([one_row(rows), one_row(rows), clf], model, x, params.w)
+        for name in ("quadratic_diag", "linear_cost", "a_ge", "b_ge", "lower", "upper"):
+            assert getattr(inst, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert rows.margins(model.u_min, model.u_max).tolist() == [
+            row_margin(one_row(rows), model.u_min, model.u_max)]
+
+
+def test_qp_stack_lays_out_every_time_scale(sign_gain_model, params):
+    """Entry k of the stack is the QP of time scale k on its own: the rows of
+    its two gain ends and the CLF row over the shared cost and box."""
+    model = sign_gain_model
+    x = make_state(49.8, 15.0)
+    gs = stack_on_grid(make_box(x, [0.5, 0.5], [0.5, 0.5]), model, CFG)
+    taus = [0.05, 0.5, 2.0]
+    clf = build_clf_row(x, params.c3, model)
+    diag, linear, a, b, lower, upper = build_qp_stack(atlc_rows(gs, taus), clf, model, x,
+                                                      params.w)
+    assert a.shape == (3, 3, 2) and b.shape == (3, 3)
+    for k, tau in enumerate(taus):
+        rows = [(np.array([g_ratlc_from_stack(gs, tau, sign), 0.0]),
+                 -h_ratlc_from_stack(gs, tau)) for sign in (1.0, -1.0)]
+        ref = qp_instance([*rows, clf], model, x, params.w)
+        assert (a[k].tobytes(), b[k].tobytes()) == (ref.a_ge.tobytes(), ref.b_ge.tobytes())
+        assert [v.tobytes() for v in (diag, linear, lower, upper)] == [
+            v.tobytes() for v in (ref.quadratic_diag, ref.linear_cost, ref.lower, ref.upper)]

@@ -1,6 +1,6 @@
 """The package's public names, and the imports and private names of its
 modules and of the test modules; no test reads a private name of the QP
-solver it checks."""
+solver it checks, and one package module lays out the controller's QP."""
 
 import ast
 from pathlib import Path
@@ -133,3 +133,50 @@ def test_no_test_reads_a_private_name_of_the_qp_solver():
     found = {name: private_qp_names(source)
              for name, source in sources_in(DIRECTORIES[1]).items()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# the modules that may lay out the controller QP: the builder and the solver
+QP_LAYOUT_OWNERS = ("constraints.py", "qp.py")
+
+
+def qp_layout_reads(source: str) -> list[str]:
+    """Where a module constructs a ``QpInstance`` (a call of the class, by
+    its name, an alias or an attribute) or reads ``qp_cost_and_box`` (an
+    import, a name or an attribute)."""
+    tree = ast.parse(source)
+    classes = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name == "QpInstance"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in classes
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "QpInstance"):
+            found.append(f"line {node.lineno}: QpInstance(...)")
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "qp_cost_and_box" for alias in node.names) or (
+                isinstance(node, ast.Name) and node.id == "qp_cost_and_box") or (
+                isinstance(node, ast.Attribute) and node.attr == "qp_cost_and_box"):
+            found.append(f"line {node.lineno}: qp_cost_and_box")
+    return sorted(found)
+
+
+def test_qp_layout_reads_are_caught():
+    source = ("from .qp import QpInstance as Q, solve_qp\nfrom . import constraints\n"
+              "from .constraints import qp_cost_and_box\nx = Q(1)\n"
+              "y = constraints.qp_cost_and_box(2)\nz = atlc.qp.QpInstance(3)\n"
+              "solve_qp(x)\n")
+    assert qp_layout_reads(source) == [
+        "line 3: qp_cost_and_box", "line 4: QpInstance(...)",
+        "line 5: qp_cost_and_box", "line 6: QpInstance(...)"]
+
+
+def test_only_the_builder_lays_out_the_controller_qp():
+    """No package module but the builder's and the solver's constructs a
+    ``QpInstance`` or reads ``qp_cost_and_box``, so
+    ``atlc.constraints.build_qp_stack`` is the one layout of the controller's
+    QP that every kind solves."""
+    found = {name: qp_layout_reads(source)
+             for name, source in sources_in(DIRECTORIES[0]).items()
+             if name not in QP_LAYOUT_OWNERS}
+    assert {name: reads for name, reads in found.items() if reads} == {}

@@ -536,18 +536,14 @@ def test_closed_form_matches_the_enumeration():
     within 1e-12 relative.  In the band both accept points that miss a
     constraint within FEAS_TOL, so the optima may differ by that much; there
     the solver's optimum meets every constraint within the tolerance and is
-    a KKT point.  The enumeration tries only KKT points of the exact rows,
-    so in the band it can miss the box vertex or the bound that meets every
-    constraint within the tolerance and report infeasible: those instances
-    are the only verdicts allowed to differ."""
-    checked = infeasible = in_band = 0
-    missed = []
+    a KKT point.  Every verdict is the enumeration's, the band's too, where
+    only a point that meets the rows within the tolerance may exist."""
+    checked = infeasible = in_band = relaxed = 0
     for arrays, band in foldable_stacks(25, (-2.0, 9.0), near=True):
         values, objective, optimal = solve_qp_stack(*arrays)
         ref_values, ref_objective, ref_optimal = active_set_solve(*arrays)
-        differs = optimal != ref_optimal
-        assert (band & optimal)[differs].all()
-        missed += np.flatnonzero(differs).tolist()
+        np.testing.assert_array_equal(optimal, ref_optimal)
+        relaxed += (optimal & ~active_set_solve(*arrays, relax=False)[2]).sum()
         exact = optimal & ~band
         assert (np.abs(values[exact] - ref_values[exact])
                 <= 1e-12 * np.maximum(1.0, np.abs(ref_values[exact]))).all()
@@ -563,7 +559,7 @@ def test_closed_form_matches_the_enumeration():
         checked += exact.sum()
         in_band += (optimal & band).sum()
         infeasible += (~optimal).sum()
-    assert checked > 1000 and in_band > 300 and infeasible > 200 and len(missed) <= 5
+    assert checked > 1000 and in_band > 300 and infeasible > 200 and relaxed >= 5
 
 
 def test_closed_form_is_a_kkt_point_at_huge_slack_weights():

@@ -22,7 +22,7 @@ from atlc import (
     solve_qp,
 )
 from atlc.cli import build_controller_config, load_scenario
-from atlc.constraints import atlc_rows, build_clf_row, build_qp_instance, qp_cost_and_box
+from atlc.constraints import atlc_rows, build_clf_row
 from atlc.margin import margin_from_stack
 from atlc.qp import solve_qp_stack
 from atlc.robust_bounds import stack_on_grid
@@ -35,6 +35,7 @@ from references import (
     h_ratlc_from_stack,
     orthant_event_qp,
     orthant_margin,
+    qp_instance,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,7 +60,7 @@ def scripted_selection(x, box, cfg, model):
         tau = float(tau)
         # constant gain: both ends of the gain interval give this one row
         row = np.array([g_ratlc_from_stack(gs, tau, 1.0), 0.0]), -h_ratlc_from_stack(gs, tau)
-        inst = build_qp_instance([row, clf], model, x, cfg.params.w)
+        inst = qp_instance([row, clf], model, x, cfg.params.w)
         sol = solve_qp(inst)
         if sol.status != "optimal":
             table.append((tau, -math.inf))
@@ -236,8 +237,9 @@ def test_equal_end_rows_solve_as_one_row():
         a = np.zeros((40, 2, 2))
         a[:, 0, 0], a[:, 1] = rows.low, a_clf
         b = np.column_stack([-rows.h_worst, np.full(40, b_clf)])
-        diag, linear, lower, upper = qp_cost_and_box(case_model, x, cfg.params.w)
-        values, objective, optimal = solve_qp_stack(diag, linear, a, b, lower, upper)
+        inst = qp_instance([(a_clf, b_clf)], case_model, x, cfg.params.w)
+        values, objective, optimal = solve_qp_stack(
+            inst.quadratic_diag, inst.linear_cost, a, b, inst.lower, inst.upper)
         assert table.feasible.tolist() == optimal.tolist()
         assert table.qp_objective.tobytes() == objective.tobytes()
         assert table.u.tobytes() == values[:, 0].tobytes()
